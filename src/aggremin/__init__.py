@@ -37,7 +37,7 @@ from .flow import (
     run_to_convergence,
     step,
 )
-from .params import CandidateMinimizer, GammaArg, KernelParams, RadialArg, RegimeTag
+from .params import CandidateMinimizer, KernelParams, RadialArg, RegimeTag
 from .potentials import (
     ball_potential,
     psi_gamma,
@@ -80,7 +80,6 @@ __all__ = [
     "ConvexityReport",
     "DomainError",
     "ELReport",
-    "GammaArg",
     "Hyp2F1Input",
     "IllConditioned",
     "KernelParams",

@@ -226,12 +226,15 @@ def cmd_phase_scan(args) -> int:
         raise _UsageError(f"beta range must lie within (-{d}, 2]")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
+    # linspace misses an intended beta = 0 by rounding (1.1e-16, say);
+    # such a grid point is the logarithmic kernel.
+    zero_tol = 1e-12 * max(1.0, abs(args.beta_min), abs(args.beta_max))
     rows = []
     for a in alphas:
         a = float(a)
         bs = beta_star(d, a) if d >= 2 else None
         for b in betas:
-            b = float(b)
+            b = 0.0 if abs(b) <= zero_tol else float(b)
             if b >= a:
                 continue
             params = KernelParams(d, a, b, beta_is_log=(b == 0.0))

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _SUPPORTED = ("SphereTheorem1", "Boundary", "BallTheorem2")
+_BETA_CONDITION_FLOOR = 1e-6
 
 
 def beta_star(d, alpha: float) -> float:
@@ -85,10 +86,24 @@ def classify(params: KernelParams) -> RegimeTag:
     )
 
 
+def _require_well_conditioned(params: KernelParams) -> None:
+    """Refuse a power-law beta so close to 0 that r^beta/beta cancels.
+
+    The formulas divide by beta, and near 0 they approach the 1/beta
+    divergence of the power kernel, not the logarithmic limit that the
+    ``beta_is_log`` flag selects.
+    """
+    if not params.beta_is_log and abs(params.beta) < _BETA_CONDITION_FLOOR:
+        raise IllConditioned(
+            "beta within 1e-6 of 0 cancels catastrophically; use beta_is_log"
+        )
+
+
 def _require_supported(params: KernelParams) -> RegimeTag:
     tag = classify(params)
     if tag.tag not in _SUPPORTED:
         raise RegimeError(tag.detail)
+    _require_well_conditioned(params)
     return tag
 
 

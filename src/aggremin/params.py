@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 _REGIME_TAGS = ("SphereTheorem1", "BallTheorem2", "Boundary", "OutOfScope")
 _CANDIDATE_KINDS = ("UniformSphere", "BallProfile")
@@ -68,21 +68,6 @@ class RadialArg:
     def __post_init__(self):
         if not self.rho >= 0.0:
             raise DomainError(f"rho must be >= 0, got {self.rho}")
-
-
-@dataclass(frozen=True)
-class GammaArg:
-    """Argument of the gamma family (Gamma, digamma, Pochhammer base).
-
-    Non-positive integers are poles of Gamma and digamma; constructing
-    the record there fails immediately.
-    """
-
-    x: float
-
-    def __post_init__(self):
-        if self.x <= 0 and float(self.x).is_integer():
-            raise PoleError(f"{self.x} is a pole of the gamma function")
 
 
 @dataclass(frozen=True)

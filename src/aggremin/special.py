@@ -1,19 +1,17 @@
 """Gamma-family functions and Gauss/generalized hypergeometric series.
 
 Everything here is real-argument and restricted to z in [0, 1], which is
-all the radial potential formulas need.  The evaluation strategy for
-F(a,b;c;z):
+all the radial potential formulas need.  F(a,b;c;z) is evaluated by
+scipy's ``hyp2f1`` ufunc for z in [0, 1); on the parameters the
+potentials use (a = -gamma/2, b = (2-gamma-d)/2, c in {d/2, 2-gamma/2},
+z up to 1 - 1e-12) it agrees with mpmath to better than 1e-12 relative.
+A non-finite result raises NonConvergence.  z = 1 itself goes through
+the Gauss summation formula, which is exact up to gamma-function
+rounding whenever c-a-b > 0.
 
-* direct summation for z <= 0.75 (terms decay at least geometrically);
-* for z in (0.75, 1), the z -> 1-z connection formula (DLMF 15.8.4),
-  unless c-a-b is within 1e-8 of an integer, where the two connection
-  terms cancel catastrophically; there we fall back to direct summation
-  with a documented accuracy floor of about 1e-8 and a 2e6 term cap;
-* z = 1 itself goes through the Gauss summation formula, which is exact
-  up to gamma-function rounding whenever c-a-b > 0.
-
-Terminating series (a or b a non-positive integer, detected within
-1e-12) are summed exactly as polynomials regardless of z.
+The series scipy lacks (3F2, and the log-kernel series of
+``potentials``) share one blocked summation loop, ``_blocked_sum``;
+each caller decides how to close a sum that reaches the term cap.
 """
 
 from __future__ import annotations
@@ -25,10 +23,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, NonConvergence, PoleError
-from .params import GammaArg
 
 __all__ = [
-    "GammaArg",
     "Hyp2F1Input",
     "gamma_fn",
     "digamma",
@@ -42,7 +38,6 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 SERIES_CAP = 2_000_000
 _INT_TOL = 1e-12
-_CONNECTION_CUTOFF = 1e-8
 
 
 def _is_nonpositive_integer(x: float, tol: float = 0.0) -> bool:
@@ -111,64 +106,40 @@ class Hyp2F1Input:
             )
 
 
-def _blocked_sum(ratio, cap: int, label: str) -> float:
-    """Sum 1 + t1 + t2 + ... where t_{n+1} = ratio(n) * t_n.
+def _blocked_sum(ratio, label: str):
+    """Partial sum of t_0 + t_1 + ... with t_0 = 1, t_{k+1} = ratio(k) t_k.
 
-    ``ratio`` must accept a float ndarray of indices.  Stops when three
-    consecutive terms fall below eps times the running partial sum;
-    raises NonConvergence at the cap.  Blocks keep the inner arithmetic
-    in numpy, which matters for the slowly-decaying near-boundary cases.
+    ``ratio`` must accept a float ndarray of indices k.  Summation stops
+    once three consecutive terms fall below eps times the running
+    partial sum, or after SERIES_CAP terms.  Returns
+    ``(partial_sum, last_term, last_index, converged)``; the caller
+    closes a truncated sum with its own tail rule or raises.  A
+    non-finite partial sum raises NonConvergence.  Blocks keep the inner
+    arithmetic in numpy, which matters for the slowly decaying series.
     """
     total = 1.0
     carry = 1.0
-    n0 = 0
+    k0 = 0
     block = 64
-    while n0 < cap:
-        m = min(block, cap - n0)
-        n = np.arange(n0, n0 + m, dtype=float)
-        terms = carry * np.cumprod(ratio(n))
+    while k0 < SERIES_CAP:
+        m = min(block, SERIES_CAP - k0)
+        k = np.arange(k0, k0 + m, dtype=float)
+        terms = carry * np.cumprod(ratio(k))
         partial = total + np.cumsum(terms)
         small = np.abs(terms) <= _EPS * np.abs(partial)
-        if m >= 3:
-            hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
-            if hits.size:
-                return float(partial[hits[0] + 2])
+        hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
+        if hits.size:
+            j = hits[0] + 2
+            return float(partial[j]), float(terms[j]), k0 + j + 1, True
         total = float(partial[-1])
         carry = float(terms[-1])
+        k0 += m
         if carry == 0.0:
-            return total
+            return total, 0.0, k0, True
         if not math.isfinite(total):
             raise NonConvergence(f"{label}: series blew up (non-finite partial sum)")
-        n0 += m
         block = min(block * 2, 65536)
-    raise NonConvergence(f"{label}: no convergence within {cap} terms")
-
-
-def _terminating_order(a: float, b: float):
-    """Smallest m with a = -m or b = -m (within 1e-12), else None."""
-    best = None
-    for p in (a, b):
-        if abs(p - round(p)) <= _INT_TOL and round(p) <= 0:
-            m = int(-round(p))
-            best = m if best is None else min(best, m)
-    return best
-
-
-def _finite_2f1(a: float, b: float, c: float, z: float, m: int) -> float:
-    total = 1.0
-    term = 1.0
-    for n in range(m):
-        term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-        total += term
-    return total
-
-
-def _direct_2f1(a: float, b: float, c: float, z: float) -> float:
-    return _blocked_sum(
-        lambda n: (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z,
-        SERIES_CAP,
-        "hyp2f1",
-    )
+    return total, carry, k0, False
 
 
 def _gauss_at_one(a: float, b: float, c: float) -> float:
@@ -178,43 +149,20 @@ def _gauss_at_one(a: float, b: float, c: float) -> float:
     )
 
 
-def _connection_2f1(a: float, b: float, c: float, z: float) -> float:
-    # DLMF 15.8.4; valid because s = c-a-b is kept away from the integers.
-    s = c - a - b
-    w = 1.0 - z
-    coef1 = _sp.gamma(c) * _sp.gamma(s) * _sp.rgamma(c - a) * _sp.rgamma(c - b)
-    coef2 = _sp.gamma(c) * _sp.gamma(-s) * _sp.rgamma(a) * _sp.rgamma(b)
-    f1 = _gauss_series(a, b, 1.0 - s, w) if coef1 != 0.0 else 0.0
-    f2 = _gauss_series(c - a, c - b, 1.0 + s, w) if coef2 != 0.0 else 0.0
-    return float(coef1 * f1 + coef2 * w**s * f2)
-
-
 def _gauss_series(a: float, b: float, c: float, z: float) -> float:
-    """Internal F(a,b;c;z) for z in [0, 1]; c checked by the caller."""
-    if z == 0.0:
-        return 1.0
-    if z == 1.0:
-        if not c - a - b > 0:
-            raise DomainError("F(a,b;c;1) needs c-a-b > 0")
-        return _gauss_at_one(a, b, c)
-    m = _terminating_order(a, b)
-    if m is not None:
-        return _finite_2f1(a, b, c, z, m)
-    if z <= 0.75:
-        return _direct_2f1(a, b, c, z)
-    s = c - a - b
-    if abs(s - round(s)) <= _CONNECTION_CUTOFF:
-        # Documented fallback: near-integer s makes the connection
-        # formula cancel; plain summation keeps ~1e-8 here.
-        return _direct_2f1(a, b, c, z)
-    return _connection_2f1(a, b, c, z)
+    """Internal F(a,b;c;z) for z in [0, 1); c checked by the caller."""
+    value = float(_sp.hyp2f1(a, b, c, z))
+    if not math.isfinite(value):
+        raise NonConvergence(f"hyp2f1({a!r}, {b!r}; {c!r}; {z!r}) is not finite")
+    return value
 
 
 def hyp2f1(inp: Hyp2F1Input) -> float:
     """Gauss hypergeometric series F(a,b;c;z) for z in [0, 1).
 
     The boundary value lives in :func:`hyp2f1_at_one`; asking for z = 1
-    here is an error rather than a silent detour.
+    here is an error rather than a silent detour.  A value that overflows
+    (c-a-b strongly negative close to z = 1) raises NonConvergence.
     """
     if inp.z == 1.0:
         raise DomainError("use hyp2f1_at_one for the z=1 boundary value")
@@ -272,12 +220,12 @@ def _hyp3f2_tail(t_last: float, n_last: float, s3: float) -> float:
 def hyp3f2(a0: float, a1: float, a2: float, b0: float, b1: float, z: float) -> float:
     """Generalized hypergeometric 3F2(a0,a1,a2; b0,b1; z) on [0, 1].
 
-    Direct summation; terminating numerator parameters short-circuit to
-    the exact polynomial.  At z = 1 convergence needs
-    s3 = b0+b1-a0-a1-a2 > 0 and the terms only decay like n^(-1-s3), so
-    the sum is truncated at 1e6 terms and finished with an
-    Euler-Maclaurin tail estimate (absolute accuracy around 1e-11 for
-    s3 of order one).
+    Direct summation; a non-positive integer numerator parameter makes
+    the ratio vanish exactly, so terminating series stop at their last
+    term.  At z = 1 convergence needs s3 = b0+b1-a0-a1-a2 > 0 and the
+    terms only decay like n^(-1-s3), so a sum still open at the term cap
+    is finished with an Euler-Maclaurin tail estimate (absolute accuracy
+    around 1e-11 for s3 of order one).
     """
     for b_ in (b0, b1):
         if _is_nonpositive_integer(b_, _INT_TOL):
@@ -286,50 +234,16 @@ def hyp3f2(a0: float, a1: float, a2: float, b0: float, b1: float, z: float) -> f
         raise DomainError(f"z={z} outside [0, 1]")
     if z == 0.0:
         return 1.0
-
-    m = None
-    for p in (a0, a1, a2):
-        if abs(p - round(p)) <= _INT_TOL and round(p) <= 0:
-            k = int(-round(p))
-            m = k if m is None else min(m, k)
-    if m is not None:
-        total = 1.0
-        term = 1.0
-        for n in range(m):
-            term *= (
-                (a0 + n) * (a1 + n) * (a2 + n)
-                / ((b0 + n) * (b1 + n) * (1.0 + n))
-                * z
-            )
-            total += term
-        return total
+    s3 = b0 + b1 - a0 - a1 - a2
+    if z == 1.0 and not s3 > 0:
+        raise DomainError(f"3F2 at z=1 needs sum(b)-sum(a) > 0, got {s3}")
 
     def ratio(n):
         return (a0 + n) * (a1 + n) * (a2 + n) / ((b0 + n) * (b1 + n) * (1.0 + n)) * z
 
+    total, last, k, converged = _blocked_sum(ratio, "hyp3f2")
+    if converged:
+        return total
     if z < 1.0:
-        return _blocked_sum(ratio, SERIES_CAP, "hyp3f2")
-
-    s3 = b0 + b1 - a0 - a1 - a2
-    if not s3 > 0:
-        raise DomainError(f"3F2 at z=1 needs sum(b)-sum(a) > 0, got {s3}")
-    budget = 1_000_000
-    total = 1.0
-    carry = 1.0
-    n0 = 0
-    block = 4096
-    while n0 < budget:
-        mblk = min(block, budget - n0)
-        n = np.arange(n0, n0 + mblk, dtype=float)
-        terms = carry * np.cumprod(ratio(n))
-        partial = total + np.cumsum(terms)
-        small = np.abs(terms) <= _EPS * np.abs(partial)
-        if mblk >= 3:
-            hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
-            if hits.size:
-                return float(partial[hits[0] + 2])
-        total = float(partial[-1])
-        carry = float(terms[-1])
-        n0 += mblk
-        block = min(block * 2, 65536)
-    return total + _hyp3f2_tail(carry, float(n0), s3)
+        raise NonConvergence(f"hyp3f2: no convergence within {SERIES_CAP} terms")
+    return total + _hyp3f2_tail(last, float(k), s3)

@@ -24,10 +24,11 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import rgamma
 
 from .closed_form import candidate_for, classify, eta as closed_form_eta
-from .closed_form import _radius_sphere
-from .errors import DomainError, IllConditioned, QuadratureFailure, RegimeError
+from .closed_form import _radius_sphere, _require_well_conditioned
+from .errors import DomainError, QuadratureFailure, RegimeError
 from .params import CandidateMinimizer, KernelParams, RadialArg
 from .potentials import (
+    _check_dim,
     psi_gamma,
     psi_values_at_one,
     tilde_psi0,
@@ -47,15 +48,6 @@ __all__ = [
     "convexity_report",
     "single_zero_scan",
 ]
-
-_BETA_CONDITION_FLOOR = 1e-6
-
-
-def _check_dim(d, minimum: int) -> int:
-    if not float(d).is_integer() or d < minimum:
-        raise DomainError(f"dimension must be an integer >= {minimum}, got {d}")
-    return int(d)
-
 
 def _colatitude_area(d: int) -> float:
     # |S^(d-2)|, the measure of the azimuthal factor; equals 2 in d = 2.
@@ -306,6 +298,7 @@ def verify_euler_lagrange(
             )
         if not params.beta_is_log and not params.d + params.beta > 2:
             raise RegimeError("forced sphere candidate needs d + beta > 2")
+        _require_well_conditioned(params)
         cand = CandidateMinimizer(
             "UniformSphere", _radius_sphere(params.d, params.alpha, params.beta)
         )
@@ -347,10 +340,7 @@ def _sphere_compatible(params: KernelParams) -> None:
         raise RegimeError("alpha out of supported range")
     if params.d < 2:
         raise RegimeError("the sphere combination needs d >= 2")
-    if not params.beta_is_log and abs(params.beta) < _BETA_CONDITION_FLOOR:
-        raise IllConditioned(
-            "beta within 1e-6 of 0 cancels catastrophically; use beta_is_log"
-        )
+    _require_well_conditioned(params)
 
 
 def psi_capital(params: KernelParams, rho: float) -> float:
@@ -408,7 +398,10 @@ def convexity_report(
     The grid is uniform on each side of rho = 1 with no stencil
     straddling the branch point, since psi_beta is typically only C^1
     there.  ``psi_dd_at_one`` carries the closed-form second derivative
-    when it exists (d + beta > 3) and nan otherwise.
+    when it exists (d + beta > 3) and nan otherwise.  The report passes
+    only if no second difference and no finite ``psi_dd_at_one`` falls
+    below -tol: just under beta_star the negative curvature sits so close
+    to rho = 1 that the grid alone can miss it.
     """
     _sphere_compatible(params)
     if not rho_max > 1:
@@ -435,7 +428,7 @@ def convexity_report(
         grid=tuple(float(g) for g in grid),
         min_second_difference=min_sd,
         psi_dd_at_one=dd,
-        passed=min_sd >= -tol,
+        passed=min_sd >= -tol and (math.isnan(dd) or dd >= -tol),
         tol=tol,
     )
 

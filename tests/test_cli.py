@@ -273,6 +273,26 @@ def test_phase_scan_csv_grid(capsys):
     assert out_of_scope[4] == "" and out_of_scope[5] == ""
 
 
+def test_phase_scan_grid_zero_is_the_log_kernel(capsys):
+    """linspace(-0.7, 2, 28) passes 0 as 1.1e-16; that row is the
+    logarithmic kernel (E = 0.322940 in d = 3), not the -1/(2 beta)
+    divergence."""
+    rc, out, _ = _run(
+        ["phase-scan", "--d", "3", "--alpha-min", "2", "--alpha-max", "2",
+         "--alpha-steps", "1", "--beta-min", "-0.7", "--beta-max", "2",
+         "--beta-steps", "28"],
+        capsys,
+    )
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    near_zero = [row for row in rows if abs(float(row[1])) < 0.05]
+    assert len(near_zero) == 1
+    zero = near_zero[0]
+    assert zero[1] == "0.0" and zero[2] == "BallTheorem2"
+    assert float(zero[5]) == pytest.approx(0.3229398673070137, rel=1e-12)
+    assert all(abs(float(row[5])) < 100.0 for row in rows if row[5])
+
+
 def test_phase_scan_skips_beta_at_or_above_alpha(capsys):
     """Grid points with beta >= alpha are dropped, not reported."""
     rc, out, _ = _run(

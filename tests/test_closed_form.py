@@ -15,6 +15,7 @@ from scipy.integrate import quad
 
 from aggremin import (
     DomainError,
+    IllConditioned,
     KernelParams,
     RegimeError,
     ball_density,
@@ -166,6 +167,19 @@ def test_energy_anchor_values():
     assert abs(energy(log_ball) - 0.375) < 1e-14
     want = 0.6 * (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
     assert abs(energy(KernelParams(2, 2.0, -1.0)) - want) < 1e-14
+
+
+def test_beta_next_to_zero_is_refused_not_extrapolated():
+    """A power-law beta within 1e-6 of 0 sits on the -1/(2 beta)
+    divergence, not on the log kernel; every closed form refuses it."""
+    for params in (KernelParams(3, 2.0, 1e-8), KernelParams(4, 3.0, -5e-7)):
+        for fn in (radius, energy, eta, candidate_for):
+            with pytest.raises(IllConditioned):
+                fn(params)
+    with pytest.raises(IllConditioned):
+        ball_density(KernelParams(3, 2.0, 1e-8), 0.1)
+    assert classify(KernelParams(3, 2.0, 1e-8)).tag == "BallTheorem2"
+    assert math.isfinite(energy(KernelParams(3, 2.0, 2e-6)))
 
 
 def test_energy_formulas_agree_at_the_regime_junction():

@@ -8,6 +8,7 @@ at least one route that shares no code with it.
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -383,6 +384,17 @@ def test_tilde_psi0_prime_exact_branches():
         assert abs(tilde_psi0_prime(4, rho) - 0.25) < 1e-15
     want = (1.0 - 1.0 / 4.0) / 4.0
     assert abs(tilde_psi0_prime(4, 2.0) - want) < 1e-14
+
+
+def test_tilde_psi0_prime_next_to_the_branch_point():
+    """d = 3 at rho = 1 +- 1e-7, where the series converge slowest."""
+    for rho in (1.0 - 1e-7, 1.0 + 1e-7):
+        with mpmath.workdps(40):
+            if rho < 1.0:
+                want = float(mpmath.hyp2f1(1, 0.5, 2.5, rho) / 6)
+            else:
+                want = float(mpmath.hyp2f1(1, -0.5, 1.5, 1 / mpmath.mpf(rho)) / (2 * rho))
+        assert abs(tilde_psi0_prime(3, rho) - want) < 1e-14 * want, rho
 
 
 def test_tilde_psi0_prime_matches_finite_difference():

@@ -192,6 +192,8 @@ def test_psi_capital_condition_gates():
         psi_capital(KernelParams(1, 2.0, -0.5), 0.5)
     with pytest.raises(DomainError):
         psi_capital(KernelParams(3, 2.0, 1.5), -0.1)
+    with pytest.raises(IllConditioned):
+        verify_euler_lagrange(KernelParams(3, 3.0, -1e-8), force_sphere=True)
 
 
 def test_curvature_at_one_vanishes_on_the_critical_curve():
@@ -273,6 +275,19 @@ def test_convexity_report_fails_below_the_critical_curve():
     second = np.concatenate([np.diff(vals_left, 2), np.diff(vals_right, 2)])
     centers = np.concatenate([left[1:-1], right[1:-1]])
     assert abs(centers[int(np.argmin(second))] - 1.0) < 0.1
+
+
+def test_convexity_report_fails_when_only_the_curvature_at_one_is_negative():
+    """Just below beta_star the negative curvature hugs rho = 1 so tightly
+    that every second difference on the grid stays positive; the exact
+    Psi''(1) < 0 must still fail the report."""
+    from aggremin import beta_star
+
+    params = KernelParams(4, 3.826, beta_star(4, 3.826) - 0.05)
+    report = convexity_report(params)
+    assert report.min_second_difference > 0.0
+    assert report.psi_dd_at_one < -report.tol
+    assert not report.passed
 
 
 def test_convexity_report_nan_curvature_in_the_low_strip():

@@ -193,6 +193,8 @@ def cmd_simulate(args) -> int:
         "max_iter": args.max_iter,
         "converged": converged,
         "iterations": state.iteration,
+        "energy_evals": state.energy_evals,
+        "backtracks": state.backtracks,
         "final_energy": state.energy_trace[-1],
         "final_max_force": flow.max_force(state),
     }

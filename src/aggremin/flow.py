@@ -1,17 +1,23 @@
-"""Particle gradient descent on the discrete interaction energy.
+"""Particle descent on the discrete interaction energy.
 
 The continuum energy is discretized over N equal point masses with the
-self-interaction excluded; the resulting system follows explicit Euler
-steps along the per-particle forces with a backtracking line search, so
-the recorded energies never increase.  Converged configurations act as
-an empirical cross-check on the closed-form minimizers: in the sphere
-regime the particles should ring up at the predicted radius, in the
-ball regime they should fill it.
+self-interaction excluded.  One kernel gives the energy and the
+per-particle forces together, from a single pass over the N(N-1)/2
+particle pairs; when alpha = 2 the attraction goes through the centroid
+in O(N) instead.  ``run_to_convergence`` drives a random cloud to a
+critical point with limited-memory BFGS (Liu & Nocedal 1989) and an
+Armijo backtracking line search, and ``step`` takes one steepest-descent
+step with the same backtracking, so the recorded energies never
+increase.  Converged configurations act as an empirical cross-check on
+the closed-form minimizers: in the sphere regime the particles should
+ring up at the predicted radius, in the ball regime they should fill it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +39,13 @@ __all__ = [
 ]
 
 _MIN_STEP = 1e-16
+_START_STEP = 0.5
+# Pairs per block of the kernel: its temporaries stay small enough to be
+# reused from one block to the next instead of being mapped afresh.
+_BLOCK = 8192
+# Limited-memory BFGS: curvature pairs kept, and the Armijo constant.
+_HISTORY = 10
+_ARMIJO = 1e-4
 
 
 def _kernel_singular_at_zero(params: KernelParams) -> bool:
@@ -82,50 +95,74 @@ def force(params: KernelParams, z) -> np.ndarray:
     return -(ca - cb) * z
 
 
-def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist2 = np.sum(diff * diff, axis=2)
-    np.fill_diagonal(dist2, np.inf)
-    return np.sqrt(dist2)
+@functools.lru_cache(maxsize=4)
+def _pairs(n: int) -> tuple:
+    # The condensed upper triangle i < j, row by row; read-only because
+    # the cache hands the same arrays to every caller.
+    first, second = np.triu_indices(n, k=1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
 
 
-def _energy_of(params: KernelParams, positions: np.ndarray) -> float:
-    n = positions.shape[0]
-    iu = np.triu_indices(n, k=1)
-    diff = positions[iu[0]] - positions[iu[1]]
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
-    if np.any(dist == 0.0):
-        raise DomainError("coincident particles")
-    if params.alpha_is_log:
-        attract = np.log(dist)
-    else:
-        attract = dist**params.alpha / params.alpha
-    if params.beta_is_log:
-        repel = np.log(dist)
-    else:
-        repel = dist**params.beta / params.beta
-    return float(np.sum(attract - repel)) / n**2
+def _power_terms(r2: np.ndarray, p: float, is_log: bool):
+    """(r^p / p, r^(p-2)) from r^2, or (ln r, r^-2) for the log kernel:
+    one term of W and its gradient coefficient, grad = coef * z."""
+    if is_log:
+        return 0.5 * np.log(r2), 1.0 / r2
+    coef = r2 ** (0.5 * p - 1.0)
+    return coef * r2 / p, coef
 
 
-def _pair_forces(params: KernelParams, positions: np.ndarray) -> np.ndarray:
-    """Per-particle mean force (1/N) sum_{j != i} -grad W(x_i - x_j).
+def _energy_and_forces(params: KernelParams, x: np.ndarray):
+    """Energy (1/N^2) sum_{i<j} W(|x_i - x_j|) and the per-particle mean
+    force F_i = -(1/N) sum_{j != i} grad W(x_i - x_j), in one pair pass.
 
-    Fully vectorized with a fixed summation order, so reruns with the
-    same inputs are bit-identical.
+    The pairs are taken in blocks of the condensed upper triangle; r^2
+    is computed once per pair and both the energy terms and the force
+    coefficients come from it.  Forces are added back per coordinate
+    with ``np.bincount``, a fixed summation order, so reruns with the
+    same inputs are bit-identical.  For alpha = 2 the attraction is
+    sum_i |x_i - c|^2 / (2N) in energy and -(x_i - c) in force, with c
+    the centroid, and stays out of the pair pass.  Raises DomainError if
+    two particles coincide.
     """
-    n = positions.shape[0]
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist2 = np.sum(diff * diff, axis=2)
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(dist2[off_diag] == 0.0):
-        raise DomainError("coincident particles")
-    np.fill_diagonal(dist2, 1.0)
-    dist = np.sqrt(dist2)
-    ca = 1.0 / dist2 if params.alpha_is_log else dist ** (params.alpha - 2.0)
-    cb = 1.0 / dist2 if params.beta_is_log else dist ** (params.beta - 2.0)
-    coef = ca - cb
-    np.fill_diagonal(coef, 0.0)
-    return -np.sum(coef[:, :, None] * diff, axis=1) / n
+    n, d = x.shape
+    first, second = _pairs(n)
+    cols = np.ascontiguousarray(x.T)
+    centroid = params.alpha == 2.0 and not params.alpha_is_log
+    pair_sum = 0.0
+    forces = np.zeros((n, d))
+    for start in range(0, first.size, _BLOCK):
+        i, j = first[start:start + _BLOCK], second[start:start + _BLOCK]
+        diff = [col.take(i) - col.take(j) for col in cols]
+        r2 = diff[0] * diff[0]
+        for dk in diff[1:]:
+            r2 += dk * dk
+        if not np.all(r2 > 0.0):
+            raise DomainError("coincident particles")
+        w_repel, c_repel = _power_terms(r2, params.beta, params.beta_is_log)
+        if centroid:
+            w, coef = -w_repel, -c_repel
+        else:
+            w_attract, c_attract = _power_terms(r2, params.alpha, params.alpha_is_log)
+            w, coef = w_attract - w_repel, c_attract - c_repel
+        pair_sum += float(np.sum(w))
+        for k, dk in enumerate(diff):
+            pull = coef * dk
+            forces[:, k] += np.bincount(j, pull, n)
+            forces[:, k] -= np.bincount(i, pull, n)
+    energy = pair_sum / n**2
+    forces /= n
+    if centroid:
+        dev = x - x.mean(axis=0)
+        energy += float(np.sum(dev * dev)) / (2 * n)
+        forces -= dev
+    return energy, forces
+
+
+def _max_norm(forces: np.ndarray) -> float:
+    return float(np.sqrt(np.max(np.sum(forces * forces, axis=1))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +171,24 @@ class ParticleSystem:
 
     Positions are an N x d array of pairwise-distinct finite points.
     ``energy_trace`` holds the energy after every accepted step starting
-    from the initial state; ``step_trace`` the step size that produced
-    each entry.  Instances are immutable; ``step`` returns a new one.
+    from the initial state; ``step_trace`` the step that produced each
+    entry (the first entry is the initial ``step_size``).  A ``step``
+    records its step size h along the forces, ``run_to_convergence`` the
+    accepted line-search multiplier of its quasi-Newton direction.
+    ``energy_evals`` counts the kernel evaluations and ``backtracks`` the
+    rejected line-search trials of the descent that produced the state.
+    Instances are immutable; ``step`` returns a new one.
     """
 
     positions: np.ndarray
     params: KernelParams
     rng_seed: int = 0
-    step_size: float = 0.5
+    step_size: float = _START_STEP
     iteration: int = 0
     energy_trace: tuple = field(default=())
     step_trace: tuple = field(default=())
+    energy_evals: int = 0
+    backtracks: int = 0
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
@@ -154,8 +198,7 @@ class ParticleSystem:
             )
         if not np.all(np.isfinite(pos)):
             raise DomainError("positions must be finite")
-        if float(np.min(_pairwise_distances(pos))) == 0.0:
-            raise DomainError("coincident particles")
+        energy, _ = _energy_and_forces(self.params, pos)
         if not self.step_size > 0:
             raise DomainError(f"step_size must be positive, got {self.step_size}")
         if self.iteration < 0:
@@ -163,7 +206,7 @@ class ParticleSystem:
         object.__setattr__(self, "positions", pos)
         trace = tuple(self.energy_trace)
         if not trace:
-            trace = (_energy_of(self.params, pos),)
+            trace = (energy,)
         object.__setattr__(self, "energy_trace", trace)
         steps = tuple(self.step_trace)
         if not steps:
@@ -195,61 +238,76 @@ class RadialStats:
 
 def discrete_energy(sys: ParticleSystem) -> float:
     """Energy (1/(2 N^2)) sum over ordered pairs i != j of W(|x_i - x_j|)."""
-    return _energy_of(sys.params, sys.positions)
+    return _energy_and_forces(sys.params, sys.positions)[0]
 
 
 def max_force(sys: ParticleSystem) -> float:
     """Largest per-particle force magnitude; zero at a critical point."""
-    forces = _pair_forces(sys.params, sys.positions)
-    return float(np.max(np.sqrt(np.sum(forces * forces, axis=1))))
+    return _max_norm(_energy_and_forces(sys.params, sys.positions)[1])
 
 
-def _advanced_state(
-    sys: ParticleSystem, positions: np.ndarray, energy: float, accepted_h: float
-) -> ParticleSystem:
-    # Internal constructor for accepted proposals, whose positions were
-    # already proven finite and distinct by the energy evaluation; skips
-    # the O(N^2) revalidation in __post_init__.
+def _state(positions, params, **fields) -> ParticleSystem:
+    # Internal constructor for descent results, whose positions were
+    # already proven finite and distinct by the kernel; skips the O(N^2)
+    # revalidation in __post_init__.
     new = object.__new__(ParticleSystem)
     object.__setattr__(new, "positions", positions)
-    object.__setattr__(new, "params", sys.params)
-    object.__setattr__(new, "rng_seed", sys.rng_seed)
-    object.__setattr__(new, "step_size", accepted_h * 1.1)
-    object.__setattr__(new, "iteration", sys.iteration + 1)
-    object.__setattr__(new, "energy_trace", sys.energy_trace + (energy,))
-    object.__setattr__(new, "step_trace", sys.step_trace + (accepted_h,))
+    object.__setattr__(new, "params", params)
+    for name, value in fields.items():
+        object.__setattr__(new, name, value)
     return new
 
 
-def _advance(sys: ParticleSystem, forces: np.ndarray) -> ParticleSystem:
-    e0 = sys.energy_trace[-1]
-    h = sys.step_size
+def _line_search(params, x, direction, e0, slope, t, iteration):
+    """Backtrack t from its start until x + t * direction is accepted.
+
+    A trial is accepted when its particles are distinct and its energy
+    is finite and at most e0 + _ARMIJO * t * slope (slope = 0 asks only
+    that the energy not rise).  Each rejection halves t; t below 1e-16
+    raises StallError.  Returns the accepted (t, x, energy, forces) and
+    the number of rejected trials.
+    """
+    rejected = 0
     while True:
-        if h < _MIN_STEP:
+        if t < _MIN_STEP:
             raise StallError(
-                f"step size underflowed below {_MIN_STEP} at iteration {sys.iteration}"
+                f"step size underflowed below {_MIN_STEP} at iteration {iteration}"
             )
-        proposal = sys.positions + h * forces
+        trial = x + t * direction
         try:
-            e1 = _energy_of(sys.params, proposal)
+            e1, f1 = _energy_and_forces(params, trial)
         except DomainError:
-            h *= 0.5
-            continue
-        if math.isfinite(e1) and e1 <= e0:
-            break
-        h *= 0.5
-    return _advanced_state(sys, proposal, e1, h)
+            e1 = math.nan
+        if math.isfinite(e1) and e1 <= e0 + _ARMIJO * t * slope:
+            return t, trial, e1, f1, rejected
+        rejected += 1
+        t *= 0.5
 
 
 def step(sys: ParticleSystem) -> ParticleSystem:
-    """One accepted descent step with backtracking on the step size.
+    """One accepted steepest-descent step with backtracking on the step size.
 
     The proposal x + h F is halved until the energy does not increase
     and no particles collide, then the accepted step is recorded and
     the next attempt starts 10% larger.  Underflow of h below 1e-16
     raises StallError; by construction the energy trace never rises.
     """
-    return _advance(sys, _pair_forces(sys.params, sys.positions))
+    _, forces = _energy_and_forces(sys.params, sys.positions)
+    h, positions, energy, _, rejected = _line_search(
+        sys.params, sys.positions, forces, sys.energy_trace[-1], 0.0,
+        sys.step_size, sys.iteration,
+    )
+    return _state(
+        positions,
+        sys.params,
+        rng_seed=sys.rng_seed,
+        step_size=h * 1.1,
+        iteration=sys.iteration + 1,
+        energy_trace=sys.energy_trace + (energy,),
+        step_trace=sys.step_trace + (h,),
+        energy_evals=sys.energy_evals + 2 + rejected,
+        backtracks=sys.backtracks + rejected,
+    )
 
 
 def radial_stats(sys: ParticleSystem) -> RadialStats:
@@ -281,6 +339,21 @@ def _initial_positions(
     return directions * (radii / norms)[:, None]
 
 
+def _lbfgs_direction(grad: np.ndarray, history: deque, scale: float) -> np.ndarray:
+    """-H grad by the two-loop recursion, with H0 = scale * I and the
+    (s, y, 1 / y.s) pairs of ``history``, oldest first."""
+    q = grad.copy()
+    coeffs = []
+    for s, y, rho in reversed(history):
+        a = rho * float(s @ q)
+        q -= a * y
+        coeffs.append(a)
+    q *= scale
+    for (s, y, rho), a in zip(history, reversed(coeffs)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
 def run_to_convergence(
     params: KernelParams,
     n_particles: int,
@@ -291,8 +364,14 @@ def run_to_convergence(
     """Descend from a random cloud until the forces are negligible.
 
     Particles start uniformly distributed in a ball of twice the
-    predicted radius (unit ball when no prediction applies) and step
-    until the largest per-particle force drops to ``tol``.  Returns the
+    predicted radius (unit ball when no prediction applies) and move by
+    limited-memory BFGS on the energy: the two-loop recursion over the
+    last 10 curvature pairs (a pair enters only when y.s > 0) gives the
+    direction, falling back to steepest descent when that is not a
+    descent direction, and an Armijo line search halves its multiplier
+    from 1 until the energy drops enough and no particles collide.  The
+    first direction is 0.5 F, the start of ``step``.  The descent stops
+    when the largest per-particle force drops to ``tol``.  Returns the
     converged system with its radial statistics; if the iteration
     budget runs out first, raises NonConvergence whose ``partial``
     attribute carries the best-so-far pair.
@@ -304,17 +383,53 @@ def run_to_convergence(
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)
-    sys = ParticleSystem(
-        positions=_initial_positions(params, n_particles, rng),
-        params=params,
+    x = _initial_positions(params, n_particles, rng)
+    energy, forces = _energy_and_forces(params, x)
+    # Appended lists, made tuples once: arrays of max_iter + 1 would
+    # allocate a large iteration budget up front.
+    energies, steps = [energy], [_START_STEP]
+    evals, backtracks = 1, 0
+    # The energy gradient is -F / N, so H0 = 0.5 N I makes the first
+    # direction 0.5 F, the first move of ``step``.
+    grad = forces.ravel() / -n_particles
+    scale = _START_STEP * n_particles
+    history = deque(maxlen=_HISTORY)
+    k = 0
+    while k < max_iter and _max_norm(forces) > tol:
+        direction = _lbfgs_direction(grad, history, scale)
+        slope = float(grad @ direction)
+        if not slope < 0.0:
+            history.clear()
+            direction = -scale * grad
+            slope = float(grad @ direction)
+        t, x_new, energy, forces, rejected = _line_search(
+            params, x, direction.reshape(x.shape), energy, slope, 1.0, k
+        )
+        evals += 1 + rejected
+        backtracks += rejected
+        grad_new = forces.ravel() / -n_particles
+        s = (x_new - x).ravel()
+        y = grad_new - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            history.append((s, y, 1.0 / sy))
+            scale = sy / float(y @ y)
+        x, grad = x_new, grad_new
+        k += 1
+        energies.append(energy)
+        steps.append(t)
+    sys = _state(
+        x,
+        params,
         rng_seed=int(seed),
+        step_size=_START_STEP,
+        iteration=k,
+        energy_trace=tuple(energies),
+        step_trace=tuple(steps),
+        energy_evals=evals,
+        backtracks=backtracks,
     )
-    for _ in range(max_iter):
-        forces = _pair_forces(params, sys.positions)
-        if float(np.max(np.sqrt(np.sum(forces * forces, axis=1)))) <= tol:
-            return sys, radial_stats(sys)
-        sys = _advance(sys, forces)
-    if max_force(sys) <= tol:
+    if _max_norm(forces) <= tol:
         return sys, radial_stats(sys)
     raise NonConvergence(
         f"force norm still above {tol} after {max_iter} iterations",

@@ -199,6 +199,7 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert stats["converged"] is True
     assert stats["final_max_force"] <= 1e-4
     assert len(trace_lines) - 1 == stats["iterations"] + 1
+    assert stats["energy_evals"] == stats["iterations"] + 1 + stats["backtracks"]
     assert stats["regime"] == "SphereTheorem1"
     assert stats["R"] == radius(KernelParams(2, 3.0, 1.75))
     assert stats["radius_rel_err"] == pytest.approx(

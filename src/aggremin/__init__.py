@@ -30,21 +30,18 @@ from .flow import (
     ParticleSystem,
     RadialStats,
     discrete_energy,
-    force,
-    kernel_w,
     max_force,
     radial_stats,
     run_to_convergence,
     step,
 )
-from .params import CandidateMinimizer, KernelParams, RadialArg, RegimeTag
+from .params import CandidateMinimizer, KernelParams, RegimeTag
 from .potentials import (
     ball_potential,
     psi_gamma,
     psi_values_at_one,
     quadratic_ball_moment,
     sphere_potential,
-    sphere_potential_alt,
     tilde_psi0,
     tilde_psi0_prime,
     total_potential,
@@ -56,9 +53,6 @@ from .special import (
     gamma_fn,
     hyp2f1,
     hyp2f1_at_one,
-    hyp2f1_deriv,
-    hyp3f2,
-    pochhammer,
 )
 from .verify import (
     ConvexityReport,
@@ -87,7 +81,6 @@ __all__ = [
     "ParticleSystem",
     "PoleError",
     "QuadratureFailure",
-    "RadialArg",
     "RadialStats",
     "RegimeError",
     "RegimeTag",
@@ -103,15 +96,10 @@ __all__ = [
     "discrete_energy",
     "energy",
     "eta",
-    "force",
     "gamma_fn",
     "hyp2f1",
     "hyp2f1_at_one",
-    "hyp2f1_deriv",
-    "hyp3f2",
-    "kernel_w",
     "max_force",
-    "pochhammer",
     "psi_capital",
     "psi_capital_dd_at_one",
     "psi_gamma",
@@ -122,7 +110,6 @@ __all__ = [
     "run_to_convergence",
     "single_zero_scan",
     "sphere_potential",
-    "sphere_potential_alt",
     "sphere_potential_quad",
     "step",
     "tilde_psi0",

@@ -335,11 +335,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="write best-so-far artifacts instead of failing on non-convergence",
     )
-    sp.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="bit-reproducible runs (always on; flag kept for interface stability)",
-    )
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("phase-scan", help="regime map over an (alpha, beta) grid")

@@ -29,8 +29,6 @@ from .params import KernelParams
 __all__ = [
     "ParticleSystem",
     "RadialStats",
-    "kernel_w",
-    "force",
     "discrete_energy",
     "max_force",
     "step",
@@ -46,53 +44,6 @@ _BLOCK = 8192
 # Limited-memory BFGS: curvature pairs kept, and the Armijo constant.
 _HISTORY = 10
 _ARMIJO = 1e-4
-
-
-def _kernel_singular_at_zero(params: KernelParams) -> bool:
-    return (
-        params.alpha_is_log
-        or params.beta_is_log
-        or params.beta <= 0
-        or params.alpha <= 0
-    )
-
-
-def kernel_w(params: KernelParams, r: float) -> float:
-    """Pair interaction at distance r: r^alpha/alpha - r^beta/beta.
-
-    Either power law degrades to ln(r) when the corresponding log flag
-    is set.  Distance zero is only meaningful when both exponents are
-    positive (the value is then 0); otherwise the kernel blows up there
-    and a DomainError is raised.
-    """
-    r = float(r)
-    if r < 0:
-        raise DomainError(f"distance must be >= 0, got {r}")
-    if r == 0.0:
-        if _kernel_singular_at_zero(params):
-            raise DomainError("kernel is singular at distance 0")
-        return 0.0
-    attract = math.log(r) if params.alpha_is_log else r**params.alpha / params.alpha
-    repel = math.log(r) if params.beta_is_log else r**params.beta / params.beta
-    return attract - repel
-
-
-def force(params: KernelParams, z) -> np.ndarray:
-    """Force -grad W(z) exerted on a particle at offset z from a source.
-
-    Radial kernels give (|z|^(alpha-2) - |z|^(beta-2)) z for the
-    gradient, with |z|^(-2) z replacing either term in log mode; the
-    force is its negation.  It vanishes on the unit sphere, where
-    attraction and repulsion balance.
-    """
-    z = np.asarray(z, dtype=float)
-    r2 = float(np.dot(z, z))
-    if r2 == 0.0:
-        raise DomainError("force is undefined at zero offset")
-    r = math.sqrt(r2)
-    ca = 1.0 / r2 if params.alpha_is_log else r ** (params.alpha - 2.0)
-    cb = 1.0 / r2 if params.beta_is_log else r ** (params.beta - 2.0)
-    return -(ca - cb) * z
 
 
 @functools.lru_cache(maxsize=4)
@@ -182,7 +133,6 @@ class ParticleSystem:
 
     positions: np.ndarray
     params: KernelParams
-    rng_seed: int = 0
     step_size: float = _START_STEP
     iteration: int = 0
     energy_trace: tuple = field(default=())
@@ -300,7 +250,6 @@ def step(sys: ParticleSystem) -> ParticleSystem:
     return _state(
         positions,
         sys.params,
-        rng_seed=sys.rng_seed,
         step_size=h * 1.1,
         iteration=sys.iteration + 1,
         energy_trace=sys.energy_trace + (energy,),
@@ -421,7 +370,6 @@ def run_to_convergence(
     sys = _state(
         x,
         params,
-        rng_seed=int(seed),
         step_size=_START_STEP,
         iteration=k,
         energy_trace=tuple(energies),

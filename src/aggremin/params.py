@@ -59,18 +59,6 @@ class KernelParams:
 
 
 @dataclass(frozen=True)
-class RadialArg:
-    """Squared scaled radius rho = |x/R|^2, the natural argument of the
-    radial potential profiles."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not self.rho >= 0.0:
-            raise DomainError(f"rho must be >= 0, got {self.rho}")
-
-
-@dataclass(frozen=True)
 class CandidateMinimizer:
     """One of the two closed-form minimizing measures.
 

@@ -13,24 +13,28 @@ Two families of candidate minimizers appear:
 All profiles are functions of rho = |x/R|^2 with a branch point at
 rho = 1 (the support boundary).  Piecewise formulas return the exact
 gamma-function boundary value at rho = 1 instead of a series limit.
+
+The power-law profiles go through ``special.hyp2f1``.  The logarithmic
+kernels need a series scipy lacks; it is summed here by ``_blocked_sum``
+and closed with a geometric tail (``_log_series``).
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, RegimeError
-from .params import CandidateMinimizer, KernelParams, RadialArg
-from .special import Hyp2F1Input, _blocked_sum, digamma, gamma_fn, hyp2f1
+import numpy as np
+
+from .errors import DomainError, NonConvergence, RegimeError
+from .params import CandidateMinimizer, KernelParams
+from .special import Hyp2F1Input, digamma, gamma_fn, hyp2f1
 
 __all__ = [
     "KernelParams",
-    "RadialArg",
     "unit_sphere_area",
     "psi_gamma",
     "psi_values_at_one",
     "sphere_potential",
-    "sphere_potential_alt",
     "ball_potential",
     "quadratic_ball_moment",
     "tilde_psi0",
@@ -41,12 +45,19 @@ __all__ = [
 # Width of the Taylor patch around the rho=1 branch point of tilde_psi0,
 # where the series argument degenerates and convergence stalls.
 _NEAR_ONE = 1e-6
+_EPS = float(np.finfo(float).eps)
+SERIES_CAP = 2_000_000
 
 
 def _check_dim(d, minimum: int) -> int:
     if not float(d).is_integer() or d < minimum:
         raise DomainError(f"dimension must be an integer >= {minimum}, got {d}")
     return int(d)
+
+
+def _check_rho(rho) -> None:
+    if not rho >= 0.0:
+        raise DomainError(f"rho must be >= 0, got {rho}")
 
 
 def unit_sphere_area(d) -> float:
@@ -95,10 +106,10 @@ def psi_gamma(d, gamma: float, rho: float) -> float:
     boundary value exists (gamma > 1 - d), and in C^1 fashion once
     d + gamma > 2.  Off the branch point every exponent is accepted.
     """
-    RadialArg(rho)
+    _check_rho(rho)
+    d = _check_dim(d, 2)
     if gamma == 0.0:
         return 1.0
-    d = _check_dim(d, 2)
     return _psi_raw(d, gamma, float(rho))
 
 
@@ -111,9 +122,9 @@ def psi_values_at_one(d, gamma: float):
     value/derivative pair stays usable (callers needing psi'' must check
     their own precondition).
     """
+    d = _check_dim(d, 2)
     if gamma == 0.0:
         return (1.0, 0.0, 0.0)
-    d = _check_dim(d, 2)
     if not d + gamma > 2:
         raise DomainError(f"need d + gamma > 2, got {d + gamma}")
     tail = gamma_fn(d / 2.0) / gamma_fn((2.0 * d + gamma - 2.0) / 2.0)
@@ -157,25 +168,6 @@ def sphere_potential(d, gamma: float, x_norm: float) -> float:
             )
         return surf * _psi_one_value(d, gamma)
     return surf * _psi_raw(d, gamma, rho)
-
-
-def sphere_potential_alt(d, gamma: float, x_norm: float) -> float:
-    """Alternative single-branch form of :func:`sphere_potential`.
-
-    Uses the argument 4 x / (1+x)^2, which stays in [0, 1) for x != 1,
-    so one series covers interior and exterior at once.  Kept as an
-    independent route for cross-checking the two-branch formula.
-    """
-    d = _check_dim(d, 2)
-    if not x_norm >= 0:
-        raise DomainError(f"x_norm must be >= 0, got {x_norm}")
-    x = float(x_norm)
-    if x == 1.0:
-        raise DomainError("alternative form is singular at x_norm = 1")
-    z = 4.0 * x / (1.0 + x) ** 2
-    surf = unit_sphere_area(d)
-    f = hyp2f1(Hyp2F1Input(-gamma / 2.0, (d - 1.0) / 2.0, d - 1.0, z))
-    return surf * (1.0 + x) ** gamma * f
 
 
 def ball_potential(d, gamma: float, x_norm: float) -> float:
@@ -223,6 +215,44 @@ def quadratic_ball_moment(d, beta: float):
     return (c_beta, d / (4.0 - beta))
 
 
+def _blocked_sum(ratio):
+    """Partial sum of t_0 + t_1 + ... with t_0 = 1, t_{k+1} = ratio(k) t_k.
+
+    ``ratio`` must accept a float ndarray of indices k.  Summation stops
+    once three consecutive terms fall below eps times the running
+    partial sum, or after SERIES_CAP terms.  Returns
+    ``(partial_sum, last_term, last_index)``; the caller closes the sum
+    with its own tail rule.  A non-finite partial sum raises
+    NonConvergence.  Blocks keep the inner arithmetic in numpy, which
+    matters for the slowly decaying series.
+    """
+    total = 1.0
+    carry = 1.0
+    k0 = 0
+    block = 64
+    while k0 < SERIES_CAP:
+        m = min(block, SERIES_CAP - k0)
+        k = np.arange(k0, k0 + m, dtype=float)
+        terms = carry * np.cumprod(ratio(k))
+        partial = total + np.cumsum(terms)
+        small = np.abs(terms) <= _EPS * np.abs(partial)
+        hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
+        if hits.size:
+            j = hits[0] + 2
+            return float(partial[j]), float(terms[j]), k0 + j + 1
+        total = float(partial[-1])
+        carry = float(terms[-1])
+        k0 += m
+        if carry == 0.0:
+            return total, 0.0, k0
+        if not math.isfinite(total):
+            raise NonConvergence(
+                "log-kernel series: series blew up (non-finite partial sum)"
+            )
+        block = min(block * 2, 65536)
+    return total, carry, k0
+
+
 def _log_series(d: int, c0: float, z: float) -> float:
     """sum_{n>=1} ((2-d)/2)_n / ((c0)_n n) z^n for z in [0, 1].
 
@@ -242,7 +272,7 @@ def _log_series(d: int, c0: float, z: float) -> float:
         n = m + 1.0
         return (a0 + n) / (c0 + n) * (n / (n + 1.0)) * z
 
-    total, last, k, _ = _blocked_sum(ratio, "log-kernel series")
+    total, last, k = _blocked_sum(ratio)
     r = ratio(float(k))
     tail = last * r / (1.0 - r) if 0.0 < r < 1.0 else 0.0
     return a0 / c0 * z * (total + tail)
@@ -257,7 +287,7 @@ def tilde_psi0(d, rho: float) -> float:
     1e-6 of rho = 1 a second-order Taylor patch is used because the
     series argument degenerates there.
     """
-    RadialArg(rho)
+    _check_rho(rho)
     d = _check_dim(d, 2)
     rho = float(rho)
     if d == 2:
@@ -286,7 +316,7 @@ def tilde_psi0_prime(d, rho: float) -> float:
     in d = 3 they agree with mpmath to about 2e-16 relative at both
     rho = 1 +- 1e-7 and rho = 1 +- 1e-12.
     """
-    RadialArg(rho)
+    _check_rho(rho)
     d = _check_dim(d, 2)
     rho = float(rho)
     if rho == 1.0:

@@ -20,15 +20,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import rgamma
 
 from .closed_form import candidate_for, classify, eta as closed_form_eta
 from .closed_form import _radius_sphere, _require_well_conditioned
 from .errors import DomainError, QuadratureFailure, RegimeError
-from .params import CandidateMinimizer, KernelParams, RadialArg
+from .params import CandidateMinimizer, KernelParams
 from .potentials import (
     _check_dim,
+    _check_rho,
     psi_gamma,
     psi_values_at_one,
     tilde_psi0,
@@ -55,8 +55,12 @@ def _colatitude_area(d: int) -> float:
 
 
 def _quiet_quad(*args, **kwargs):
-    # The roundoff-in-extrapolation warning fires even when the error
-    # estimate is fine; the callers check that estimate themselves.
+    # Imported here so that only the quadrature oracles pay for loading
+    # scipy.integrate.  The roundoff-in-extrapolation warning fires even
+    # when the error estimate is fine; the callers check that estimate
+    # themselves.
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(*args, **kwargs)
@@ -247,10 +251,12 @@ class ConvexityReport:
     tol: float
 
     def to_dict(self) -> dict:
+        # NaN is not JSON (RFC 8259); an absent curvature is written as null.
+        dd = None if math.isnan(self.psi_dd_at_one) else self.psi_dd_at_one
         return {
             "grid": list(self.grid),
             "min_second_difference": self.min_second_difference,
-            "psi_dd_at_one": self.psi_dd_at_one,
+            "psi_dd_at_one": dd,
             "passed": self.passed,
             "tol": self.tol,
         }
@@ -351,7 +357,7 @@ def psi_capital(params: KernelParams, rho: float) -> float:
     the beta terms are replaced by their exponent -> 0 limits (the
     profile tilde_psi0 and the constant 1/4).
     """
-    RadialArg(rho)
+    _check_rho(rho)
     _sphere_compatible(params)
     d, alpha = params.d, params.alpha
     _, pa1, _ = psi_values_at_one(d, alpha)

@@ -479,8 +479,7 @@ def test_criterion_9(tmp_path, capsys):
         failures.append("JSON round-trip drifted")
 
     sim = ["simulate", "--d", "2", "--alpha", "2", "--beta", "-1", "--n", "16",
-           "--seed", "5", "--tol", "1e-12", "--max-iter", "40", "--allow-partial",
-           "--deterministic"]
+           "--seed", "5", "--tol", "1e-12", "--max-iter", "40", "--allow-partial"]
     rc1 = cli_main(sim + ["--out", str(tmp_path / "r1")])
     rc2 = cli_main(sim + ["--out", str(tmp_path / "r2")])
     capsys.readouterr()

@@ -169,6 +169,22 @@ def test_convexity_exit_codes(capsys):
     assert json.loads(out)["passed"] is False
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "exponent, rc_want",
+    [(["--beta", "0.9"], 3), (["--log-beta"], 0)],
+)
+def test_convexity_without_curvature_is_valid_json(exponent, rc_want, capsys):
+    """In d + beta <= 3 there is no Psi''(1); the report says null, not NaN."""
+    rc, out, _ = _run(["convexity", "--d", "2", "--alpha", "2"] + exponent, capsys)
+    assert rc == rc_want
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["psi_dd_at_one"] is None
+
+
 def test_simulate_writes_artifacts(tmp_path, capsys):
     """A converging run leaves positions, trace, and stats behind, and
     the stats agree with the closed-form prediction."""

@@ -1,11 +1,11 @@
 """Particle descent: kernel, forces, descent loops, statistics.
 
-Exact pair values pin the kernel and force conventions, and the fused
-energy-and-force pair pass is held to a plain row-by-row sum; the
-steepest-descent step and the L-BFGS driver are checked for their
-contract properties (monotone energy, determinism, conserved centroid)
-and for converging toward the predicted minimizers as the particle
-count grows.
+Exact pair values pin the kernel and force conventions of the scalar
+pair oracles defined here, and the fused energy-and-force pair pass is
+held to a plain row-by-row sum; the steepest-descent step and the
+L-BFGS driver are checked for their contract properties (monotone
+energy, determinism, conserved centroid) and for converging toward the
+predicted minimizers as the particle count grows.
 """
 
 import math
@@ -23,8 +23,6 @@ from aggremin import (
     RadialStats,
     discrete_energy,
     energy,
-    force,
-    kernel_w,
     max_force,
     radial_stats,
     radius,
@@ -32,6 +30,55 @@ from aggremin import (
     step,
 )
 from aggremin.flow import _energy_and_forces, _initial_positions
+
+
+# Scalar pair oracles: one pair at a time, independent of the blocked
+# kernel in aggremin.flow that they check.
+def _kernel_singular_at_zero(params: KernelParams) -> bool:
+    return (
+        params.alpha_is_log
+        or params.beta_is_log
+        or params.beta <= 0
+        or params.alpha <= 0
+    )
+
+
+def kernel_w(params: KernelParams, r: float) -> float:
+    """Pair interaction at distance r: r^alpha/alpha - r^beta/beta.
+
+    Either power law degrades to ln(r) when the corresponding log flag
+    is set.  Distance zero is only meaningful when both exponents are
+    positive (the value is then 0); otherwise the kernel blows up there
+    and a DomainError is raised.
+    """
+    r = float(r)
+    if r < 0:
+        raise DomainError(f"distance must be >= 0, got {r}")
+    if r == 0.0:
+        if _kernel_singular_at_zero(params):
+            raise DomainError("kernel is singular at distance 0")
+        return 0.0
+    attract = math.log(r) if params.alpha_is_log else r**params.alpha / params.alpha
+    repel = math.log(r) if params.beta_is_log else r**params.beta / params.beta
+    return attract - repel
+
+
+def force(params: KernelParams, z) -> np.ndarray:
+    """Force -grad W(z) exerted on a particle at offset z from a source.
+
+    Radial kernels give (|z|^(alpha-2) - |z|^(beta-2)) z for the
+    gradient, with |z|^(-2) z replacing either term in log mode; the
+    force is its negation.  It vanishes on the unit sphere, where
+    attraction and repulsion balance.
+    """
+    z = np.asarray(z, dtype=float)
+    r2 = float(np.dot(z, z))
+    if r2 == 0.0:
+        raise DomainError("force is undefined at zero offset")
+    r = math.sqrt(r2)
+    ca = 1.0 / r2 if params.alpha_is_log else r ** (params.alpha - 2.0)
+    cb = 1.0 / r2 if params.beta_is_log else r ** (params.beta - 2.0)
+    return -(ca - cb) * z
 
 
 def test_kernel_w_values():

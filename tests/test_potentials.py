@@ -25,18 +25,17 @@ from aggremin import (
     digamma,
     eta,
     gamma_fn,
-    hyp2f1_deriv,
-    hyp3f2,
+    hyp2f1,
     psi_gamma,
     psi_values_at_one,
     quadratic_ball_moment,
     sphere_potential,
-    sphere_potential_alt,
     tilde_psi0,
     tilde_psi0_prime,
     total_potential,
     unit_sphere_area,
 )
+from aggremin.potentials import _check_dim
 
 
 def _rel(got: float, want: float) -> float:
@@ -145,9 +144,16 @@ def test_psi_values_at_one_quadratic_profile():
 def test_psi_values_at_one_agrees_with_series_derivatives():
     for d, g in [(3, 1.5), (4, -0.5), (2, 2.2)]:
         v, p1, p2 = psi_values_at_one(d, g)
-        arg = Hyp2F1Input(-g / 2.0, (2.0 - g - d) / 2.0, d / 2.0, 1.0)
-        assert abs(p1 - hyp2f1_deriv(arg, 1)) < 1e-12
-        assert abs(p2 - hyp2f1_deriv(arg, 2)) < 1e-12
+        a, b, c = -g / 2.0, (2.0 - g - d) / 2.0, d / 2.0
+        # d/dz F(a,b;c;z) = (ab/c) F(a+1,b+1;c+1;z), applied once and twice.
+        with mpmath.workdps(40):
+            first = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, 1)
+            second = (
+                a * b / c * (a + 1) * (b + 1) / (c + 1)
+                * mpmath.hyp2f1(a + 2, b + 2, c + 2, 1)
+            )
+        assert abs(p1 - float(first)) < 1e-12
+        assert abs(p2 - float(second)) < 1e-12
 
 
 def test_psi_values_at_one_first_derivative_matches_finite_difference():
@@ -177,6 +183,17 @@ def test_psi_values_at_one_gates():
         psi_values_at_one(3, -1.0)
     with pytest.raises(DomainError):
         psi_values_at_one(1, 1.0)
+
+
+def test_dimension_is_checked_before_the_zero_exponent_shortcut():
+    """gamma = 0 makes the profile constant, but only in a valid dimension."""
+    for d in (0, 1, 2.5):
+        with pytest.raises(DomainError):
+            psi_gamma(d, 0.0, 0.5)
+    with pytest.raises(DomainError):
+        psi_values_at_one(1, 0.0)
+    with pytest.raises(DomainError):
+        psi_values_at_one(2.5, 0.0)
 
 
 def test_sphere_potential_center_and_log_cases():
@@ -216,6 +233,25 @@ def test_sphere_potential_surface_gates():
     with pytest.raises(DomainError):
         sphere_potential(3, 1.0, -0.1)
     assert sphere_potential(3, -1.5, 1.0) > 0.0
+
+
+def sphere_potential_alt(d, gamma: float, x_norm: float) -> float:
+    """Alternative single-branch form of :func:`sphere_potential`.
+
+    Uses the argument 4 x / (1+x)^2, which stays in [0, 1) for x != 1,
+    so one series covers interior and exterior at once.  Kept as an
+    independent route for cross-checking the two-branch formula.
+    """
+    d = _check_dim(d, 2)
+    if not x_norm >= 0:
+        raise DomainError(f"x_norm must be >= 0, got {x_norm}")
+    x = float(x_norm)
+    if x == 1.0:
+        raise DomainError("alternative form is singular at x_norm = 1")
+    z = 4.0 * x / (1.0 + x) ** 2
+    surf = unit_sphere_area(d)
+    f = hyp2f1(Hyp2F1Input(-gamma / 2.0, (d - 1.0) / 2.0, d - 1.0, z))
+    return surf * (1.0 + x) ** gamma * f
 
 
 def test_sphere_potential_alt_route_agrees():
@@ -346,7 +382,8 @@ def test_tilde_psi0_matches_series_reexpansion():
         for rho in (0.49, 2.25):
             x = math.sqrt(rho)
             z = 4.0 * x / (1.0 + x) ** 2
-            f = hyp3f2(1.0, 1.0, (d + 1) / 2.0, 2.0, float(d), z)
+            with mpmath.workdps(40):
+                f = float(mpmath.hyp3f2(1, 1, (d + 1) / 2.0, 2, d, z))
             want = math.log(1.0 + x) - (x / (1.0 + x) ** 2) * f
             assert abs(tilde_psi0(d, rho) - want) < 1e-12, (d, rho)
 

@@ -22,9 +22,6 @@ from aggremin import (
     gamma_fn,
     hyp2f1,
     hyp2f1_at_one,
-    hyp2f1_deriv,
-    hyp3f2,
-    pochhammer,
 )
 
 mpmath.mp.dps = 40
@@ -71,14 +68,6 @@ def test_digamma_values_and_oracle():
         assert _rel(digamma(float(x)), float(mpmath.digamma(x))) < 1e-12
     with pytest.raises(PoleError):
         digamma(-2.0)
-
-
-def test_pochhammer_basic():
-    assert pochhammer(7.3, 0) == 1.0
-    assert pochhammer(3.0, 4) == 360.0
-    assert pochhammer(-2.0, 3) == 0.0
-    want = float(mpmath.rf(0.5, 6))
-    assert _rel(pochhammer(0.5, 6), want) < 1e-14
 
 
 def test_hyp2f1_input_validation():
@@ -188,7 +177,7 @@ def test_hyp2f1_terminating_equals_horner():
         c = float(rng.uniform(0.5, 5.0))
         z = float(rng.uniform(0.0, 0.95))
         coeffs = [
-            pochhammer(a, n) * pochhammer(-float(m), n) / (pochhammer(c, n) * math.factorial(n))
+            float(mpmath.rf(a, n) * mpmath.rf(-m, n) / (mpmath.rf(c, n) * mpmath.factorial(n)))
             for n in range(m + 1)
         ]
         horner = 0.0
@@ -278,106 +267,3 @@ def test_hyp2f1_convexity_sign_property(a, b, c_off):
         assert float(np.min(second)) >= -tol
     else:
         assert float(np.max(second)) <= tol
-
-
-def test_hyp2f1_deriv_values():
-    assert hyp2f1_deriv(Hyp2F1Input(1.7, -0.9, 2.3, 0.0), 1) == pytest.approx(
-        1.7 * -0.9 / 2.3, rel=1e-14
-    )
-    got = hyp2f1_deriv(Hyp2F1Input(1.0, 1.0, 2.0, 0.5), 1)
-    want = 1.0 / (0.5 * 0.5) + math.log(0.5) / 0.25
-    assert _rel(got, want) < 1e-12
-    assert _rel(got, 1.2274112777602189) < 1e-12
-
-
-def test_hyp2f1_deriv_order_and_boundary_gates():
-    with pytest.raises(DomainError):
-        hyp2f1_deriv(Hyp2F1Input(1.0, 1.0, 2.0, 0.5), 3)
-    with pytest.raises(DomainError):
-        hyp2f1_deriv(Hyp2F1Input(0.5, 0.5, 1.8, 1.0), 1)
-    got = hyp2f1_deriv(Hyp2F1Input(0.5, 0.5, 3.0, 1.0), 1)
-    want = float(0.25 / 3.0 * mpmath.hyp2f1(1.5, 1.5, 4.0, 1.0))
-    assert _rel(got, want) < 1e-11
-
-
-def test_hyp2f1_deriv_second_order_vs_finite_difference():
-    """The second derivative against mpmath's numerical differentiation.
-
-    A float second difference with h = 1e-5 has a rounding floor of
-    about 4 ulp |F| / h^2 ~ 2e-5 here, above the bound; mpmath
-    differentiates at 40 digits instead.
-    """
-    for a, b, c, z in ((0.8, -1.6, 2.7, 0.35), (2.1, 1.4, 3.3, 0.6)):
-        d2 = hyp2f1_deriv(Hyp2F1Input(a, b, c, z), 2)
-        want = float(mpmath.diff(lambda t: mpmath.hyp2f1(a, b, c, t), z, 2))
-        assert abs(d2 - want) < 1e-6 * (1.0 + abs(d2)), (a, b, c, z)
-
-
-@given(
-    a=st.floats(-2.0, 2.0),
-    b=st.floats(-2.0, 2.0),
-    c=st.floats(1.0, 5.0),
-    z=st.floats(1e-3, 0.9),
-)
-@settings(max_examples=200, deadline=None)
-def test_hyp2f1_deriv_matches_finite_difference(a, b, c, z):
-    """The parameter-shift derivative tracks a central difference quotient."""
-    h = 1e-5 * (1.0 - z)
-    val = hyp2f1(Hyp2F1Input(a, b, c, z))
-    der = hyp2f1_deriv(Hyp2F1Input(a, b, c, z), 1)
-    fd = (
-        hyp2f1(Hyp2F1Input(a, b, c, z + h)) - hyp2f1(Hyp2F1Input(a, b, c, z - h))
-    ) / (2.0 * h)
-    assert abs(der - fd) <= 1e-6 * (1.0 + abs(val))
-
-
-def test_hyp3f2_values():
-    assert hyp3f2(0.9, 1.8, -0.4, 2.2, 3.3, 0.0) == 1.0
-    want = float(mpmath.polylog(2, 0.5) / 0.5)
-    assert _rel(hyp3f2(1.0, 1.0, 1.0, 2.0, 2.0, 0.5), want) < 1e-12
-    assert _rel(hyp3f2(1.0, 1.0, 1.0, 2.0, 2.0, 1.0), math.pi**2 / 6.0) < 1e-10
-
-
-def test_hyp3f2_matches_mpmath():
-    for args in ((0.7, 1.3, 2.1, 2.4, 3.5, 0.6), (0.7, 1.3, 2.1, 2.4, 3.5, 1.0)):
-        want = float(mpmath.hyp3f2(*args))
-        assert _rel(hyp3f2(*args), want) < 1e-9, args
-
-
-def test_hyp3f2_terminating_case():
-    a0, a1, a2, b0, b1, z = 1.0, -3.0, 2.2, 1.7, 2.4, 0.8
-    total, term = 1.0, 1.0
-    for n in range(3):
-        term *= (a0 + n) * (a1 + n) * (a2 + n) / ((b0 + n) * (b1 + n) * (1.0 + n)) * z
-        total += term
-    assert hyp3f2(a0, a1, a2, b0, b1, z) == pytest.approx(total, rel=1e-14)
-
-
-def test_hyp3f2_euler_integral_identity():
-    """The value matches its Euler integral against the 2F1 kernel."""
-    from scipy.integrate import quad
-
-    a0, a1, a2, b0, b1, z = 0.7, 1.3, 1.2, 2.4, 3.1, 0.8
-    prefactor = gamma_fn(b1) / (gamma_fn(a2) * gamma_fn(b1 - a2))
-
-    def smooth(t: float) -> float:
-        return hyp2f1(Hyp2F1Input(a0, a1, b0, z * t))
-
-    integral, err = quad(
-        smooth, 0.0, 1.0, weight="alg", wvar=(a2 - 1.0, b1 - a2 - 1.0),
-        epsabs=1e-13, epsrel=1e-13,
-    )
-    want = prefactor * integral
-    assert err < 1e-10
-    assert _rel(hyp3f2(a0, a1, a2, b0, b1, z), want) < 1e-10
-
-
-def test_hyp3f2_domain_gates():
-    with pytest.raises(DomainError):
-        hyp3f2(1.0, 1.0, 1.0, 2.0, 2.0, -0.2)
-    with pytest.raises(DomainError):
-        hyp3f2(1.0, 1.0, 1.0, 2.0, 2.0, 1.1)
-    with pytest.raises(DomainError):
-        hyp3f2(1.0, 1.0, 1.0, -1.0, 2.0, 0.5)
-    with pytest.raises(DomainError):
-        hyp3f2(2.0, 2.0, 1.0, 2.5, 2.5, 1.0)

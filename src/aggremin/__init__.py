@@ -43,7 +43,6 @@ from .potentials import (
     quadratic_ball_moment,
     sphere_potential,
     tilde_psi0,
-    tilde_psi0_prime,
     total_potential,
     unit_sphere_area,
 )
@@ -52,7 +51,6 @@ from .special import (
     digamma,
     gamma_fn,
     hyp2f1,
-    hyp2f1_at_one,
 )
 from .verify import (
     ConvexityReport,
@@ -98,7 +96,6 @@ __all__ = [
     "eta",
     "gamma_fn",
     "hyp2f1",
-    "hyp2f1_at_one",
     "max_force",
     "psi_capital",
     "psi_capital_dd_at_one",
@@ -113,7 +110,6 @@ __all__ = [
     "sphere_potential_quad",
     "step",
     "tilde_psi0",
-    "tilde_psi0_prime",
     "total_potential",
     "unit_sphere_area",
     "verify_euler_lagrange",

@@ -50,13 +50,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _write_text(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out_path) -> None:
+    _write_text(json.dumps(payload, indent=2) + "\n", out_path)
 
 
 def _params_from(args) -> KernelParams:
@@ -268,12 +271,7 @@ def cmd_phase_scan(args) -> int:
         for key in ("beta_star", "R", "E"):
             cells.append("" if row[key] is None else repr(row[key]))
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -62,6 +62,12 @@ def classify(params: KernelParams) -> RegimeTag:
     Ties are resolved toward the sphere: beta equal to beta_star or to 2
     still classifies as SphereTheorem1.  The corner (alpha, beta) = (4, 2)
     is tagged Boundary, where minimizers exist but are no longer unique.
+
+    Both special branches compare floats exactly, with no tolerance:
+    only alpha == 2.0 selects BallTheorem2, and only exactly
+    (alpha, beta) == (4.0, 2.0) selects Boundary.  A neighbouring float
+    is SphereTheorem1 or OutOfScope; next to the corner the sphere
+    formulas give the Boundary values to rounding.
     """
     d, a, b = params.d, params.alpha, params.beta
     if params.alpha_is_log or a < 2.0 or a > 4.0:

@@ -11,8 +11,9 @@ Two families of candidate minimizers appear:
   hypergeometric remainder (ball_potential).
 
 All profiles are functions of rho = |x/R|^2 with a branch point at
-rho = 1 (the support boundary).  Piecewise formulas return the exact
-gamma-function boundary value at rho = 1 instead of a series limit.
+rho = 1 (the support boundary).  The inner branch covers rho = 1 itself
+through the Gauss value of ``special.hyp2f1`` at z = 1, and the first
+two derivatives there are rational multiples of that one value.
 
 The power-law profiles go through ``special.hyp2f1``.  The logarithmic
 kernels need a series scipy lacks; it is summed here by ``_blocked_sum``
@@ -38,12 +39,11 @@ __all__ = [
     "ball_potential",
     "quadratic_ball_moment",
     "tilde_psi0",
-    "tilde_psi0_prime",
     "total_potential",
 ]
 
-# Width of the Taylor patch around the rho=1 branch point of tilde_psi0,
-# where the series argument degenerates and convergence stalls.
+# Width of the first-order patch around the rho=1 branch point of
+# tilde_psi0, where the series argument degenerates and convergence stalls.
 _NEAR_ONE = 1e-6
 _EPS = float(np.finfo(float).eps)
 SERIES_CAP = 2_000_000
@@ -66,21 +66,6 @@ def unit_sphere_area(d) -> float:
     return 2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0)
 
 
-def _psi_one_value(d: int, gamma: float) -> float:
-    """psi_gamma(1) through the Gauss boundary formula; needs d + gamma > 1."""
-    if gamma == 0.0:
-        return 1.0
-    if not d + gamma > 1:
-        raise DomainError(
-            f"spherical average diverges on the sphere itself for gamma <= {1 - d}"
-        )
-    return (
-        gamma_fn(d / 2.0)
-        * gamma_fn(d + gamma - 1.0)
-        / (gamma_fn((d + gamma) / 2.0) * gamma_fn((2.0 * d + gamma - 2.0) / 2.0))
-    )
-
-
 def _psi_raw(d: int, gamma: float, rho: float) -> float:
     """Two-branch hypergeometric profile without the public domain gate."""
     if gamma == 0.0:
@@ -88,9 +73,7 @@ def _psi_raw(d: int, gamma: float, rho: float) -> float:
     a = -gamma / 2.0
     b = (2.0 - gamma - d) / 2.0
     c = d / 2.0
-    if rho == 1.0:
-        return _psi_one_value(d, gamma)
-    if rho < 1.0:
+    if rho <= 1.0:
         return hyp2f1(Hyp2F1Input(a, b, c, rho))
     return rho ** (gamma / 2.0) * hyp2f1(Hyp2F1Input(a, b, c, 1.0 / rho))
 
@@ -108,42 +91,31 @@ def psi_gamma(d, gamma: float, rho: float) -> float:
     """
     _check_rho(rho)
     d = _check_dim(d, 2)
-    if gamma == 0.0:
-        return 1.0
     return _psi_raw(d, gamma, float(rho))
 
 
 def psi_values_at_one(d, gamma: float):
     """Value and first two derivatives of psi_gamma at the branch point.
 
-    Returns the triple (psi(1), psi'(1), psi''(1)) from the gamma-function
-    closed forms.  The second derivative only exists for d + gamma > 3;
-    in the strip 2 < d + gamma <= 3 it is returned as nan so the
-    value/derivative pair stays usable (callers needing psi'' must check
-    their own precondition).
+    Returns the triple (psi(1), psi'(1), psi''(1)).  The derivative rule
+    dF/dz = (ab/c) F(a+1, b+1; c+1; z) and the Gauss value at z = 1 make
+    each derivative a rational multiple of the one before:
+    psi'(1) = (gamma/4) psi(1) and
+    psi''(1) = psi'(1) (2-gamma)(4-d-gamma) / (4(d+gamma-3)), which
+    vanishes exactly at d + gamma = 4.  The second derivative only
+    exists for d + gamma > 3; in the strip 2 < d + gamma <= 3 it is
+    returned as nan so the value/derivative pair stays usable (callers
+    needing psi'' must check their own precondition).
     """
     d = _check_dim(d, 2)
     if gamma == 0.0:
         return (1.0, 0.0, 0.0)
     if not d + gamma > 2:
         raise DomainError(f"need d + gamma > 2, got {d + gamma}")
-    tail = gamma_fn(d / 2.0) / gamma_fn((2.0 * d + gamma - 2.0) / 2.0)
-    value = tail * gamma_fn(d + gamma - 1.0) / gamma_fn((d + gamma) / 2.0)
-    first = (gamma / 2.0) * tail * gamma_fn(d + gamma - 2.0) / gamma_fn(
-        (d + gamma - 2.0) / 2.0
-    )
+    value = _psi_raw(d, gamma, 1.0)
+    first = 0.25 * gamma * value
     if d + gamma > 3:
-        from scipy.special import rgamma
-
-        # rgamma handles the Gamma((d+gamma-4)/2) pole at d+gamma=4,
-        # where the second derivative legitimately vanishes.
-        second = (
-            (gamma / 2.0)
-            * (gamma / 2.0 - 1.0)
-            * tail
-            * gamma_fn(d + gamma - 3.0)
-            * float(rgamma((d + gamma - 4.0) / 2.0))
-        )
+        second = first * (2.0 - gamma) * (4.0 - d - gamma) / (4.0 * (d + gamma - 3.0))
     else:
         second = math.nan
     return (value, first, second)
@@ -159,15 +131,8 @@ def sphere_potential(d, gamma: float, x_norm: float) -> float:
     d = _check_dim(d, 2)
     if not x_norm >= 0:
         raise DomainError(f"x_norm must be >= 0, got {x_norm}")
-    surf = unit_sphere_area(d)
-    rho = float(x_norm) * float(x_norm)
-    if rho == 1.0:
-        if gamma != 0.0 and not gamma > 1 - d:
-            raise DomainError(
-                f"surface integral diverges at |x| = 1 for gamma <= {1 - d}"
-            )
-        return surf * _psi_one_value(d, gamma)
-    return surf * _psi_raw(d, gamma, rho)
+    x = float(x_norm)
+    return unit_sphere_area(d) * _psi_raw(d, gamma, x * x)
 
 
 def ball_potential(d, gamma: float, x_norm: float) -> float:
@@ -283,9 +248,11 @@ def tilde_psi0(d, rho: float) -> float:
 
     Equals the average of ln|x - w| over the unit sphere at rho = |x|^2.
     Far afield it behaves like ln(sqrt(rho)); at the branch point it
-    takes the digamma value (digamma(d-1) - digamma(d/2))/2.  Within
-    1e-6 of rho = 1 a second-order Taylor patch is used because the
-    series argument degenerates there.
+    takes the digamma value (digamma(d-1) - digamma(d/2))/2, with slope
+    exactly 1/4 from either side for d >= 3.  Within 1e-6 of rho = 1,
+    where the series argument degenerates, the value is that first-order
+    expansion; in d = 3 it agrees with mpmath to about 4e-12 relative
+    there, and in d = 5 to about 1e-13.
     """
     _check_rho(rho)
     d = _check_dim(d, 2)
@@ -293,41 +260,11 @@ def tilde_psi0(d, rho: float) -> float:
     if d == 2:
         # Classical circle potential: zero inside, ln|x| outside.
         return 0.0 if rho <= 1.0 else 0.5 * math.log(rho)
-    if rho == 1.0:
-        return 0.5 * (digamma(d - 1.0) - digamma(d / 2.0))
     if abs(rho - 1.0) < _NEAR_ONE:
-        value = 0.5 * (digamma(d - 1.0) - digamma(d / 2.0))
-        h = 1e-4
-        dd = (tilde_psi0_prime(d, 1.0 + h) - tilde_psi0_prime(d, 1.0 - h)) / (2 * h)
-        return value + 0.25 * (rho - 1.0) + 0.5 * dd * (rho - 1.0) ** 2
+        return 0.5 * (digamma(d - 1.0) - digamma(d / 2.0)) + 0.25 * (rho - 1.0)
     if rho < 1.0:
         return -0.5 * _log_series(d, d / 2.0, rho)
     return 0.5 * math.log(rho) - 0.5 * _log_series(d, d / 2.0, 1.0 / rho)
-
-
-def tilde_psi0_prime(d, rho: float) -> float:
-    """Derivative of :func:`tilde_psi0` in rho.
-
-    One hypergeometric branch on each side of rho = 1, where both
-    boundary values equal 1/4 for d >= 3.  In d = 2 the derivative
-    genuinely jumps (0 inside, 1/(2 rho) outside); the returned value at
-    exactly rho = 1 is the two-sided convention 1/4 in every dimension.
-    The hypergeometric factors stay accurate next to the branch point:
-    in d = 3 they agree with mpmath to about 2e-16 relative at both
-    rho = 1 +- 1e-7 and rho = 1 +- 1e-12.
-    """
-    _check_rho(rho)
-    d = _check_dim(d, 2)
-    rho = float(rho)
-    if rho == 1.0:
-        return 0.25
-    if rho < 1.0:
-        if d == 2:
-            return 0.0
-        f = hyp2f1(Hyp2F1Input(1.0, (4.0 - d) / 2.0, d / 2.0 + 1.0, rho))
-        return (d - 2.0) / (2.0 * d) * f
-    f = hyp2f1(Hyp2F1Input(1.0, (2.0 - d) / 2.0, d / 2.0, 1.0 / rho))
-    return f / (2.0 * rho)
 
 
 def _log_ball_lambda(d: int, rho: float) -> float:

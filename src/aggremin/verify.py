@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import rgamma
 
 from .closed_form import candidate_for, classify, eta as closed_form_eta
 from .closed_form import _radius_sphere, _require_well_conditioned
@@ -35,7 +33,7 @@ from .potentials import (
     total_potential,
     unit_sphere_area,
 )
-from .special import Hyp2F1Input, gamma_fn, hyp2f1, hyp2f1_at_one
+from .special import Hyp2F1Input, gamma_fn, hyp2f1
 
 __all__ = [
     "ELReport",
@@ -66,7 +64,6 @@ def _quiet_quad(*args, **kwargs):
         return quad(*args, **kwargs)
 
 
-@lru_cache(maxsize=4096)
 def sphere_potential_quad(d, gamma: float, x_norm: float) -> float:
     """Surface integral of |x - w|^gamma over the unit sphere, by quadrature.
 
@@ -125,7 +122,6 @@ def sphere_potential_quad(d, gamma: float, x_norm: float) -> float:
     return value
 
 
-@lru_cache(maxsize=4096)
 def ball_potential_quad(d, gamma: float, x_norm: float) -> float:
     """Weighted ball integral of |x - y|^gamma, by nested quadrature.
 
@@ -133,8 +129,9 @@ def ball_potential_quad(d, gamma: float, x_norm: float) -> float:
     origin: the kernel singularity then sits purely in the radial
     factor s^(gamma+d-1), which the outer rule integrates exactly,
     while the inner cap integral over directions has only endpoint
-    algebraic singularities (from the boundary weight and, in d = 2,
-    the colatitude measure).  Shell-centered coordinates would instead
+    algebraic singularities (from the boundary weight and the colatitude
+    measure), which QUADPACK's algebraic-weight rule (QAWS) takes into
+    its weight.  Shell-centered coordinates would instead
     produce an interior peak whose width shrinks as the outer rule
     refines toward s = x, which defeats the extrapolation.
     """
@@ -176,21 +173,26 @@ def ball_potential_quad(d, gamma: float, x_norm: float) -> float:
 
         def cap(s):
             # Directions omega with |x e1 + s omega| <= 1, i.e.
-            # cos(angle) below u_hi; the weight (1 - |y|^2)^p becomes
-            # (w - 2 s x u)^p with w = 1 - x^2 - s^2.
+            # cos(angle) u below u_hi; the weight (1 - |y|^2)^p becomes
+            # (w - 2 s x u)^p with w = 1 - x^2 - s^2, and the colatitude
+            # measure is (1 - u)^q (1 + u)^q.  QUADPACK's algebraic weight
+            # takes the endpoint powers exactly.
             w = 1.0 - x * x - s * s
-            u_hi = min(1.0, w / (2.0 * s * x))
+            sx2 = 2.0 * s * x
+            u_hi = w / sx2
             if u_hi <= -1.0:
                 return 0.0
-
-            def f(u):
-                t = w - 2.0 * s * x * u
-                m = 1.0 - u * u
-                if t <= 0.0 or m <= 0.0:
-                    return 0.0
-                return t**p * m**q
-
-            raw, _ = _quiet_quad(f, -1.0, u_hi, epsrel=1e-11, epsabs=0.0, limit=200)
+            if u_hi < 1.0:
+                # Partial cap: (w - 2 s x u)^p = (2 s x)^p (u_hi - u)^p.
+                raw, _ = _quiet_quad(
+                    lambda u: (1.0 - u) ** q, -1.0, u_hi, weight="alg",
+                    wvar=(q, p), epsrel=1e-11, epsabs=0.0, limit=200,
+                )
+                return c_ang * sx2**p * raw
+            raw, _ = _quiet_quad(
+                lambda u: (w - sx2 * u) ** p, -1.0, 1.0, weight="alg",
+                wvar=(q, q), epsrel=1e-11, epsabs=0.0, limit=200,
+            )
             return c_ang * raw
 
         def shell(s):
@@ -298,13 +300,9 @@ def verify_euler_lagrange(
     tag = classify(params)
     sphere_like = tag.tag in ("SphereTheorem1", "Boundary")
     if force_sphere and not sphere_like:
-        if params.alpha_is_log or not 2.0 <= params.alpha <= 4.0 or params.d < 2:
-            raise RegimeError(
-                "forced sphere candidate needs d >= 2 and alpha in [2, 4]"
-            )
         if not params.beta_is_log and not params.d + params.beta > 2:
             raise RegimeError("forced sphere candidate needs d + beta > 2")
-        _require_well_conditioned(params)
+        _sphere_compatible(params)
         cand = CandidateMinimizer(
             "UniformSphere", _radius_sphere(params.d, params.alpha, params.beta)
         )
@@ -381,13 +379,8 @@ def psi_capital_dd_at_one(params: KernelParams) -> float:
     if params.beta_is_log:
         if not d > 3:
             raise DomainError(f"need d + beta > 3, got {d}")
-        tdd = (
-            -0.5
-            * gamma_fn(d / 2.0)
-            * gamma_fn(d - 3.0)
-            * float(rgamma((d - 4.0) / 2.0))
-            * float(rgamma(d - 1.0))
-        )
+        # tilde_psi0''(1): the gamma -> 0 slope of psi_gamma''(1).
+        tdd = (4.0 - d) / (8.0 * (d - 3.0))
         return 0.25 * pa2 / pa1 - tdd
     beta = params.beta
     if not d + beta > 3:
@@ -463,12 +456,8 @@ def single_zero_scan(
     pattern = []
     for z in np.linspace(0.0, 1.0, n_grid):
         z = float(z)
-        if z == 1.0:
-            f1 = hyp2f1_at_one(a1, b1, c)
-            f2 = hyp2f1_at_one(a2, b2, c)
-        else:
-            f1 = hyp2f1(Hyp2F1Input(a1, b1, c, z))
-            f2 = hyp2f1(Hyp2F1Input(a2, b2, c, z))
+        f1 = hyp2f1(Hyp2F1Input(a1, b1, c, z))
+        f2 = hyp2f1(Hyp2F1Input(a2, b2, c, z))
         g = f1 - q * f2
         if abs(g) <= 1e-12 * (abs(f1) + q * abs(f2)):
             sym = "0"

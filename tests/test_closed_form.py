@@ -27,7 +27,6 @@ from aggremin import (
     psi_values_at_one,
     quadratic_ball_moment,
     radius,
-    tilde_psi0_prime,
     unit_sphere_area,
 )
 from aggremin.closed_form import _energy_ball, _energy_sphere
@@ -117,6 +116,24 @@ def test_classify_out_of_scope_details():
     assert tag.detail.startswith("beta below beta_star(alpha) = ")
 
 
+@given(d=st.integers(1, 6), beta=st.floats(-6.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_classify_special_branches_need_exact_floats(d, beta):
+    """Only alpha == 2.0 is the ball and only (4.0, 2.0) is Boundary."""
+    beta = max(beta, math.nextafter(-d, 0.0))
+    params = KernelParams(d, math.nextafter(2.0, 3.0), beta, beta_is_log=beta == 0.0)
+    assert classify(params).tag != "BallTheorem2"
+    if d < 2:
+        return
+    corner = KernelParams(d, 4.0, 2.0)
+    near = KernelParams(d, 4.0, math.nextafter(2.0, 0.0))
+    assert classify(corner).tag == "Boundary"
+    assert classify(near).tag == "SphereTheorem1"
+    for fn in (radius, energy):
+        want = fn(corner)
+        assert abs(fn(near) - want) <= 1e-12 * max(1.0, abs(want)), fn.__name__
+
+
 def test_radius_anchor_values():
     assert abs(radius(KernelParams(3, 2.0, 1.0)) - 2.0 / 3.0) < 1e-15
     for d in (3, 4, 5):
@@ -157,7 +174,8 @@ def test_radius_critical_point_logarithmic_repulsion():
         assert classify(params).tag == "SphereTheorem1"
         r = radius(params)
         lhs = r**alpha * psi_values_at_one(d, alpha)[1] / alpha
-        assert abs(lhs - tilde_psi0_prime(d, 1.0)) < 1e-12, (d, alpha)
+        # tilde_psi0'(1) = 1/4 from either side.
+        assert abs(lhs - 0.25) < 1e-12, (d, alpha)
 
 
 def test_energy_anchor_values():

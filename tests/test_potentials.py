@@ -31,7 +31,6 @@ from aggremin import (
     quadratic_ball_moment,
     sphere_potential,
     tilde_psi0,
-    tilde_psi0_prime,
     total_potential,
     unit_sphere_area,
 )
@@ -142,7 +141,9 @@ def test_psi_values_at_one_quadratic_profile():
 
 
 def test_psi_values_at_one_agrees_with_series_derivatives():
-    for d, g in [(3, 1.5), (4, -0.5), (2, 2.2)]:
+    # (3, 1.0) is the exact zero of psi''(1) at d + gamma = 4.
+    cases = [(3, 1.5), (4, -0.5), (2, 2.2), (3, 1.0), (5, 0.7), (6, -2.5), (2, 3.7)]
+    for d, g in cases:
         v, p1, p2 = psi_values_at_one(d, g)
         a, b, c = -g / 2.0, (2.0 - g - d) / 2.0, d / 2.0
         # d/dz F(a,b;c;z) = (ab/c) F(a+1,b+1;c+1;z), applied once and twice.
@@ -393,6 +394,20 @@ def test_tilde_psi0_far_field_is_logarithmic():
         assert abs(tilde_psi0(d, 1.0e6) - math.log(1.0e3)) < 1e-5
 
 
+def _tilde_psi0_mpmath(d: int, rho: float):
+    """d/dgamma of psi_gamma(rho) at gamma = 0, at 40 digits."""
+    r = mpmath.mpf(rho)
+
+    def psi(g):
+        a, b, c = -g / 2, (2 - g - d) / mpmath.mpf(2), mpmath.mpf(d) / 2
+        if r <= 1:
+            return mpmath.hyp2f1(a, b, c, r)
+        return r ** (g / 2) * mpmath.hyp2f1(a, b, c, 1 / r)
+
+    with mpmath.workdps(40):
+        return mpmath.diff(psi, 0)
+
+
 def test_tilde_psi0_seam_value_and_taylor_patch():
     for d in (3, 5):
         v = tilde_psi0(d, 1.0)
@@ -401,6 +416,14 @@ def test_tilde_psi0_seam_value_and_taylor_patch():
             assert abs(tilde_psi0(d, 1.0 + s) - v - 0.25 * s) < 1e-12
         for s in (2e-6, -2e-6):
             assert abs(tilde_psi0(d, 1.0 + s) - v - 0.25 * s) < 1e-10
+    # The first-order patch against mpmath; in d = 3 the neglected term
+    # is of order (rho-1)^2 ln|rho-1|.
+    for d, bound in ((3, 5e-12), (5, 1e-12)):
+        for s in (1e-12, 1e-9, 1e-7, 9e-7):
+            for rho in (1.0 - s, 1.0 + s):
+                want = _tilde_psi0_mpmath(d, rho)
+                err = abs((tilde_psi0(d, rho) - want) / want)
+                assert err <= bound, (d, rho, float(err))
 
 
 def test_tilde_psi0_gates():
@@ -410,36 +433,20 @@ def test_tilde_psi0_gates():
         tilde_psi0(1, 0.5)
 
 
-def test_tilde_psi0_prime_exact_branches():
-    for rho in (0.0, 0.5, 0.9):
-        assert tilde_psi0_prime(2, rho) == 0.0
-    for rho in (1.5, 4.0):
-        assert abs(tilde_psi0_prime(2, rho) - 0.5 / rho) < 1e-15
-    for d in (2, 3, 4):
-        assert tilde_psi0_prime(d, 1.0) == 0.25
-    for rho in (0.1, 0.7):
-        assert abs(tilde_psi0_prime(4, rho) - 0.25) < 1e-15
-    want = (1.0 - 1.0 / 4.0) / 4.0
-    assert abs(tilde_psi0_prime(4, 2.0) - want) < 1e-14
-
-
-def test_tilde_psi0_prime_next_to_the_branch_point():
-    """d = 3 at rho = 1 +- 1e-7, where the series converge slowest."""
-    for rho in (1.0 - 1e-7, 1.0 + 1e-7):
-        with mpmath.workdps(40):
-            if rho < 1.0:
-                want = float(mpmath.hyp2f1(1, 0.5, 2.5, rho) / 6)
-            else:
-                want = float(mpmath.hyp2f1(1, -0.5, 1.5, 1 / mpmath.mpf(rho)) / (2 * rho))
-        assert abs(tilde_psi0_prime(3, rho) - want) < 1e-14 * want, rho
-
-
 def test_tilde_psi0_prime_matches_finite_difference():
+    """The slope of tilde_psi0 against its 2F1 form (DLMF 15.5.1)."""
     h = 1e-5
     for d in (3, 5):
         for rho in (0.5, 2.0):
             fd = (tilde_psi0(d, rho + h) - tilde_psi0(d, rho - h)) / (2.0 * h)
-            assert abs(tilde_psi0_prime(d, rho) - fd) < 1e-10, (d, rho)
+            with mpmath.workdps(40):
+                if rho < 1.0:
+                    f = mpmath.hyp2f1(1, (4 - d) / 2.0, d / 2.0 + 1, rho)
+                    want = (d - 2) / (2.0 * d) * f
+                else:
+                    f = mpmath.hyp2f1(1, (2 - d) / 2.0, d / 2.0, 1 / mpmath.mpf(rho))
+                    want = f / (2 * rho)
+            assert abs(float(want) - fd) < 1e-10, (d, rho)
 
 
 def test_total_potential_is_flat_and_stationary_for_the_sphere():

@@ -8,6 +8,7 @@ where the candidate stops minimizing.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from aggremin import (
     ConvexityReport,
     DomainError,
     ELReport,
+    Hyp2F1Input,
     IllConditioned,
     KernelParams,
     RegimeError,
@@ -25,7 +27,7 @@ from aggremin import (
     ball_potential_quad,
     convexity_report,
     eta,
-    hyp2f1_at_one,
+    hyp2f1,
     psi_capital,
     psi_capital_dd_at_one,
     single_zero_scan,
@@ -242,6 +244,17 @@ def test_curvature_at_one_logarithmic_cases():
     assert psi_capital_dd_at_one(KernelParams(4, 2.0, 0.0, beta_is_log=True)) == 0.0
     got = psi_capital_dd_at_one(KernelParams(5, 2.0, 0.0, beta_is_log=True))
     assert abs(got - 0.0625) < 1e-15
+    # With alpha = 2, Psi''(1) = -tilde_psi0''(1); tilde_psi0' is
+    # (d-2)/(2d) F(1, (4-d)/2; d/2+1; rho) on the inner side.
+    for d in (6, 7):
+        got = psi_capital_dd_at_one(KernelParams(d, 2.0, 0.0, beta_is_log=True))
+        with mpmath.workdps(30):
+            def slope(r):
+                f = mpmath.hyp2f1(1, mpmath.mpf(4 - d) / 2, mpmath.mpf(d) / 2 + 1, r)
+                return mpmath.mpf(d - 2) / (2 * d) * f
+
+            want = -float(mpmath.diff(slope, 1, direction=-1))
+        assert abs(got - want) < 1e-15, (d, got, want)
 
 
 def test_convexity_report_passes_in_regime():
@@ -318,7 +331,9 @@ def test_convexity_report_gates():
 
 def test_single_zero_scan_pure_signs():
     assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1e-9, 31) == "+"
-    q = hyp2f1_at_one(1.5, 2.0, 4.0) / hyp2f1_at_one(0.5, 1.0, 4.0)
+    q = hyp2f1(Hyp2F1Input(1.5, 2.0, 4.0, 1.0)) / hyp2f1(
+        Hyp2F1Input(0.5, 1.0, 4.0, 1.0)
+    )
     assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, q, 31) == "-0"
 
 

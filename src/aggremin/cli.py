@@ -147,18 +147,18 @@ def cmd_convexity(args) -> int:
 
 
 def _write_positions_csv(path: str, positions: np.ndarray) -> None:
-    d = positions.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"x{k}" for k in range(d)) + "\n")
-        for row in positions:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    lines = [",".join(f"x{k}" for k in range(positions.shape[1]))]
+    lines += [",".join(repr(float(v)) for v in row) for row in positions]
+    _write_text("\n".join(lines) + "\n", path)
 
 
 def _write_trace_csv(path: str, sys_state: flow.ParticleSystem) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,energy,step_size\n")
-        for k, (e, h) in enumerate(zip(sys_state.energy_trace, sys_state.step_trace)):
-            fh.write(f"{k},{float(e)!r},{float(h)!r}\n")
+    lines = ["iteration,energy,step_size"]
+    lines += [
+        f"{k},{float(e)!r},{float(h)!r}"
+        for k, (e, h) in enumerate(zip(sys_state.energy_trace, sys_state.step_trace))
+    ]
+    _write_text("\n".join(lines) + "\n", path)
 
 
 def cmd_simulate(args) -> int:

@@ -10,10 +10,12 @@ Two families of candidate minimizers appear:
   whose alpha=2 potential splits into an exact quadratic part plus a
   hypergeometric remainder (ball_potential).
 
-All profiles are functions of rho = |x/R|^2 with a branch point at
-rho = 1 (the support boundary).  The inner branch covers rho = 1 itself
-through the Gauss value of ``special.hyp2f1`` at z = 1, and the first
-two derivatives there are rational multiples of that one value.
+Each measure has one normalized profile of rho = |x/R|^2 per kernel
+(power, log): sphere ``_psi_raw``, ``tilde_psi0``; ball ``_ball_raw``,
+``_log_ball_lambda``.  Each has a branch point at rho = 1 (the support
+boundary), which the inner branch covers through the Gauss value of
+``special.hyp2f1`` at z = 1; psi_gamma's first two derivatives there
+are rational multiples of that value (``_seam_curvature``).
 
 The power-law profiles go through ``special.hyp2f1``.  The logarithmic
 kernels need a series scipy lacks; it is summed here by ``_blocked_sum``
@@ -114,11 +116,13 @@ def psi_values_at_one(d, gamma: float):
         raise DomainError(f"need d + gamma > 2, got {d + gamma}")
     value = _psi_raw(d, gamma, 1.0)
     first = 0.25 * gamma * value
-    if d + gamma > 3:
-        second = first * (2.0 - gamma) * (4.0 - d - gamma) / (4.0 * (d + gamma - 3.0))
-    else:
-        second = math.nan
+    second = first * _seam_curvature(d, gamma) if d + gamma > 3 else math.nan
     return (value, first, second)
+
+
+def _seam_curvature(d: int, gamma: float) -> float:
+    """k = psi_gamma''(1) / psi_gamma'(1) for d + gamma > 3 (tilde_psi0's at 0)."""
+    return (2.0 - gamma) * (4.0 - d - gamma) / (4.0 * (d + gamma - 3.0))
 
 
 def sphere_potential(d, gamma: float, x_norm: float) -> float:
@@ -135,14 +139,27 @@ def sphere_potential(d, gamma: float, x_norm: float) -> float:
     return unit_sphere_area(d) * _psi_raw(d, gamma, x * x)
 
 
+def _ball_raw(d: int, gamma: float, rho: float) -> float:
+    """ball_potential / C_gamma at rho = x_norm^2, without the public gates."""
+    if rho <= 1.0:
+        scale = gamma_fn(2.0 - gamma / 2.0) * gamma_fn((gamma + d) / 2.0)
+        return scale / gamma_fn(d / 2.0) * (1.0 + gamma * rho / d)
+    f = hyp2f1(
+        Hyp2F1Input(-gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0, 1.0 / rho)
+    )
+    return rho ** (gamma / 2.0) * f
+
+
 def ball_potential(d, gamma: float, x_norm: float) -> float:
     """Weighted ball integral of |x - y|^gamma against (1-|y|^2)^((2-gamma-d)/2).
 
     Defined for -d < gamma < -d + 4, where the weight is integrable.
-    Inside the ball the value is exactly affine in x_norm^2; outside it
-    is x_norm^gamma times a hypergeometric factor in x_norm^(-2).  At
-    x_norm = 1 the two branches share a common limit and the (affine)
-    inner value is returned.
+    Equals C_gamma times a profile in rho = x_norm^2 (C_gamma from
+    :func:`quadratic_ball_moment`), just as :func:`sphere_potential` is
+    |S^(d-1)| times psi_gamma.  Inside the ball the profile is exactly
+    affine in rho; outside it is rho^(gamma/2) times a hypergeometric
+    factor in 1/rho.  At x_norm = 1 the two branches share a common
+    limit and the (affine) inner value is returned.
     """
     d = _check_dim(d, 1)
     if not -d < gamma < -d + 4:
@@ -150,15 +167,8 @@ def ball_potential(d, gamma: float, x_norm: float) -> float:
     if not x_norm >= 0:
         raise DomainError(f"x_norm must be >= 0, got {x_norm}")
     x = float(x_norm)
-    half = math.pi ** (d / 2.0) * gamma_fn((4.0 - gamma - d) / 2.0)
-    if x <= 1.0:
-        inner = half * gamma_fn((gamma + d) / 2.0) / gamma_fn(d / 2.0)
-        return inner * (1.0 + (gamma / d) * x * x)
-    outer = half / gamma_fn(2.0 - gamma / 2.0)
-    f = hyp2f1(
-        Hyp2F1Input(-gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0, x**-2)
-    )
-    return outer * x**gamma * f
+    c_gamma, _ = quadratic_ball_moment(d, gamma)
+    return c_gamma * _ball_raw(d, gamma, x * x)
 
 
 def quadratic_ball_moment(d, beta: float):
@@ -283,46 +293,38 @@ def total_potential(
 ) -> float:
     """Potential of a candidate measure under the kernel, at radius x_norm.
 
-    For a uniform sphere of radius R this is
-    R^alpha psi_alpha(rho)/alpha - R^beta psi_beta(rho)/beta at
-    rho = (x_norm/R)^2, with the repulsive term replaced by
-    ln R + tilde_psi0(rho) in the logarithmic case.  For the ball
-    profile (alpha = 2 only) the attractive part is an exact quadratic
-    and the repulsive part reduces to ball_potential.
+    Attraction minus R^beta/beta times the candidate's beta profile at
+    rho = (x_norm/R)^2, or minus ln R plus its log profile.  The sphere
+    attracts with R^alpha psi_alpha(rho)/alpha; the ball profile
+    (alpha = 2 only) with the exact quadratic x^2/2 + R^2 d/(2(4-beta)),
+    and its beta profile is ball_potential/C_beta.
     """
     if not x_norm >= 0:
         raise DomainError(f"x_norm must be >= 0, got {x_norm}")
     if params.alpha_is_log:
         raise RegimeError("logarithmic attraction has no candidate closed form")
-    d = params.d
+    d, alpha, beta = params.d, params.alpha, params.beta
     r_cand = candidate.radius
     x = float(x_norm)
     rho = (x / r_cand) ** 2
     if candidate.kind == "UniformSphere":
         if d < 2:
             raise RegimeError("sphere candidates need d >= 2")
-        if not d + params.alpha > 2:
+        if not d + alpha > 2:
             raise RegimeError(f"need d + alpha > 2 for the sphere profile, d={d}")
-        attract = r_cand**params.alpha / params.alpha * _psi_raw(d, params.alpha, rho)
-        if params.beta_is_log:
-            repel = math.log(r_cand) + tilde_psi0(d, rho)
-        else:
-            if not d + params.beta > 2:
-                raise RegimeError(
-                    f"sphere profile needs d + beta > 2, got {d + params.beta}"
-                )
-            repel = r_cand**params.beta / params.beta * _psi_raw(d, params.beta, rho)
-        return attract - repel
-    # BallProfile
-    if params.alpha != 2.0:
-        raise RegimeError("ball profile candidates exist only for alpha = 2")
-    if not params.beta < min(2.0, -d + 4.0):
-        raise RegimeError(
-            f"ball profile needs beta < min(2, -d+4), got beta={params.beta}"
-        )
-    quad = 0.5 * x * x + r_cand * r_cand * d / (2.0 * (4.0 - params.beta))
+        if not params.beta_is_log and not d + beta > 2:
+            raise RegimeError(f"sphere profile needs d + beta > 2, got {d + beta}")
+        attract = r_cand**alpha / alpha * _psi_raw(d, alpha, rho)
+        log_profile, profile = tilde_psi0, _psi_raw
+    else:  # BallProfile
+        if alpha != 2.0:
+            raise RegimeError("ball profile candidates exist only for alpha = 2")
+        if not beta < min(2.0, -d + 4.0):
+            raise RegimeError(
+                f"ball profile needs beta < min(2, -d+4), got beta={beta}"
+            )
+        attract = 0.5 * x * x + r_cand * r_cand * d / (2.0 * (4.0 - beta))
+        log_profile, profile = _log_ball_lambda, _ball_raw
     if params.beta_is_log:
-        return quad - math.log(r_cand) - _log_ball_lambda(d, rho)
-    c_beta, _ = quadratic_ball_moment(d, params.beta)
-    shape = ball_potential(d, params.beta, x / r_cand)
-    return quad - r_cand**params.beta / (params.beta * c_beta) * shape
+        return attract - math.log(r_cand) - log_profile(d, rho)
+    return attract - r_cand**beta / beta * profile(d, beta, rho)

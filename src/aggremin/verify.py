@@ -27,13 +27,14 @@ from .params import CandidateMinimizer, KernelParams
 from .potentials import (
     _check_dim,
     _check_rho,
+    _seam_curvature,
     psi_gamma,
     psi_values_at_one,
     tilde_psi0,
     total_potential,
     unit_sphere_area,
 )
-from .special import Hyp2F1Input, gamma_fn, hyp2f1
+from .special import Hyp2F1Input, hyp2f1
 
 __all__ = [
     "ELReport",
@@ -46,11 +47,6 @@ __all__ = [
     "convexity_report",
     "single_zero_scan",
 ]
-
-def _colatitude_area(d: int) -> float:
-    # |S^(d-2)|, the measure of the azimuthal factor; equals 2 in d = 2.
-    return 2.0 * math.pi ** ((d - 1) / 2.0) / gamma_fn((d - 1) / 2.0)
-
 
 def _quiet_quad(*args, **kwargs):
     # Imported here so that only the quadrature oracles pay for loading
@@ -81,7 +77,7 @@ def sphere_potential_quad(d, gamma: float, x_norm: float) -> float:
         raise DomainError(f"x_norm must be >= 0, got {x}")
     if gamma == 0.0:
         return unit_sphere_area(d)
-    c_ang = _colatitude_area(d)
+    c_ang = unit_sphere_area(d - 1)
     if x == 1.0:
         if not gamma > 1 - d:
             raise DomainError(
@@ -168,7 +164,7 @@ def ball_potential_quad(d, gamma: float, x_norm: float) -> float:
         value = unit_sphere_area(d) * raw
         err *= unit_sphere_area(d)
     else:
-        c_ang = _colatitude_area(d)
+        c_ang = unit_sphere_area(d - 1)
         q = (d - 3) / 2.0
 
         def cap(s):
@@ -274,7 +270,10 @@ def _el_grid(rho_max: float, n_grid: int) -> np.ndarray:
     mid = 2.0 ** (u**3)
     low = np.linspace(0.0, 0.5, n_low, endpoint=False)
     high = np.geomspace(2.0, rho_max, n_high + 1)[1:]
-    return np.unique(np.concatenate([low, mid, high, [1.0]]))
+    grid = np.unique(np.concatenate([low, mid, high, [1.0]]))
+    # For rho_max < 2 the warped block overshoots; rho_max itself is the
+    # last node of ``high``.
+    return grid[grid <= rho_max]
 
 
 def verify_euler_lagrange(
@@ -350,43 +349,37 @@ def _sphere_compatible(params: KernelParams) -> None:
 def psi_capital(params: KernelParams, rho: float) -> float:
     """The convexity combination Psi at squared scaled radius rho.
 
-    Psi = (psi_beta'(1) / (beta psi_alpha'(1))) psi_alpha - psi_beta/beta,
-    normalized so its derivative vanishes at rho = 1.  With the log flag
-    the beta terms are replaced by their exponent -> 0 limits (the
-    profile tilde_psi0 and the constant 1/4).
+    Psi = v_beta psi_alpha / (4 psi_alpha'(1)) - psi_beta/beta with
+    v_beta = psi_beta(1), so that its derivative vanishes at rho = 1
+    (psi_beta'(1) = beta v_beta / 4).  The log kernel is beta = 0:
+    v_beta = 1 and psi_beta/beta becomes tilde_psi0.
     """
     _check_rho(rho)
     _sphere_compatible(params)
-    d, alpha = params.d, params.alpha
+    d, alpha, beta = params.d, params.alpha, params.beta
     _, pa1, _ = psi_values_at_one(d, alpha)
-    if params.beta_is_log:
-        return 0.25 * psi_gamma(d, alpha, rho) / pa1 - tilde_psi0(d, rho)
-    beta = params.beta
-    _, pb1, _ = psi_values_at_one(d, beta)
-    return (pb1 / pa1) * psi_gamma(d, alpha, rho) / beta - psi_gamma(d, beta, rho) / beta
+    v_beta = psi_values_at_one(d, beta)[0]
+    repel = tilde_psi0(d, rho) if params.beta_is_log else psi_gamma(d, beta, rho) / beta
+    return 0.25 * v_beta * psi_gamma(d, alpha, rho) / pa1 - repel
 
 
 def psi_capital_dd_at_one(params: KernelParams) -> float:
     """Exact second derivative of Psi at rho = 1.
 
-    Its sign is the sharp local test: nonnegative exactly when beta is
-    at or above beta_star(alpha).  Requires d + beta > 3 for the second
-    derivative of psi_beta to exist.
+    Psi''(1) = v_beta (k(alpha) - k(beta)) / 4 with the seam-curvature
+    ratio k(gamma) = psi_gamma''(1) / psi_gamma'(1) and v_beta =
+    psi_beta(1); the log kernel is beta = 0 with v_beta = 1.  beta_star
+    is the second root of k(beta) = k(alpha), so the sign is the sharp
+    local test: nonnegative exactly when beta is at or above
+    beta_star(alpha).  Requires d + beta > 3 for the second derivative
+    of psi_beta to exist.
     """
     _sphere_compatible(params)
-    d, alpha = params.d, params.alpha
-    _, pa1, pa2 = psi_values_at_one(d, alpha)
-    if params.beta_is_log:
-        if not d > 3:
-            raise DomainError(f"need d + beta > 3, got {d}")
-        # tilde_psi0''(1): the gamma -> 0 slope of psi_gamma''(1).
-        tdd = (4.0 - d) / (8.0 * (d - 3.0))
-        return 0.25 * pa2 / pa1 - tdd
-    beta = params.beta
+    d, beta = params.d, params.beta
     if not d + beta > 3:
         raise DomainError(f"need d + beta > 3, got {d + beta}")
-    _, pb1, pb2 = psi_values_at_one(d, beta)
-    return (pb1 / pa1) * pa2 / beta - pb2 / beta
+    v_beta = psi_values_at_one(d, beta)[0]
+    return 0.25 * v_beta * (_seam_curvature(d, params.alpha) - _seam_curvature(d, beta))
 
 
 def convexity_report(
@@ -412,10 +405,10 @@ def convexity_report(
     left = np.linspace(0.0, 1.0, n_left)
     right = np.linspace(1.0, rho_max, n_right)
     grid = np.concatenate([left, right[1:]])
-    vals_left = np.array([psi_capital(params, r) for r in left])
-    vals_right = np.array([psi_capital(params, r) for r in right])
+    vals = np.array([psi_capital(params, r) for r in grid])
+    # left ends and right starts at rho = 1, index n_left - 1.
     second = np.concatenate(
-        [np.diff(vals_left, n=2), np.diff(vals_right, n=2)]
+        [np.diff(vals[:n_left], n=2), np.diff(vals[n_left - 1 :], n=2)]
     )
     min_sd = float(np.min(second))
     try:

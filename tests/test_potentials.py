@@ -21,6 +21,7 @@ from aggremin import (
     KernelParams,
     RegimeError,
     ball_potential,
+    ball_potential_quad,
     candidate_for,
     digamma,
     eta,
@@ -488,6 +489,21 @@ def test_total_potential_respects_radius_scaling():
         ) / area
         got = total_potential(params, cand, x)
         assert abs(got - want) < 1e-9 * abs(want), t
+    # The ball profile: exact quadratic attraction, repulsion from the
+    # quadrature oracle over the C_beta normalization.
+    d, beta, big_r = 3, -1.0, 1.3
+    params = KernelParams(d, 2.0, beta)
+    cand = CandidateMinimizer("BallProfile", big_r, normalization=1.0)
+    c_beta, _ = quadratic_ball_moment(d, beta)
+    for t in (0.5, 1.0, 1.8):
+        x = t * big_r
+        want = (
+            0.5 * x * x
+            + big_r**2 * d / (2.0 * (4.0 - beta))
+            - big_r**beta / (beta * c_beta) * ball_potential_quad(d, beta, t)
+        )
+        got = total_potential(params, cand, x)
+        assert abs(got - want) < 1e-9 * abs(want), ("ball", t)
 
 
 def test_total_potential_regime_gates():

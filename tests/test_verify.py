@@ -94,6 +94,11 @@ def test_euler_lagrange_passes_in_supported_regimes():
         assert report.exterior_min_margin >= -report.tol_exterior
         assert 0.0 in report.grid and 1.0 in report.grid
         assert report.grid == tuple(sorted(report.grid))
+        assert max(report.grid) == 8.0
+    # Below rho_max = 2 the grid still ends at rho_max.
+    report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), rho_max=1.5, n_grid=200)
+    assert report.passed
+    assert max(report.grid) == 1.5
 
 
 def test_euler_lagrange_report_round_trips_through_dict():
@@ -201,12 +206,18 @@ def test_psi_capital_condition_gates():
 def test_curvature_at_one_vanishes_on_the_critical_curve():
     from aggremin import beta_star
 
-    for d, alpha in [(2, 3.0), (2, 4.0), (3, 2.0), (3, 3.0), (3, 4.0), (5, 2.0), (5, 3.0), (5, 4.0)]:
+    for d, alpha in [
+        (2, 3.0), (2, 4.0), (3, 2.0), (3, 3.0), (3, 4.0), (4, 3.0), (4, 4.0),
+        (5, 2.0), (5, 3.0), (5, 4.0), (6, 2.0), (6, 3.0), (7, 2.5), (7, 4.0),
+    ]:
         bs = beta_star(d, alpha)
         assert abs(psi_capital_dd_at_one(KernelParams(d, alpha, bs))) < 1e-12, (
             d,
             alpha,
         )
+    # beta_star(2) = 0 in d = 4: the log kernel's one point on the curve.
+    log_params = KernelParams(4, 2.0, 0.0, beta_is_log=True)
+    assert abs(psi_capital_dd_at_one(log_params)) < 1e-12
 
 
 def test_curvature_at_one_changes_sign_across_the_critical_curve():

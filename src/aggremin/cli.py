@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -108,11 +110,7 @@ def cmd_closed_form(args) -> int:
         "schema": SCHEMA,
         "regime": tag.tag,
         "detail": tag.detail,
-        "d": params.d,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "alpha_is_log": params.alpha_is_log,
-        "beta_is_log": params.beta_is_log,
+        **asdict(params),
         "beta_star": _beta_star_or_none(params),
         "R": radius(params),
         "E": energy(params),
@@ -131,17 +129,17 @@ def cmd_verify_el(args) -> int:
         n_grid=args.grid,
         force_sphere=args.force_sphere,
     )
-    payload = {"schema": SCHEMA, "report": "euler-lagrange"}
-    payload.update(report.to_dict())
-    _emit(payload, args.out)
+    _emit({"schema": SCHEMA, "report": "euler-lagrange", **asdict(report)}, args.out)
     return 0 if report.passed else 3
 
 
 def cmd_convexity(args) -> int:
     params = _params_from(args)
     report = convexity_report(params, rho_max=args.rho_max, n_grid=args.grid)
-    payload = {"schema": SCHEMA, "report": "convexity"}
-    payload.update(report.to_dict())
+    payload = {"schema": SCHEMA, "report": "convexity", **asdict(report)}
+    # NaN is not JSON (RFC 8259); an absent curvature is written as null.
+    if math.isnan(report.psi_dd_at_one):
+        payload["psi_dd_at_one"] = None
     _emit(payload, args.out)
     return 0 if report.passed else 3
 
@@ -185,11 +183,7 @@ def cmd_simulate(args) -> int:
 
     payload = {
         "schema": SCHEMA,
-        "d": params.d,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "alpha_is_log": params.alpha_is_log,
-        "beta_is_log": params.beta_is_log,
+        **asdict(params),
         "n_particles": args.n,
         "seed": args.seed,
         "tol": args.tol,
@@ -200,8 +194,8 @@ def cmd_simulate(args) -> int:
         "backtracks": state.backtracks,
         "final_energy": state.energy_trace[-1],
         "final_max_force": flow.max_force(state),
+        **asdict(stats),
     }
-    payload.update(stats.to_dict())
     tag = classify(params)
     if tag.tag != "OutOfScope":
         r_ref = radius(params)
@@ -221,14 +215,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_phase_scan(args) -> int:
     d = args.d
-    if args.alpha_min > args.alpha_max or args.beta_min > args.beta_max:
-        raise _UsageError("inverted range: min exceeds max")
     if args.alpha_steps < 1 or args.beta_steps < 1:
         raise _UsageError("step counts must be at least 1")
-    if args.alpha_min < 2.0 or args.alpha_max > 4.0:
-        raise _UsageError("alpha range must lie within [2, 4]")
-    if not (-d < args.beta_min and args.beta_max <= 2.0):
-        raise _UsageError(f"beta range must lie within (-{d}, 2]")
+    # One chained comparison per axis: an inverted range or a NaN bound
+    # fails it as well as a bound outside the supported interval.
+    if not 2.0 <= args.alpha_min <= args.alpha_max <= 4.0:
+        raise _UsageError("alpha range must satisfy 2 <= alpha-min <= alpha-max <= 4")
+    if not -d < args.beta_min <= args.beta_max <= 2.0:
+        raise _UsageError(f"beta range must satisfy -{d} < beta-min <= beta-max <= 2")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     # linspace misses an intended beta = 0 by rounding (1.1e-16, say);

@@ -128,17 +128,20 @@ class ParticleSystem:
     accepted line-search multiplier of its quasi-Newton direction.
     ``energy_evals`` counts the kernel evaluations and ``backtracks`` the
     rejected line-search trials of the descent that produced the state.
-    Instances are immutable; ``step`` returns a new one.
+    The constructor takes only ``positions``, ``params`` and
+    ``step_size``; the other fields are records of the descent, set by
+    ``step`` and ``run_to_convergence``.  Instances are immutable;
+    ``step`` returns a new one.
     """
 
     positions: np.ndarray
     params: KernelParams
     step_size: float = _START_STEP
-    iteration: int = 0
-    energy_trace: tuple = field(default=())
-    step_trace: tuple = field(default=())
-    energy_evals: int = 0
-    backtracks: int = 0
+    iteration: int = field(default=0, init=False)
+    energy_trace: tuple = field(default=(), init=False)
+    step_trace: tuple = field(default=(), init=False)
+    energy_evals: int = field(default=0, init=False)
+    backtracks: int = field(default=0, init=False)
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
@@ -151,17 +154,9 @@ class ParticleSystem:
         energy, _ = _energy_and_forces(self.params, pos)
         if not self.step_size > 0:
             raise DomainError(f"step_size must be positive, got {self.step_size}")
-        if self.iteration < 0:
-            raise DomainError(f"iteration must be >= 0, got {self.iteration}")
         object.__setattr__(self, "positions", pos)
-        trace = tuple(self.energy_trace)
-        if not trace:
-            trace = (energy,)
-        object.__setattr__(self, "energy_trace", trace)
-        steps = tuple(self.step_trace)
-        if not steps:
-            steps = (self.step_size,)
-        object.__setattr__(self, "step_trace", steps)
+        object.__setattr__(self, "energy_trace", (energy,))
+        object.__setattr__(self, "step_trace", (self.step_size,))
 
     @property
     def n_particles(self) -> int:
@@ -176,14 +171,6 @@ class RadialStats:
     std_radius: float
     max_radius: float
     center: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_radius": self.mean_radius,
-            "std_radius": self.std_radius,
-            "max_radius": self.max_radius,
-            "center": list(self.center),
-        }
 
 
 def discrete_energy(sys: ParticleSystem) -> float:

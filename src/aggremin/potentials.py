@@ -18,8 +18,8 @@ boundary), which the inner branch covers through the Gauss value of
 are rational multiples of that value (``_seam_curvature``).
 
 The power-law profiles go through ``special.hyp2f1``.  The logarithmic
-kernels need a series scipy lacks; it is summed here by ``_blocked_sum``
-and closed with a geometric tail (``_log_series``).
+kernels need a series scipy lacks; ``_log_series`` sums it in numpy
+blocks and closes it with a geometric tail.
 """
 
 from __future__ import annotations
@@ -190,44 +190,6 @@ def quadratic_ball_moment(d, beta: float):
     return (c_beta, d / (4.0 - beta))
 
 
-def _blocked_sum(ratio):
-    """Partial sum of t_0 + t_1 + ... with t_0 = 1, t_{k+1} = ratio(k) t_k.
-
-    ``ratio`` must accept a float ndarray of indices k.  Summation stops
-    once three consecutive terms fall below eps times the running
-    partial sum, or after SERIES_CAP terms.  Returns
-    ``(partial_sum, last_term, last_index)``; the caller closes the sum
-    with its own tail rule.  A non-finite partial sum raises
-    NonConvergence.  Blocks keep the inner arithmetic in numpy, which
-    matters for the slowly decaying series.
-    """
-    total = 1.0
-    carry = 1.0
-    k0 = 0
-    block = 64
-    while k0 < SERIES_CAP:
-        m = min(block, SERIES_CAP - k0)
-        k = np.arange(k0, k0 + m, dtype=float)
-        terms = carry * np.cumprod(ratio(k))
-        partial = total + np.cumsum(terms)
-        small = np.abs(terms) <= _EPS * np.abs(partial)
-        hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
-        if hits.size:
-            j = hits[0] + 2
-            return float(partial[j]), float(terms[j]), k0 + j + 1
-        total = float(partial[-1])
-        carry = float(terms[-1])
-        k0 += m
-        if carry == 0.0:
-            return total, 0.0, k0
-        if not math.isfinite(total):
-            raise NonConvergence(
-                "log-kernel series: series blew up (non-finite partial sum)"
-            )
-        block = min(block * 2, 65536)
-    return total, carry, k0
-
-
 def _log_series(d: int, c0: float, z: float) -> float:
     """sum_{n>=1} ((2-d)/2)_n / ((c0)_n n) z^n for z in [0, 1].
 
@@ -235,9 +197,13 @@ def _log_series(d: int, c0: float, z: float) -> float:
     Gauss series with respect to the exponent at 0: tilde_psi0 is -T/2
     inside and ln(rho)/2 - T(1/rho)/2 outside.  With c0 = 2 it is S(z)
     of the ball profile.  Identically zero in d = 2 and a single term in
-    d = 4.  The terms decay like a fixed power of n, so the sum is always
-    closed with the geometric tail estimate t r / (1 - r), also at the
-    term cap; this pushes the truncation error well below 1e-10 relative.
+    d = 4.  The normalized terms t_0 = 1, t_{k+1} = ratio(k) t_k are
+    summed in numpy blocks of doubling length until three consecutive
+    terms fall below eps times the running partial sum, or SERIES_CAP
+    terms; a non-finite partial sum raises NonConvergence.  The terms
+    decay like a fixed power of n, so the sum is always closed with the
+    geometric tail estimate t r / (1 - r), also at the term cap; this
+    pushes the truncation error well below 1e-10 relative.
     """
     if d == 2 or z == 0.0:
         return 0.0
@@ -247,7 +213,25 @@ def _log_series(d: int, c0: float, z: float) -> float:
         n = m + 1.0
         return (a0 + n) / (c0 + n) * (n / (n + 1.0)) * z
 
-    total, last, k = _blocked_sum(ratio)
+    total = last = 1.0
+    k = 0
+    block = 64
+    while k < SERIES_CAP and last != 0.0:
+        m = min(block, SERIES_CAP - k)
+        terms = last * np.cumprod(ratio(np.arange(k, k + m, dtype=float)))
+        partial = total + np.cumsum(terms)
+        small = np.abs(terms) <= _EPS * np.abs(partial)
+        hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
+        if hits.size:
+            j = hits[0] + 2
+            total, last, k = float(partial[j]), float(terms[j]), k + j + 1
+            break
+        total, last, k = float(partial[-1]), float(terms[-1]), k + m
+        if not math.isfinite(total):
+            raise NonConvergence(
+                "log-kernel series: series blew up (non-finite partial sum)"
+            )
+        block = min(block * 2, 65536)
     r = ratio(float(k))
     tail = last * r / (1.0 - r) if 0.0 < r < 1.0 else 0.0
     return a0 / c0 * z * (total + tail)

@@ -26,7 +26,6 @@ from .errors import DomainError, QuadratureFailure, RegimeError
 from .params import CandidateMinimizer, KernelParams
 from .potentials import (
     _check_dim,
-    _check_rho,
     _seam_curvature,
     psi_gamma,
     psi_values_at_one,
@@ -226,17 +225,6 @@ class ELReport:
     tol_support: float
     tol_exterior: float
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "support_max_abs_dev": self.support_max_abs_dev,
-            "exterior_min_margin": self.exterior_min_margin,
-            "grid": list(self.grid),
-            "passed": self.passed,
-            "tol_support": self.tol_support,
-            "tol_exterior": self.tol_exterior,
-        }
-
 
 @dataclass(frozen=True)
 class ConvexityReport:
@@ -247,17 +235,6 @@ class ConvexityReport:
     psi_dd_at_one: float
     passed: bool
     tol: float
-
-    def to_dict(self) -> dict:
-        # NaN is not JSON (RFC 8259); an absent curvature is written as null.
-        dd = None if math.isnan(self.psi_dd_at_one) else self.psi_dd_at_one
-        return {
-            "grid": list(self.grid),
-            "min_second_difference": self.min_second_difference,
-            "psi_dd_at_one": dd,
-            "passed": self.passed,
-            "tol": self.tol,
-        }
 
 
 def _el_grid(rho_max: float, n_grid: int) -> np.ndarray:
@@ -292,8 +269,8 @@ def verify_euler_lagrange(
     the ball or nothing; below the critical curve this makes the report
     fail, which is the point of the flag.
     """
-    if not rho_max > 1:
-        raise DomainError(f"rho_max must exceed 1, got {rho_max}")
+    if not 1 < rho_max < math.inf:
+        raise DomainError(f"rho_max must be finite and exceed 1, got {rho_max}")
     if n_grid < 100:
         raise DomainError(f"n_grid must be at least 100, got {n_grid}")
     tag = classify(params)
@@ -346,21 +323,28 @@ def _sphere_compatible(params: KernelParams) -> None:
     _require_well_conditioned(params)
 
 
-def psi_capital(params: KernelParams, rho: float) -> float:
+def psi_capital(params: KernelParams, rho):
     """The convexity combination Psi at squared scaled radius rho.
 
     Psi = v_beta psi_alpha / (4 psi_alpha'(1)) - psi_beta/beta with
     v_beta = psi_beta(1), so that its derivative vanishes at rho = 1
     (psi_beta'(1) = beta v_beta / 4).  The log kernel is beta = 0:
-    v_beta = 1 and psi_beta/beta becomes tilde_psi0.
+    v_beta = 1 and psi_beta/beta becomes tilde_psi0.  A scalar rho gives
+    a float, an array of nodes an array; the two seam values are
+    computed once per call.
     """
-    _check_rho(rho)
     _sphere_compatible(params)
     d, alpha, beta = params.d, params.alpha, params.beta
     _, pa1, _ = psi_values_at_one(d, alpha)
-    v_beta = psi_values_at_one(d, beta)[0]
-    repel = tilde_psi0(d, rho) if params.beta_is_log else psi_gamma(d, beta, rho) / beta
-    return 0.25 * v_beta * psi_gamma(d, alpha, rho) / pa1 - repel
+    scale = 0.25 * psi_values_at_one(d, beta)[0]
+
+    def at(r):
+        repel = tilde_psi0(d, r) if params.beta_is_log else psi_gamma(d, beta, r) / beta
+        return scale * psi_gamma(d, alpha, r) / pa1 - repel
+
+    if np.ndim(rho) == 0:
+        return at(rho)
+    return np.array([at(r) for r in rho])
 
 
 def psi_capital_dd_at_one(params: KernelParams) -> float:
@@ -396,8 +380,8 @@ def convexity_report(
     to rho = 1 that the grid alone can miss it.
     """
     _sphere_compatible(params)
-    if not rho_max > 1:
-        raise DomainError(f"rho_max must exceed 1, got {rho_max}")
+    if not 1 < rho_max < math.inf:
+        raise DomainError(f"rho_max must be finite and exceed 1, got {rho_max}")
     if n_grid < 10:
         raise DomainError(f"n_grid must be at least 10, got {n_grid}")
     n_left = max(5, int(round(n_grid / rho_max)))
@@ -405,7 +389,7 @@ def convexity_report(
     left = np.linspace(0.0, 1.0, n_left)
     right = np.linspace(1.0, rho_max, n_right)
     grid = np.concatenate([left, right[1:]])
-    vals = np.array([psi_capital(params, r) for r in grid])
+    vals = psi_capital(params, grid)
     # left ends and right starts at rho = 1, index n_left - 1.
     second = np.concatenate(
         [np.diff(vals[:n_left], n=2), np.diff(vals[n_left - 1 :], n=2)]

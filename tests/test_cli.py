@@ -37,6 +37,10 @@ def test_closed_form_sphere_payload(capsys):
     rc, out, _ = _run(["closed-form", "--d", "3", "--alpha", "2", "--beta", "1"], capsys)
     assert rc == 0
     payload = json.loads(out)
+    assert list(payload) == [
+        "schema", "regime", "detail", "d", "alpha", "beta", "alpha_is_log",
+        "beta_is_log", "beta_star", "R", "E", "eta", "density_description",
+    ]
     assert payload["schema"] == "aggremin/1"
     assert payload["regime"] == "SphereTheorem1"
     assert payload["d"] == 3
@@ -109,6 +113,8 @@ def test_closed_form_domain_error_exits_2(capsys):
         ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-min", "1.5"],
         ["phase-scan", "--d", "3", "--beta-min", "-3.0"],
         ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-steps", "0"],
+        ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-min", "nan"],
+        ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-max", "nan"],
     ],
 )
 def test_usage_mistakes_exit_64(argv, capsys):
@@ -134,6 +140,10 @@ def test_verify_el_payload_rebuilds_the_report(capsys):
     )
     assert rc == 0
     payload = json.loads(out)
+    assert list(payload) == [
+        "schema", "report", "eta", "support_max_abs_dev", "exterior_min_margin",
+        "grid", "passed", "tol_support", "tol_exterior",
+    ]
     assert payload["schema"] == "aggremin/1"
     assert payload["report"] == "euler-lagrange"
     assert payload["passed"] is True
@@ -161,6 +171,10 @@ def test_convexity_exit_codes(capsys):
     rc, out, _ = _run(["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5"], capsys)
     assert rc == 0
     payload = json.loads(out)
+    assert list(payload) == [
+        "schema", "report", "grid", "min_second_difference", "psi_dd_at_one",
+        "passed", "tol",
+    ]
     assert payload["report"] == "convexity"
     assert payload["passed"] is True
 
@@ -183,6 +197,21 @@ def test_convexity_without_curvature_is_valid_json(exponent, rc_want, capsys):
     assert rc == rc_want
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["psi_dd_at_one"] is None
+
+
+@pytest.mark.parametrize("command", ["verify-el", "convexity"])
+def test_infinite_rho_max_is_a_domain_error(command, capsys):
+    """An unbounded grid is refused up front (exit 2), and the refusal
+    is strict JSON with no Infinity or NaN in it."""
+    rc, out, err = _run(
+        [command, "--d", "3", "--alpha", "2", "--beta", "1.5", "--rho-max", "inf"],
+        capsys,
+    )
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["error"]["type"] == "DomainError"
+    assert "rho_max" in payload["error"]["reason"]
+    assert err == ""
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
@@ -211,6 +240,13 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert all(b <= a for a, b in zip(energies, energies[1:]))
 
     stats = json.loads((tmp_path / "sim_stats.json").read_text())
+    assert list(stats) == [
+        "schema", "d", "alpha", "beta", "alpha_is_log", "beta_is_log",
+        "n_particles", "seed", "tol", "max_iter", "converged", "iterations",
+        "energy_evals", "backtracks", "final_energy", "final_max_force",
+        "mean_radius", "std_radius", "max_radius", "center",
+        "regime", "R", "E", "radius_rel_err", "energy_rel_err",
+    ]
     assert stats["schema"] == "aggremin/1"
     assert stats["converged"] is True
     assert stats["final_max_force"] <= 1e-4

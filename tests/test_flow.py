@@ -8,7 +8,9 @@ energy, determinism, conserved centroid) and for converging toward the
 predicted minimizers as the particle count grows.
 """
 
+import inspect
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -180,10 +182,12 @@ def test_particle_system_validation_and_trace_defaults():
         ParticleSystem(
             positions=[[0.0, 0.0], [1.0, 0.0]], params=params, step_size=-1.0
         )
-    with pytest.raises(DomainError):
-        ParticleSystem(
-            positions=[[0.0, 0.0], [1.0, 0.0]], params=params, iteration=-1
-        )
+    # The descent records are set by the descent, not by the caller.
+    with pytest.raises(TypeError):
+        ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params, iteration=1)
+    assert list(inspect.signature(ParticleSystem).parameters) == [
+        "positions", "params", "step_size",
+    ]
     sys0 = ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params)
     assert sys0.energy_trace == (discrete_energy(sys0),)
     assert sys0.step_trace == (sys0.step_size,)
@@ -292,12 +296,11 @@ def test_radial_stats_hand_built():
     assert abs(stats.std_radius - 0.4) < 1e-15
     assert stats.max_radius == 1.0
     assert stats.center == (0.0, 0.0)
-    data = stats.to_dict()
-    assert data == {
+    assert asdict(stats) == {
         "mean_radius": 0.8,
         "std_radius": stats.std_radius,
         "max_radius": 1.0,
-        "center": [0.0, 0.0],
+        "center": (0.0, 0.0),
     }
     assert isinstance(stats, RadialStats)
 

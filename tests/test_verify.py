@@ -7,6 +7,7 @@ where the candidate stops minimizing.
 """
 
 import math
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -103,17 +104,7 @@ def test_euler_lagrange_passes_in_supported_regimes():
 
 def test_euler_lagrange_report_round_trips_through_dict():
     report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), rho_max=8.0, n_grid=300)
-    data = report.to_dict()
-    rebuilt = ELReport(
-        eta=data["eta"],
-        support_max_abs_dev=data["support_max_abs_dev"],
-        exterior_min_margin=data["exterior_min_margin"],
-        grid=tuple(data["grid"]),
-        passed=data["passed"],
-        tol_support=data["tol_support"],
-        tol_exterior=data["tol_exterior"],
-    )
-    assert rebuilt == report
+    assert ELReport(**asdict(report)) == report
 
 
 def test_forced_sphere_fails_below_the_critical_curve():
@@ -148,8 +139,9 @@ def test_forced_sphere_flag_is_a_no_op_in_the_sphere_regime():
 
 def test_euler_lagrange_gates():
     good = KernelParams(3, 2.0, 1.5)
-    with pytest.raises(DomainError):
-        verify_euler_lagrange(good, rho_max=1.0)
+    for rho_max in (1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            verify_euler_lagrange(good, rho_max=rho_max, n_grid=100)
     with pytest.raises(DomainError):
         verify_euler_lagrange(good, n_grid=50)
     with pytest.raises(RegimeError):
@@ -187,6 +179,15 @@ def test_psi_capital_log_limit_matches_centered_small_beta():
     minus = psi_capital(KernelParams(4, 2.0, -h), 4.0)
     log_val = psi_capital(KernelParams(4, 2.0, 0.0, beta_is_log=True), 4.0)
     assert abs(0.5 * (plus + minus) - log_val) < 1e-9
+
+
+def test_psi_capital_over_nodes_matches_each_node():
+    for params in (KernelParams(3, 2.0, 1.5), KernelParams(4, 3.0, 0.0, beta_is_log=True)):
+        nodes = np.linspace(0.0, 4.0, 9)
+        values = psi_capital(params, nodes)
+        assert isinstance(values, np.ndarray) and values.shape == nodes.shape
+        assert values.tolist() == [psi_capital(params, float(r)) for r in nodes]
+        assert isinstance(psi_capital(params, 0.5), float)
 
 
 def test_psi_capital_condition_gates():
@@ -321,21 +322,14 @@ def test_convexity_report_nan_curvature_in_the_low_strip():
 
 def test_convexity_report_round_trips_through_dict():
     report = convexity_report(KernelParams(3, 2.0, 1.5))
-    data = report.to_dict()
-    rebuilt = ConvexityReport(
-        grid=tuple(data["grid"]),
-        min_second_difference=data["min_second_difference"],
-        psi_dd_at_one=data["psi_dd_at_one"],
-        passed=data["passed"],
-        tol=data["tol"],
-    )
-    assert rebuilt == report
+    assert ConvexityReport(**asdict(report)) == report
 
 
 def test_convexity_report_gates():
     good = KernelParams(3, 2.0, 1.5)
-    with pytest.raises(DomainError):
-        convexity_report(good, rho_max=0.5)
+    for rho_max in (0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            convexity_report(good, rho_max=rho_max)
     with pytest.raises(DomainError):
         convexity_report(good, n_grid=5)
 

@@ -8,8 +8,10 @@ and ``phase-scan`` (regime map over an (alpha, beta) rectangle).
 
 Exit codes: 0 success, 2 for parameters outside a mathematical domain
 or supported regime, 3 when a verification or iteration fails, 64 for
-usage errors.  All JSON carries a top-level ``"schema": "aggremin/1"``;
-floats are serialized by ``repr`` so they round-trip bit-exactly.
+usage errors, among them an output path that cannot be written (one
+``aggremin: error:`` line on stderr, no traceback).  All JSON carries a
+top-level ``"schema": "aggremin/1"``; floats are serialized by ``repr``
+so they round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import flow
-from .closed_form import beta_star, classify, energy, eta, radius
+from .closed_form import beta_star, candidate_for, classify, energy, eta, radius
 from .errors import (
     DomainError,
     IllConditioned,
@@ -32,7 +34,7 @@ from .errors import (
     RegimeError,
     StallError,
 )
-from .params import KernelParams
+from .params import CandidateMinimizer, KernelParams
 from .verify import convexity_report, verify_euler_lagrange
 
 SCHEMA = "aggremin/1"
@@ -54,8 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_text(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -90,9 +95,9 @@ def _beta_star_or_none(params: KernelParams):
     return beta_star(params.d, params.alpha)
 
 
-def _density_description(params: KernelParams, tag: str) -> str:
-    r = radius(params)
-    if tag in ("SphereTheorem1", "Boundary"):
+def _density_description(params: KernelParams, cand: CandidateMinimizer) -> str:
+    r = cand.radius
+    if cand.kind == "UniformSphere":
         return f"uniform probability measure on the sphere of radius {r!r}"
     expo = (2.0 - params.beta - params.d) / 2.0
     return (
@@ -103,19 +108,18 @@ def _density_description(params: KernelParams, tag: str) -> str:
 
 def cmd_closed_form(args) -> int:
     params = _params_from(args)
+    cand = candidate_for(params)
     tag = classify(params)
-    if tag.tag == "OutOfScope":
-        raise RegimeError(tag.detail)
     report = {
         "schema": SCHEMA,
         "regime": tag.tag,
         "detail": tag.detail,
         **asdict(params),
         "beta_star": _beta_star_or_none(params),
-        "R": radius(params),
+        "R": cand.radius,
         "E": energy(params),
         "eta": eta(params),
-        "density_description": _density_description(params, tag.tag),
+        "density_description": _density_description(params, cand),
     }
     _emit(report, args.out)
     return 0
@@ -167,6 +171,8 @@ def cmd_simulate(args) -> int:
         raise _UsageError(f"--tol must be positive, got {args.tol}")
     if args.max_iter < 1:
         raise _UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     converged = True
     try:
         state, stats = flow.run_to_convergence(
@@ -196,19 +202,15 @@ def cmd_simulate(args) -> int:
         "final_max_force": flow.max_force(state),
         **asdict(stats),
     }
-    tag = classify(params)
-    if tag.tag != "OutOfScope":
-        r_ref = radius(params)
+    payload["regime"] = classify(params).tag
+    if payload["regime"] != "OutOfScope":
+        cand = candidate_for(params)
         e_ref = energy(params)
-        sphere_like = tag.tag in ("SphereTheorem1", "Boundary")
-        measured = stats.mean_radius if sphere_like else stats.max_radius
-        payload["regime"] = tag.tag
-        payload["R"] = r_ref
+        measured = stats.mean_radius if cand.kind == "UniformSphere" else stats.max_radius
+        payload["R"] = cand.radius
         payload["E"] = e_ref
-        payload["radius_rel_err"] = abs(measured - r_ref) / r_ref
+        payload["radius_rel_err"] = abs(measured - cand.radius) / cand.radius
         payload["energy_rel_err"] = abs(state.energy_trace[-1] - e_ref) / abs(e_ref)
-    else:
-        payload["regime"] = "OutOfScope"
     _emit(payload, f"{args.out}_stats.json")
     return 0
 

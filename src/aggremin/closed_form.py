@@ -127,10 +127,7 @@ def _radius_ball(d: int, beta: float) -> float:
 
 def radius(params: KernelParams) -> float:
     """Support radius of the minimizer (sphere radius or ball radius)."""
-    tag = _require_supported(params)
-    if tag.tag == "BallTheorem2":
-        return _radius_ball(params.d, params.beta)
-    return _radius_sphere(params.d, params.alpha, params.beta)
+    return candidate_for(params).radius
 
 
 def _energy_sphere(d: int, alpha: float, beta: float, beta_is_log: bool) -> float:
@@ -170,14 +167,14 @@ def energy(params: KernelParams) -> float:
 
 
 def candidate_for(params: KernelParams) -> CandidateMinimizer:
-    """Build the minimizing measure as a CandidateMinimizer record."""
+    """The minimizing measure: the package's one sphere-or-ball decision.
+
+    BallTheorem2 gives the ball profile; SphereTheorem1 and Boundary give
+    the uniform sphere.  Raises RegimeError out of scope.
+    """
     tag = _require_supported(params)
     if tag.tag == "BallTheorem2":
-        r = _radius_ball(params.d, params.beta)
-        c_beta, _ = quadratic_ball_moment(params.d, params.beta)
-        return CandidateMinimizer(
-            "BallProfile", r, normalization=r ** (params.beta - 2.0) / c_beta
-        )
+        return CandidateMinimizer("BallProfile", _radius_ball(params.d, params.beta))
     return CandidateMinimizer(
         "UniformSphere", _radius_sphere(params.d, params.alpha, params.beta)
     )
@@ -194,12 +191,12 @@ def ball_density(params: KernelParams, r: float) -> float:
         raise RegimeError(f"ball density needs the alpha=2 ball regime: {tag.detail}")
     if not r >= 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    cand = candidate_for(params)
-    big_r = cand.radius
+    big_r = candidate_for(params).radius
     if r >= big_r:
         return 0.0
+    c_beta, _ = quadratic_ball_moment(params.d, params.beta)
     exponent = (2.0 - params.beta - params.d) / 2.0
-    return cand.normalization * (big_r * big_r - r * r) ** exponent
+    return big_r ** (params.beta - 2.0) / c_beta * (big_r * big_r - r * r) ** exponent
 
 
 def eta(params: KernelParams) -> float:
@@ -211,10 +208,9 @@ def eta(params: KernelParams) -> float:
     share no code beyond the gamma function, so their agreement is a real
     consistency test of the formulas.
     """
-    tag = _require_supported(params)
     value = 2.0 * energy(params)
     cand = candidate_for(params)
-    probe = 0.0 if tag.tag == "BallTheorem2" else cand.radius
+    probe = 0.0 if cand.kind == "BallProfile" else cand.radius
     other = total_potential(params, cand, probe)
     if not abs(value - other) <= 1e-12 * max(1.0, abs(value)):
         raise IllConditioned(

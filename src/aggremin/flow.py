@@ -318,6 +318,8 @@ def run_to_convergence(
         raise DomainError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     x = _initial_positions(params, n_particles, rng)
     energy, forces = _energy_and_forces(params, x)

@@ -11,7 +11,6 @@ a silently different model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError
 
@@ -60,29 +59,23 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class CandidateMinimizer:
-    """One of the two closed-form minimizing measures.
+    """The closed-form minimizing measure that ``candidate_for`` picks.
 
     ``UniformSphere``: the normalized uniform measure on the sphere of
     radius ``radius``.  ``BallProfile``: the probability density
-    ``normalization * (radius^2 - |x|^2)^((2-beta-d)/2)`` on the open ball,
-    where ``normalization`` equals ``C_beta^-1 radius^(beta-2)``.
-    Both are centered at the origin; translates are equally valid.
+    proportional to (radius^2 - |x|^2)^((2-beta-d)/2) on the open ball;
+    :func:`~aggremin.closed_form.ball_density` gives its values.  Both
+    are centered at the origin; translates are equally valid.
     """
 
     kind: str
     radius: float
-    normalization: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in _CANDIDATE_KINDS:
             raise DomainError(f"unknown candidate kind {self.kind!r}")
         if not self.radius > 0:
             raise DomainError(f"radius must be positive, got {self.radius}")
-        if self.kind == "BallProfile":
-            if self.normalization is None or not self.normalization > 0:
-                raise DomainError("BallProfile needs a positive normalization")
-        elif self.normalization is not None:
-            raise DomainError("UniformSphere takes no normalization")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,14 @@ def _check_rho(rho) -> None:
         raise DomainError(f"rho must be >= 0, got {rho}")
 
 
+def _pow_or_inf(base: float, p: float) -> float:
+    """base ** p for base >= 0, or inf where that overflows, as at base = inf."""
+    try:
+        return base**p
+    except OverflowError:
+        return math.inf
+
+
 def unit_sphere_area(d) -> float:
     """Surface measure of the unit sphere in R^d, |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)."""
     d = _check_dim(d, 1)
@@ -77,7 +85,7 @@ def _psi_raw(d: int, gamma: float, rho: float) -> float:
     c = d / 2.0
     if rho <= 1.0:
         return hyp2f1(Hyp2F1Input(a, b, c, rho))
-    return rho ** (gamma / 2.0) * hyp2f1(Hyp2F1Input(a, b, c, 1.0 / rho))
+    return _pow_or_inf(rho, gamma / 2.0) * hyp2f1(Hyp2F1Input(a, b, c, 1.0 / rho))
 
 
 def psi_gamma(d, gamma: float, rho: float) -> float:
@@ -147,7 +155,7 @@ def _ball_raw(d: int, gamma: float, rho: float) -> float:
     f = hyp2f1(
         Hyp2F1Input(-gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0, 1.0 / rho)
     )
-    return rho ** (gamma / 2.0) * f
+    return _pow_or_inf(rho, gamma / 2.0) * f
 
 
 def ball_potential(d, gamma: float, x_norm: float) -> float:
@@ -202,8 +210,12 @@ def _log_series(d: int, c0: float, z: float) -> float:
     terms fall below eps times the running partial sum, or SERIES_CAP
     terms; a non-finite partial sum raises NonConvergence.  The terms
     decay like a fixed power of n, so the sum is always closed with the
-    geometric tail estimate t r / (1 - r), also at the term cap; this
-    pushes the truncation error well below 1e-10 relative.
+    geometric tail estimate t r / (1 - r), also at the term cap.  The
+    truncation error is largest at z = 1, where the sum is
+    digamma(c0) - digamma(c0 - (2-d)/2); measured against that: 1.4e-10
+    relative at (d, c0) = (1, 2), the ball log profile (the same at
+    z = 1 - 4e-10), 5.3e-12 at (3, 1.5), 7.5e-13 at (3, 2), and at most
+    4e-14 at d = 5.
     """
     if d == 2 or z == 0.0:
         return 0.0
@@ -281,7 +293,8 @@ def total_potential(
     rho = (x_norm/R)^2, or minus ln R plus its log profile.  The sphere
     attracts with R^alpha psi_alpha(rho)/alpha; the ball profile
     (alpha = 2 only) with the exact quadratic x^2/2 + R^2 d/(2(4-beta)),
-    and its beta profile is ball_potential/C_beta.
+    and its beta profile is ball_potential/C_beta.  An x_norm so large
+    (or infinite) that the value is not a finite float raises DomainError.
     """
     if not x_norm >= 0:
         raise DomainError(f"x_norm must be >= 0, got {x_norm}")
@@ -290,7 +303,7 @@ def total_potential(
     d, alpha, beta = params.d, params.alpha, params.beta
     r_cand = candidate.radius
     x = float(x_norm)
-    rho = (x / r_cand) ** 2
+    rho = _pow_or_inf(x / r_cand, 2)
     if candidate.kind == "UniformSphere":
         if d < 2:
             raise RegimeError("sphere candidates need d >= 2")
@@ -310,5 +323,9 @@ def total_potential(
         attract = 0.5 * x * x + r_cand * r_cand * d / (2.0 * (4.0 - beta))
         log_profile, profile = _log_ball_lambda, _ball_raw
     if params.beta_is_log:
-        return attract - math.log(r_cand) - log_profile(d, rho)
-    return attract - r_cand**beta / beta * profile(d, beta, rho)
+        value = attract - math.log(r_cand) - log_profile(d, rho)
+    else:
+        value = attract - r_cand**beta / beta * profile(d, beta, rho)
+    if not math.isfinite(value):
+        raise DomainError(f"potential at x_norm={x_norm!r} is not finite: {value!r}")
+    return value

@@ -273,9 +273,7 @@ def verify_euler_lagrange(
         raise DomainError(f"rho_max must be finite and exceed 1, got {rho_max}")
     if n_grid < 100:
         raise DomainError(f"n_grid must be at least 100, got {n_grid}")
-    tag = classify(params)
-    sphere_like = tag.tag in ("SphereTheorem1", "Boundary")
-    if force_sphere and not sphere_like:
+    if force_sphere and classify(params).tag not in ("SphereTheorem1", "Boundary"):
         if not params.beta_is_log and not params.d + params.beta > 2:
             raise RegimeError("forced sphere candidate needs d + beta > 2")
         _sphere_compatible(params)
@@ -286,9 +284,6 @@ def verify_euler_lagrange(
         # candidate's own surface value so the support condition is
         # exact and any failure shows up as an exterior dip.
         eta_val = total_potential(params, cand, cand.radius)
-        sphere_like = True
-    elif tag.tag == "OutOfScope":
-        raise RegimeError(tag.detail)
     else:
         cand = candidate_for(params)
         eta_val = closed_form_eta(params)
@@ -299,7 +294,7 @@ def verify_euler_lagrange(
         [total_potential(params, cand, radius_cand * math.sqrt(r)) for r in grid]
     )
     deviation = values - eta_val
-    support = grid == 1.0 if sphere_like else grid <= 1.0
+    support = grid == 1.0 if cand.kind == "UniformSphere" else grid <= 1.0
     tol = 1e-9 * max(1.0, abs(eta_val))
     dev_support = float(np.max(np.abs(deviation[support])))
     margin = float(np.min(deviation[~support]))

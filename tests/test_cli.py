@@ -82,6 +82,26 @@ def test_closed_form_out_file(tmp_path, capsys):
     assert payload["R"] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed-form", "--d", "3", "--alpha", "2", "--beta", "1"],
+        ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "16",
+         "--max-iter", "3", "--allow-partial"],
+    ],
+)
+def test_unwritable_out_path_exits_64(argv, tmp_path, capsys):
+    """An --out path in a missing directory is one error line, not a traceback."""
+    target = tmp_path / "missing" / "x"
+    rc, out, err = _run(argv + ["--out", str(target)], capsys)
+    assert rc == 64
+    assert out == ""
+    assert err.startswith("aggremin: error: cannot write ")
+    assert str(target) in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_closed_form_out_of_scope_exits_2(capsys):
     """Parameters outside both regimes produce a structured refusal."""
     rc, out, _ = _run(["closed-form", "--d", "3", "--alpha", "3", "--beta", "0.1"], capsys)
@@ -115,6 +135,7 @@ def test_closed_form_domain_error_exits_2(capsys):
         ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-steps", "0"],
         ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-min", "nan"],
         ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-max", "nan"],
+        ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "16", "--seed", "-1", "--out", "x"],
     ],
 )
 def test_usage_mistakes_exit_64(argv, capsys):

@@ -6,6 +6,7 @@ mass, potential levels) through quadrature or finite differences.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -230,19 +231,18 @@ def test_eta_is_twice_the_energy():
 def test_candidate_for_sphere_fields():
     params = KernelParams(3, 2.0, 1.0)
     cand = candidate_for(params)
-    assert cand.kind == "UniformSphere"
-    assert cand.radius == radius(params)
-    assert cand.normalization is None
+    assert asdict(cand) == {"kind": "UniformSphere", "radius": radius(params)}
 
 
 def test_candidate_for_ball_fields():
     params = KernelParams(3, 2.0, -0.5)
     cand = candidate_for(params)
-    assert cand.kind == "BallProfile"
-    assert cand.radius == radius(params)
+    assert asdict(cand) == {"kind": "BallProfile", "radius": radius(params)}
+    # The density at the center is C_beta^-1 R^(beta-2) (R^2)^((2-beta-d)/2).
     c_beta, _ = quadratic_ball_moment(3, -0.5)
     want = cand.radius ** (-0.5 - 2.0) / c_beta
-    assert abs(cand.normalization - want) < 1e-15 * want
+    center = (cand.radius * cand.radius) ** ((2.0 + 0.5 - 3.0) / 2.0)
+    assert abs(ball_density(params, 0.0) - want * center) < 1e-15 * want * center
 
 
 def test_ball_density_values_and_support():
@@ -286,12 +286,8 @@ def test_candidate_measures_have_unit_mass_by_weighted_quadrature():
             weight="alg",
             wvar=(0.0, pw),
         )
-        mass = (
-            cand.normalization
-            * unit_sphere_area(d)
-            * cand.radius ** (d + 2.0 * pw)
-            * val
-        )
+        # ball_density(0) is the normalization times R^(2 pw).
+        mass = ball_density(params, 0.0) * unit_sphere_area(d) * cand.radius**d * val
         assert abs(mass - 1.0) < 1e-8, (d, b)
 
 

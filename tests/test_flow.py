@@ -23,6 +23,7 @@ from aggremin import (
     NonConvergence,
     ParticleSystem,
     RadialStats,
+    StallError,
     discrete_energy,
     energy,
     max_force,
@@ -31,7 +32,7 @@ from aggremin import (
     run_to_convergence,
     step,
 )
-from aggremin.flow import _energy_and_forces, _initial_positions
+from aggremin.flow import _energy_and_forces, _initial_positions, _line_search
 
 
 # Scalar pair oracles: one pair at a time, independent of the blocked
@@ -325,6 +326,8 @@ def test_run_to_convergence_gates_and_partial_state():
         run_to_convergence(params, 32, seed=0, tol=0.0)
     with pytest.raises(DomainError):
         run_to_convergence(params, 32, seed=0, max_iter=0)
+    with pytest.raises(DomainError):
+        run_to_convergence(params, 32, seed=-1)
     with pytest.raises(NonConvergence) as exc:
         run_to_convergence(params, 16, seed=1, tol=1e-12, max_iter=3)
     system, stats = exc.value.partial
@@ -423,3 +426,22 @@ def test_step_counts_its_kernel_passes():
     assert sys1.backtracks > 0
     assert sys1.energy_evals == 2 + sys1.backtracks
     assert sys1.step_trace[-1] == 50.0 / 2**sys1.backtracks
+
+
+def test_line_search_rejects_a_collision_and_stalls_uphill():
+    """A trial that makes two particles coincide is rejected like a rising
+    energy, and a direction that never descends underflows the step."""
+    params = KernelParams(2, 2.0, 1.0)
+    x = np.array([[0.0, 0.0], [2.0, 0.0]])
+    e0, _ = _energy_and_forces(params, x)
+    inward = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    # t = 1 puts both particles at (1, 0); t = 0.5 is the unit-distance
+    # equilibrium, energy -1/8 against 0 at distance 2.
+    t, trial, e1, _, rejected = _line_search(params, x, inward, e0, 0.0, 1.0, 0)
+    assert (t, rejected) == (0.5, 1)
+    assert np.array_equal(trial, [[0.5, 0.0], [1.5, 0.0]])
+    assert e1 == -0.125 < e0
+    # Moving apart raises the energy, so a claimed negative slope is
+    # never met and t halves below 1e-16.
+    with pytest.raises(StallError):
+        _line_search(params, x, -inward, e0, -1.0, 1.0, 0)

@@ -35,7 +35,7 @@ from aggremin import (
     total_potential,
     unit_sphere_area,
 )
-from aggremin.potentials import _check_dim
+from aggremin.potentials import _check_dim, _log_series
 
 
 def _rel(got: float, want: float) -> float:
@@ -115,6 +115,9 @@ def test_psi_gamma_domain_gates():
         psi_gamma(3, -2.0, 1.0)
     assert psi_gamma(3, -2.5, 0.5) > 0.0
     assert psi_gamma(3, -2.5, 4.0) > 0.0
+    # Far afield rho^(gamma/2) overflows to inf, as it reads at rho = inf.
+    assert psi_gamma(3, 3.0, 1e240) == math.inf
+    assert psi_gamma(3, 3.0, math.inf) == math.inf
 
 
 @given(
@@ -235,6 +238,7 @@ def test_sphere_potential_surface_gates():
     with pytest.raises(DomainError):
         sphere_potential(3, 1.0, -0.1)
     assert sphere_potential(3, -1.5, 1.0) > 0.0
+    assert sphere_potential(3, 3.0, 1e120) == math.inf
 
 
 def sphere_potential_alt(d, gamma: float, x_norm: float) -> float:
@@ -427,6 +431,17 @@ def test_tilde_psi0_seam_value_and_taylor_patch():
                 assert err <= bound, (d, rho, float(err))
 
 
+@pytest.mark.parametrize(
+    "d, c0, bound",
+    [(1, 2.0, 2e-10), (3, 1.5, 1e-11), (3, 2.0, 1e-11), (5, 2.0, 1e-11), (5, 2.5, 1e-11)],
+)
+def test_log_series_at_one_matches_the_digamma_value(d, c0, bound):
+    """At z = 1 the series sums to digamma(c0) - digamma(c0 - (2-d)/2),
+    where its terms decay slowest; (1, 2) is the ball log profile."""
+    want = digamma(c0) - digamma(c0 - (2.0 - d) / 2.0)
+    assert abs(_log_series(d, c0, 1.0) - want) <= bound * abs(want)
+
+
 def test_tilde_psi0_gates():
     with pytest.raises(DomainError):
         tilde_psi0(3, -0.5)
@@ -493,7 +508,7 @@ def test_total_potential_respects_radius_scaling():
     # quadrature oracle over the C_beta normalization.
     d, beta, big_r = 3, -1.0, 1.3
     params = KernelParams(d, 2.0, beta)
-    cand = CandidateMinimizer("BallProfile", big_r, normalization=1.0)
+    cand = CandidateMinimizer("BallProfile", big_r)
     c_beta, _ = quadratic_ball_moment(d, beta)
     for t in (0.5, 1.0, 1.8):
         x = t * big_r
@@ -508,7 +523,7 @@ def test_total_potential_respects_radius_scaling():
 
 def test_total_potential_regime_gates():
     sphere = CandidateMinimizer("UniformSphere", 1.0)
-    ball = CandidateMinimizer("BallProfile", 1.0, normalization=1.0)
+    ball = CandidateMinimizer("BallProfile", 1.0)
     with pytest.raises(RegimeError):
         total_potential(
             KernelParams(2, 0.0, -1.0, alpha_is_log=True), sphere, 0.5
@@ -523,3 +538,12 @@ def test_total_potential_regime_gates():
         total_potential(KernelParams(2, 3.0, -0.5), sphere, 0.5)
     with pytest.raises(DomainError):
         total_potential(KernelParams(3, 2.0, 1.0), sphere, -1.0)
+    # A potential that is not a finite float is refused, never inf - inf.
+    for params, x_norm in [
+        (KernelParams(3, 3.0, 1.5), 1e150),
+        (KernelParams(3, 3.0, 1.5), math.inf),
+        (KernelParams(3, 2.0, 0.5), 1e200),
+        (KernelParams(3, 2.0, 0.5), math.inf),
+    ]:
+        with pytest.raises(DomainError):
+            total_potential(params, candidate_for(params), x_norm)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -54,10 +55,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(text: str, out_path) -> None:
+def _write_text(text: str, out_path, mode: str = "w") -> None:
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            with open(out_path, mode, encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
             raise _UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
@@ -128,10 +129,7 @@ def cmd_closed_form(args) -> int:
 def cmd_verify_el(args) -> int:
     params = _params_from(args)
     report = verify_euler_lagrange(
-        params,
-        rho_max=args.rho_max,
-        n_grid=args.grid,
-        force_sphere=args.force_sphere,
+        params, n_grid=args.grid, force_sphere=args.force_sphere
     )
     _emit({"schema": SCHEMA, "report": "euler-lagrange", **asdict(report)}, args.out)
     return 0 if report.passed else 3
@@ -173,6 +171,14 @@ def cmd_simulate(args) -> int:
         raise _UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
     if args.seed < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
+    # An unwritable prefix is a usage error found before the descent:
+    # append nothing to each artifact, and remove what that created.
+    paths = [args.out + suffix for suffix in ("_positions.csv", "_trace.csv", "_stats.json")]
+    for path in paths:
+        existed = os.path.lexists(path)
+        _write_text("", path, mode="a")
+        if not existed:
+            os.remove(path)
     converged = True
     try:
         state, stats = flow.run_to_convergence(
@@ -184,8 +190,8 @@ def cmd_simulate(args) -> int:
         state, stats = exc.partial
         converged = False
 
-    _write_positions_csv(f"{args.out}_positions.csv", state.positions)
-    _write_trace_csv(f"{args.out}_trace.csv", state)
+    _write_positions_csv(paths[0], state.positions)
+    _write_trace_csv(paths[1], state)
 
     payload = {
         "schema": SCHEMA,
@@ -211,7 +217,7 @@ def cmd_simulate(args) -> int:
         payload["E"] = e_ref
         payload["radius_rel_err"] = abs(measured - cand.radius) / cand.radius
         payload["energy_rel_err"] = abs(state.energy_trace[-1] - e_ref) / abs(e_ref)
-    _emit(payload, f"{args.out}_stats.json")
+    _emit(payload, paths[2])
     return 0
 
 
@@ -300,7 +306,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("verify-el", help="grid check of the sufficiency conditions")
     _add_param_flags(sp)
-    sp.add_argument("--rho-max", type=float, default=25.0, help="grid upper end")
     sp.add_argument("--grid", type=int, default=2000, help="number of grid nodes")
     sp.add_argument(
         "--force-sphere",

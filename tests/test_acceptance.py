@@ -225,7 +225,7 @@ def test_criterion_3(capsys):
 
 
 def test_criterion_4(capsys):
-    """Stationarity audits at default resolution (2000 nodes, rho up to 25)
+    """Stationarity audits at default resolution (2000 nodes, rho up to 800)
     for 25 sphere triples and 15 ball triples, tolerance 1e-9 times eta."""
     t0 = time.perf_counter()
     failing = []
@@ -459,7 +459,7 @@ def test_criterion_9(tmp_path, capsys):
         failures.append(f"regime refusal rc={rc}")
 
     rc = cli_main(["verify-el", "--d", "3", "--alpha", "2", "--beta", "0.7",
-                   "--grid", "400", "--rho-max", "8", "--force-sphere"])
+                   "--grid", "400", "--force-sphere"])
     out = capsys.readouterr().out
     if rc != 3 or json.loads(out)["passed"] is not False:
         failures.append(f"failed-audit rc={rc}")
@@ -470,11 +470,11 @@ def test_criterion_9(tmp_path, capsys):
         failures.append(f"usage rc={rc}")
 
     rc = cli_main(["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5",
-                   "--grid", "300", "--rho-max", "8"])
+                   "--grid", "300"])
     payload = json.loads(capsys.readouterr().out)
     fields = {k: v for k, v in payload.items() if k not in ("schema", "report")}
     fields["grid"] = tuple(fields["grid"])
-    fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), rho_max=8.0, n_grid=300)
+    fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=300)
     if rc != 0 or ELReport(**fields) != fresh:
         failures.append("JSON round-trip drifted")
 

@@ -19,6 +19,7 @@ from aggremin import (
     ELReport,
     KernelParams,
     classify,
+    flow,
     radius,
     verify_euler_lagrange,
 )
@@ -102,6 +103,24 @@ def test_unwritable_out_path_exits_64(argv, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_simulate_checks_the_prefix_before_descending(tmp_path, capsys, monkeypatch):
+    """An unwritable prefix exits 64 before any descent is run."""
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("descent ran before the prefix was checked")
+
+    monkeypatch.setattr(flow, "run_to_convergence", no_descent)
+    target = tmp_path / "missing" / "x"
+    rc, out, err = _run(
+        ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "16",
+         "--out", str(target)],
+        capsys,
+    )
+    assert rc == 64
+    assert out == ""
+    assert err.startswith("aggremin: error: cannot write ")
+
+
 def test_closed_form_out_of_scope_exits_2(capsys):
     """Parameters outside both regimes produce a structured refusal."""
     rc, out, _ = _run(["closed-form", "--d", "3", "--alpha", "3", "--beta", "0.1"], capsys)
@@ -136,6 +155,7 @@ def test_closed_form_domain_error_exits_2(capsys):
         ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-min", "nan"],
         ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-max", "nan"],
         ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "16", "--seed", "-1", "--out", "x"],
+        ["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5", "--rho-max", "8"],
     ],
 )
 def test_usage_mistakes_exit_64(argv, capsys):
@@ -155,15 +175,14 @@ def test_verify_el_payload_rebuilds_the_report(capsys):
     """The JSON payload loses nothing: rebuilding it reproduces the
     report object field for field, floats included."""
     rc, out, _ = _run(
-        ["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5",
-         "--grid", "300", "--rho-max", "8"],
+        ["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5", "--grid", "300"],
         capsys,
     )
     assert rc == 0
     payload = json.loads(out)
     assert list(payload) == [
         "schema", "report", "eta", "support_max_abs_dev", "exterior_min_margin",
-        "grid", "passed", "tol_support", "tol_exterior",
+        "grid", "passed", "tol",
     ]
     assert payload["schema"] == "aggremin/1"
     assert payload["report"] == "euler-lagrange"
@@ -171,7 +190,7 @@ def test_verify_el_payload_rebuilds_the_report(capsys):
     fields = {k: v for k, v in payload.items() if k not in ("schema", "report")}
     fields["grid"] = tuple(fields["grid"])
     rebuilt = ELReport(**fields)
-    fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), rho_max=8.0, n_grid=300)
+    fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=300)
     assert rebuilt == fresh
 
 
@@ -179,7 +198,7 @@ def test_verify_el_forced_sphere_exits_3(capsys):
     """Forcing the sphere candidate below beta_star reports the dip."""
     rc, out, _ = _run(
         ["verify-el", "--d", "3", "--alpha", "2", "--beta", "0.7",
-         "--grid", "400", "--rho-max", "8", "--force-sphere"],
+         "--grid", "400", "--force-sphere"],
         capsys,
     )
     assert rc == 3
@@ -220,7 +239,7 @@ def test_convexity_without_curvature_is_valid_json(exponent, rc_want, capsys):
     assert payload["psi_dd_at_one"] is None
 
 
-@pytest.mark.parametrize("command", ["verify-el", "convexity"])
+@pytest.mark.parametrize("command", ["convexity"])
 def test_infinite_rho_max_is_a_domain_error(command, capsys):
     """An unbounded grid is refused up front (exit 2), and the refusal
     is strict JSON with no Infinity or NaN in it."""
@@ -301,8 +320,10 @@ def test_simulate_seed_reproducibility(tmp_path, capsys):
 
 
 def test_simulate_unconverged_exits_3_without_flag(tmp_path, capsys):
-    """Without --allow-partial the iteration cap is a hard failure and
-    no artifact files appear."""
+    """Without --allow-partial the iteration cap is a hard failure: no
+    artifact file appears, and one that was there is left as it was."""
+    kept = tmp_path / "hard_trace.csv"
+    kept.write_text("earlier run\n")
     rc, out, _ = _run(
         ["simulate", "--d", "2", "--alpha", "2", "--beta", "-1",
          "--n", "32", "--seed", "9", "--tol", "1e-12", "--max-iter", "120",
@@ -312,8 +333,8 @@ def test_simulate_unconverged_exits_3_without_flag(tmp_path, capsys):
     assert rc == 3
     payload = json.loads(out)
     assert payload["error"]["type"] == "NonConvergence"
-    assert not (tmp_path / "hard_positions.csv").exists()
-    assert not (tmp_path / "hard_stats.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hard_trace.csv"]
+    assert kept.read_text() == "earlier run\n"
 
 
 def test_phase_scan_csv_grid(capsys):

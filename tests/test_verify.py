@@ -88,30 +88,32 @@ def test_euler_lagrange_passes_in_supported_regimes():
         KernelParams(1, 2.0, -0.5),
     ]
     for params in cases:
-        report = verify_euler_lagrange(params, rho_max=8.0, n_grid=300)
+        report = verify_euler_lagrange(params, n_grid=300)
         assert report.passed, params
         assert report.eta == eta(params)
-        assert report.support_max_abs_dev <= report.tol_support
-        assert report.exterior_min_margin >= -report.tol_exterior
+        assert report.support_max_abs_dev <= report.tol
+        assert report.exterior_min_margin >= -report.tol
         assert 0.0 in report.grid and 1.0 in report.grid
         assert report.grid == tuple(sorted(report.grid))
-        assert max(report.grid) == 8.0
-    # Below rho_max = 2 the grid still ends at rho_max.
-    report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), rho_max=1.5, n_grid=200)
-    assert report.passed
-    assert max(report.grid) == 1.5
+    # The grid mirrors its interior: it is closed under rho -> 1/rho (to
+    # one rounding), keeps exactly n_grid nodes, and needs no end point.
+    for n_grid in (100, 300, 2000):
+        report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=n_grid)
+        grid = np.array(report.grid)
+        assert grid.size == n_grid
+        positive = grid[grid > 0.0]
+        np.testing.assert_allclose(np.sort(1.0 / positive), positive, rtol=1e-15, atol=0.0)
+    assert grid.max() > 25.0  # n_grid = 2000 is the default
 
 
 def test_euler_lagrange_report_round_trips_through_dict():
-    report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), rho_max=8.0, n_grid=300)
+    report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=300)
     assert ELReport(**asdict(report)) == report
 
 
 def test_forced_sphere_fails_below_the_critical_curve():
     params = KernelParams(3, 2.0, 0.7)
-    report = verify_euler_lagrange(
-        params, rho_max=8.0, n_grid=400, force_sphere=True
-    )
+    report = verify_euler_lagrange(params, n_grid=400, force_sphere=True)
     assert not report.passed
     assert report.exterior_min_margin < -1e-3
     # The failure has two faces: the potential dips below the surface
@@ -130,20 +132,14 @@ def test_forced_sphere_fails_below_the_critical_curve():
 
 def test_forced_sphere_flag_is_a_no_op_in_the_sphere_regime():
     params = KernelParams(3, 2.0, 1.5)
-    normal = verify_euler_lagrange(params, rho_max=8.0, n_grid=300)
-    forced = verify_euler_lagrange(
-        params, rho_max=8.0, n_grid=300, force_sphere=True
-    )
+    normal = verify_euler_lagrange(params, n_grid=300)
+    forced = verify_euler_lagrange(params, n_grid=300, force_sphere=True)
     assert normal == forced
 
 
 def test_euler_lagrange_gates():
-    good = KernelParams(3, 2.0, 1.5)
-    for rho_max in (1.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            verify_euler_lagrange(good, rho_max=rho_max, n_grid=100)
     with pytest.raises(DomainError):
-        verify_euler_lagrange(good, n_grid=50)
+        verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=50)
     with pytest.raises(RegimeError):
         verify_euler_lagrange(KernelParams(3, 3.0, 0.1))
     with pytest.raises(RegimeError):

@@ -14,12 +14,15 @@ Each measure has one normalized profile of rho = |x/R|^2 per kernel
 (power, log): sphere ``_psi_raw``, ``tilde_psi0``; ball ``_ball_raw``,
 ``_log_ball_lambda``.  Each has a branch point at rho = 1 (the support
 boundary), which the inner branch covers through the Gauss value of
-``special.hyp2f1`` at z = 1; psi_gamma's first two derivatives there
+``special._hyp2f1`` at z = 1; psi_gamma's first two derivatives there
 are rational multiples of that value (``_seam_curvature``).
 
-The power-law profiles go through ``special.hyp2f1``.  The logarithmic
-kernels need a series scipy lacks; ``_log_series`` sums it in numpy
-blocks and closes it with a geometric tail.
+Every profile takes an array of rho and evaluates it in one pass: the
+power-law profiles through one ``special._hyp2f1`` call, the logarithmic
+ones through ``_log_series``, a series scipy lacks, summed over
+(node x term) numpy blocks and closed with a geometric tail (in closed
+form for the d = 1 ball).  The public functions gate their nodes once per
+call and give a float for a scalar argument, an array for an array.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, RegimeError
 from .params import CandidateMinimizer, KernelParams
-from .special import Hyp2F1Input, digamma, gamma_fn, hyp2f1
+from .special import Hyp2F1Input, _hyp2f1, digamma, gamma_fn, hyp2f1
 
 __all__ = [
     "KernelParams",
@@ -49,6 +52,8 @@ __all__ = [
 _NEAR_ONE = 1e-6
 _EPS = float(np.finfo(float).eps)
 SERIES_CAP = 2_000_000
+# Most elements in one (node x term) block of _log_series.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _check_dim(d, minimum: int) -> int:
@@ -57,17 +62,29 @@ def _check_dim(d, minimum: int) -> int:
     return int(d)
 
 
-def _check_rho(rho) -> None:
-    if not rho >= 0.0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+def _check_rho(values, name: str = "rho") -> np.ndarray:
+    """The nodes as a flat float array, gated once for the whole array.
+
+    A negative or NaN node raises the scalar error, naming the first.
+    """
+    nodes = np.asarray(values, dtype=float).ravel()
+    bad = ~(nodes >= 0.0)
+    if bad.any():
+        raise DomainError(f"{name} must be >= 0, got {float(nodes[bad][0])}")
+    return nodes
 
 
-def _pow_or_inf(base: float, p: float) -> float:
-    """base ** p for base >= 0, or inf where that overflows, as at base = inf."""
-    try:
-        return base**p
-    except OverflowError:
-        return math.inf
+def _shaped(like, nodes: np.ndarray):
+    """A float for a scalar ``like``, else the nodes in ``like``'s shape."""
+    if np.ndim(like) == 0:
+        return float(nodes[0])
+    return nodes.reshape(np.shape(like))
+
+
+def _pow_or_inf(base: np.ndarray, p: float) -> np.ndarray:
+    """base ** p for base >= 0, inf where that overflows, as at base = inf."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.power(base, p)
 
 
 def unit_sphere_area(d) -> float:
@@ -76,19 +93,18 @@ def unit_sphere_area(d) -> float:
     return 2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0)
 
 
-def _psi_raw(d: int, gamma: float, rho: float) -> float:
-    """Two-branch hypergeometric profile without the public domain gate."""
+def _psi_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:
+    """Two-branch hypergeometric profile at rho nodes, without the public gate."""
     if gamma == 0.0:
-        return 1.0
-    a = -gamma / 2.0
-    b = (2.0 - gamma - d) / 2.0
-    c = d / 2.0
-    if rho <= 1.0:
-        return hyp2f1(Hyp2F1Input(a, b, c, rho))
-    return _pow_or_inf(rho, gamma / 2.0) * hyp2f1(Hyp2F1Input(a, b, c, 1.0 / rho))
+        return np.ones_like(rho)
+    z = np.where(rho <= 1.0, rho, 1.0 / np.maximum(rho, 1.0))
+    value = _hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0, z)
+    outer = rho > 1.0
+    value[outer] *= _pow_or_inf(rho[outer], gamma / 2.0)
+    return value
 
 
-def psi_gamma(d, gamma: float, rho: float) -> float:
+def psi_gamma(d, gamma: float, rho):
     """Scaled radial profile of the spherical average of r^gamma.
 
     For the uniform probability measure on the unit sphere in R^d,
@@ -98,10 +114,11 @@ def psi_gamma(d, gamma: float, rho: float) -> float:
     rho^(gamma/2) outside) glue continuously at rho = 1 whenever the
     boundary value exists (gamma > 1 - d), and in C^1 fashion once
     d + gamma > 2.  Off the branch point every exponent is accepted.
+    A scalar rho gives a float, an array of nodes an array.
     """
-    _check_rho(rho)
+    nodes = _check_rho(rho)
     d = _check_dim(d, 2)
-    return _psi_raw(d, gamma, float(rho))
+    return _shaped(rho, _psi_raw(d, gamma, nodes))
 
 
 def psi_values_at_one(d, gamma: float):
@@ -122,7 +139,7 @@ def psi_values_at_one(d, gamma: float):
         return (1.0, 0.0, 0.0)
     if not d + gamma > 2:
         raise DomainError(f"need d + gamma > 2, got {d + gamma}")
-    value = _psi_raw(d, gamma, 1.0)
+    value = hyp2f1(Hyp2F1Input(-gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0, 1.0))
     first = 0.25 * gamma * value
     second = first * _seam_curvature(d, gamma) if d + gamma > 3 else math.nan
     return (value, first, second)
@@ -133,7 +150,7 @@ def _seam_curvature(d: int, gamma: float) -> float:
     return (2.0 - gamma) * (4.0 - d - gamma) / (4.0 * (d + gamma - 3.0))
 
 
-def sphere_potential(d, gamma: float, x_norm: float) -> float:
+def sphere_potential(d, gamma: float, x_norm):
     """Integral of |x - w|^gamma over the unit sphere {|w| = 1} in R^d.
 
     Equals |S^(d-1)| psi_gamma(x_norm^2).  Off the sphere the formula
@@ -141,24 +158,23 @@ def sphere_potential(d, gamma: float, x_norm: float) -> float:
     converges for gamma > 1 - d.
     """
     d = _check_dim(d, 2)
-    if not x_norm >= 0:
-        raise DomainError(f"x_norm must be >= 0, got {x_norm}")
-    x = float(x_norm)
-    return unit_sphere_area(d) * _psi_raw(d, gamma, x * x)
+    x = _check_rho(x_norm, "x_norm")
+    return _shaped(x_norm, unit_sphere_area(d) * _psi_raw(d, gamma, x * x))
 
 
-def _ball_raw(d: int, gamma: float, rho: float) -> float:
-    """ball_potential / C_gamma at rho = x_norm^2, without the public gates."""
-    if rho <= 1.0:
-        scale = gamma_fn(2.0 - gamma / 2.0) * gamma_fn((gamma + d) / 2.0)
-        return scale / gamma_fn(d / 2.0) * (1.0 + gamma * rho / d)
-    f = hyp2f1(
-        Hyp2F1Input(-gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0, 1.0 / rho)
-    )
-    return _pow_or_inf(rho, gamma / 2.0) * f
+def _ball_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:
+    """ball_potential / C_gamma at rho = x_norm^2 nodes, without the public gates."""
+    value = np.empty_like(rho)
+    inner = rho <= 1.0
+    scale = gamma_fn(2.0 - gamma / 2.0) * gamma_fn((gamma + d) / 2.0)
+    value[inner] = scale / gamma_fn(d / 2.0) * (1.0 + gamma * rho[inner] / d)
+    r = rho[~inner]
+    f = _hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0, 1.0 / r)
+    value[~inner] = _pow_or_inf(r, gamma / 2.0) * f
+    return value
 
 
-def ball_potential(d, gamma: float, x_norm: float) -> float:
+def ball_potential(d, gamma: float, x_norm):
     """Weighted ball integral of |x - y|^gamma against (1-|y|^2)^((2-gamma-d)/2).
 
     Defined for -d < gamma < -d + 4, where the weight is integrable.
@@ -172,11 +188,9 @@ def ball_potential(d, gamma: float, x_norm: float) -> float:
     d = _check_dim(d, 1)
     if not -d < gamma < -d + 4:
         raise DomainError(f"need -d < gamma < -d+4, got gamma={gamma} in d={d}")
-    if not x_norm >= 0:
-        raise DomainError(f"x_norm must be >= 0, got {x_norm}")
-    x = float(x_norm)
+    x = _check_rho(x_norm, "x_norm")
     c_gamma, _ = quadratic_ball_moment(d, gamma)
-    return c_gamma * _ball_raw(d, gamma, x * x)
+    return _shaped(x_norm, c_gamma * _ball_raw(d, gamma, x * x))
 
 
 def quadratic_ball_moment(d, beta: float):
@@ -198,58 +212,100 @@ def quadratic_ball_moment(d, beta: float):
     return (c_beta, d / (4.0 - beta))
 
 
-def _log_series(d: int, c0: float, z: float) -> float:
-    """sum_{n>=1} ((2-d)/2)_n / ((c0)_n n) z^n for z in [0, 1].
+def _term_ratio(a0: float, c0: float, n: np.ndarray) -> np.ndarray:
+    """The ratio t_n / t_(n-1) of the normalized log series, divided by z."""
+    return (a0 + n) / (c0 + n) * (n / (n + 1.0))
+
+
+def _series_block(q: np.ndarray, z: np.ndarray, last: np.ndarray, total: np.ndarray):
+    """One block of terms t_k+1 .. t_k+m of the log series for nodes z.
+
+    q holds the block's term ratios over z, and last and total each
+    node's term and partial sum so far.  Returns the new total and last
+    term, the number of terms used, and whether the node converged:
+    three consecutive terms below eps times the partial sum.  The block's
+    temporaries are freed on return, before the next block is built.
+    """
+    terms = np.cumprod(q * z[:, None], axis=1)
+    terms *= last[:, None]
+    partial = np.cumsum(terms, axis=1)
+    partial += total[:, None]
+    bound = np.abs(partial)
+    bound *= _EPS
+    small = np.abs(terms) <= bound
+    hits = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
+    hit = hits.any(axis=1)
+    j = np.where(hit, np.argmax(hits, axis=1) + 2, q.size - 1)
+    at = np.arange(z.size)
+    return partial[at, j], terms[at, j], j + 1, hit
+
+
+def _log_series(d: int, c0: float, z) -> np.ndarray:
+    """sum_{n>=1} ((2-d)/2)_n / ((c0)_n n) z^n at every node of z in [0, 1].
 
     With c0 = d/2 this is T(z), the term-wise derivative of the psi_gamma
     Gauss series with respect to the exponent at 0: tilde_psi0 is -T/2
     inside and ln(rho)/2 - T(1/rho)/2 outside.  With c0 = 2 it is S(z)
     of the ball profile.  Identically zero in d = 2 and a single term in
-    d = 4.  The normalized terms t_0 = 1, t_{k+1} = ratio(k) t_k are
-    summed in numpy blocks of doubling length until three consecutive
-    terms fall below eps times the running partial sum, or SERIES_CAP
-    terms; a non-finite partial sum raises NonConvergence.  The terms
-    decay like a fixed power of n, so the sum is always closed with the
-    geometric tail estimate t r / (1 - r), also at the term cap.  The
-    truncation error is largest at z = 1, where the sum is
-    digamma(c0) - digamma(c0 - (2-d)/2); measured against that: 1.4e-10
-    relative at (d, c0) = (1, 2), the ball log profile (the same at
-    z = 1 - 4e-10), 5.3e-12 at (3, 1.5), 7.5e-13 at (3, 2), and at most
-    4e-14 at d = 5.
+    d = 4.  In d = 1, S(z) is the integral of (2F1(1/2, 1; 2; t) - 1)/t
+    over [0, z], which is 2 log1p(u) - u with u = z/(1 + sqrt(1 - z))^2.
+
+    Otherwise the normalized terms t_0 = 1, t_{k+1} = ratio(k) t_k are
+    summed in (node x term) numpy blocks of doubling length, at most
+    _BLOCK_ELEMENTS elements each.  Each node stops on its own, once
+    three consecutive terms within a block fall below eps times its
+    running partial sum, or at SERIES_CAP terms; a non-finite partial sum
+    raises NonConvergence.  The terms decay like a fixed power of n, so
+    each sum is closed with the geometric tail estimate t r / (1 - r),
+    also at the term cap.  A node's value does not depend on the other
+    nodes of the call.  The error is largest at z = 1, where the sum is
+    digamma(c0) - digamma(c0 - (2-d)/2); measured against that: 4.4e-16
+    relative at (d, c0) = (1, 2), the closed form, 5.3e-12 at (3, 1.5),
+    7.5e-13 at (3, 2), and at most 4e-14 at d = 5.
     """
-    if d == 2 or z == 0.0:
-        return 0.0
+    z = np.asarray(z, dtype=float)
+    if d == 2:
+        return np.zeros_like(z)
+    if d == 1 and c0 == 2.0:
+        u = z / (1.0 + np.sqrt(1.0 - z)) ** 2
+        return 2.0 * np.log1p(u) - u
     a0 = (2.0 - d) / 2.0
-
-    def ratio(m):
-        n = m + 1.0
-        return (a0 + n) / (c0 + n) * (n / (n + 1.0)) * z
-
-    total = last = 1.0
-    k = 0
-    block = 64
-    while k < SERIES_CAP and last != 0.0:
+    flat = z.ravel()
+    nonzero = flat != 0.0
+    zs = flat[nonzero]
+    total = np.ones_like(zs)
+    last = np.ones_like(zs)
+    stop = np.zeros(zs.size, dtype=int)  # terms summed by each node
+    active = np.arange(zs.size)
+    k, block = 0, 64
+    while active.size and k < SERIES_CAP:
         m = min(block, SERIES_CAP - k)
-        terms = last * np.cumprod(ratio(np.arange(k, k + m, dtype=float)))
-        partial = total + np.cumsum(terms)
-        small = np.abs(terms) <= _EPS * np.abs(partial)
-        hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
-        if hits.size:
-            j = hits[0] + 2
-            total, last, k = float(partial[j]), float(terms[j]), k + j + 1
-            break
-        total, last, k = float(partial[-1]), float(terms[-1]), k + m
-        if not math.isfinite(total):
-            raise NonConvergence(
-                "log-kernel series: series blew up (non-finite partial sum)"
+        q = _term_ratio(a0, c0, np.arange(k, k + m, dtype=float) + 1.0)
+        done = np.zeros(active.size, dtype=bool)
+        step = max(1, _BLOCK_ELEMENTS // m)
+        for lo in range(0, active.size, step):
+            rows = active[lo : lo + step]
+            total[rows], last[rows], used, hit = _series_block(
+                q, zs[rows], last[rows], total[rows]
             )
+            stop[rows] = k + used
+            if not np.isfinite(total[rows][~hit]).all():
+                raise NonConvergence(
+                    "log-kernel series: series blew up (non-finite partial sum)"
+                )
+            done[lo : lo + step] = hit
+        k += m
         block = min(block * 2, 65536)
-    r = ratio(float(k))
-    tail = last * r / (1.0 - r) if 0.0 < r < 1.0 else 0.0
-    return a0 / c0 * z * (total + tail)
+        active = active[~done & (last[active] != 0.0)]
+    r = _term_ratio(a0, c0, stop + 1.0) * zs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where((0.0 < r) & (r < 1.0), last * r / (1.0 - r), 0.0)
+    out = np.zeros_like(flat)
+    out[nonzero] = a0 / c0 * zs * (total + tail)
+    return out.reshape(z.shape)
 
 
-def tilde_psi0(d, rho: float) -> float:
+def tilde_psi0(d, rho):
     """Logarithmic-kernel profile: the limit of (psi_gamma(rho) - 1)/gamma.
 
     Equals the average of ln|x - w| over the unit sphere at rho = |x|^2.
@@ -258,52 +314,56 @@ def tilde_psi0(d, rho: float) -> float:
     exactly 1/4 from either side for d >= 3.  Within 1e-6 of rho = 1,
     where the series argument degenerates, the value is that first-order
     expansion; in d = 3 it agrees with mpmath to about 4e-12 relative
-    there, and in d = 5 to about 1e-13.
+    there, and in d = 5 to about 1e-13.  A scalar rho gives a float, an
+    array of nodes an array.
     """
-    _check_rho(rho)
+    nodes = _check_rho(rho)
     d = _check_dim(d, 2)
-    rho = float(rho)
     if d == 2:
         # Classical circle potential: zero inside, ln|x| outside.
-        return 0.0 if rho <= 1.0 else 0.5 * math.log(rho)
-    if abs(rho - 1.0) < _NEAR_ONE:
-        return 0.5 * (digamma(d - 1.0) - digamma(d / 2.0)) + 0.25 * (rho - 1.0)
-    if rho < 1.0:
-        return -0.5 * _log_series(d, d / 2.0, rho)
-    return 0.5 * math.log(rho) - 0.5 * _log_series(d, d / 2.0, 1.0 / rho)
+        return _shaped(rho, 0.5 * np.log(np.maximum(nodes, 1.0)))
+    value = np.empty_like(nodes)
+    near = np.abs(nodes - 1.0) < _NEAR_ONE
+    inner = ~near & (nodes < 1.0)
+    outer = ~near & ~inner
+    value[near] = 0.5 * (digamma(d - 1.0) - digamma(d / 2.0)) + 0.25 * (nodes[near] - 1.0)
+    value[inner] = -0.5 * _log_series(d, d / 2.0, nodes[inner])
+    r = nodes[outer]
+    value[outer] = 0.5 * np.log(r) - 0.5 * _log_series(d, d / 2.0, 1.0 / r)
+    return _shaped(rho, value)
 
 
-def _log_ball_lambda(d: int, rho: float) -> float:
+def _log_ball_lambda(d: int, rho: np.ndarray) -> np.ndarray:
     """Normalized log-kernel potential piece of the unit ball profile.
 
     Interior: (digamma(d/2) - digamma(2))/2 + rho/d, exactly affine.
     Exterior: ln(rho)/2 - S(1/rho)/2.  Continuous at rho = 1.
     """
-    if rho <= 1.0:
-        return 0.5 * (digamma(d / 2.0) - digamma(2.0)) + rho / d
-    return 0.5 * math.log(rho) - 0.5 * _log_series(d, 2.0, 1.0 / rho)
+    value = np.empty_like(rho)
+    inner = rho <= 1.0
+    value[inner] = 0.5 * (digamma(d / 2.0) - digamma(2.0)) + rho[inner] / d
+    r = rho[~inner]
+    value[~inner] = 0.5 * np.log(r) - 0.5 * _log_series(d, 2.0, 1.0 / r)
+    return value
 
 
-def total_potential(
-    params: KernelParams, candidate: CandidateMinimizer, x_norm: float
-) -> float:
+def total_potential(params: KernelParams, candidate: CandidateMinimizer, x_norm):
     """Potential of a candidate measure under the kernel, at radius x_norm.
 
     Attraction minus R^beta/beta times the candidate's beta profile at
     rho = (x_norm/R)^2, or minus ln R plus its log profile.  The sphere
     attracts with R^alpha psi_alpha(rho)/alpha; the ball profile
     (alpha = 2 only) with the exact quadratic x^2/2 + R^2 d/(2(4-beta)),
-    and its beta profile is ball_potential/C_beta.  An x_norm so large
-    (or infinite) that the value is not a finite float raises DomainError.
+    and its beta profile is ball_potential/C_beta.  A scalar x_norm gives
+    a float, an array of radii an array.  An x_norm so large (or
+    infinite) that the value is not a finite float raises DomainError,
+    naming the first such node.
     """
-    if not x_norm >= 0:
-        raise DomainError(f"x_norm must be >= 0, got {x_norm}")
+    x = _check_rho(x_norm, "x_norm")
     if params.alpha_is_log:
         raise RegimeError("logarithmic attraction has no candidate closed form")
     d, alpha, beta = params.d, params.alpha, params.beta
     r_cand = candidate.radius
-    x = float(x_norm)
-    rho = _pow_or_inf(x / r_cand, 2)
     if candidate.kind == "UniformSphere":
         if d < 2:
             raise RegimeError("sphere candidates need d >= 2")
@@ -311,8 +371,6 @@ def total_potential(
             raise RegimeError(f"need d + alpha > 2 for the sphere profile, d={d}")
         if not params.beta_is_log and not d + beta > 2:
             raise RegimeError(f"sphere profile needs d + beta > 2, got {d + beta}")
-        attract = r_cand**alpha / alpha * _psi_raw(d, alpha, rho)
-        log_profile, profile = tilde_psi0, _psi_raw
     else:  # BallProfile
         if alpha != 2.0:
             raise RegimeError("ball profile candidates exist only for alpha = 2")
@@ -320,12 +378,22 @@ def total_potential(
             raise RegimeError(
                 f"ball profile needs beta < min(2, -d+4), got beta={beta}"
             )
-        attract = 0.5 * x * x + r_cand * r_cand * d / (2.0 * (4.0 - beta))
-        log_profile, profile = _log_ball_lambda, _ball_raw
-    if params.beta_is_log:
-        value = attract - math.log(r_cand) - log_profile(d, rho)
-    else:
-        value = attract - r_cand**beta / beta * profile(d, beta, rho)
-    if not math.isfinite(value):
-        raise DomainError(f"potential at x_norm={x_norm!r} is not finite: {value!r}")
-    return value
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.square(x / r_cand)
+        if candidate.kind == "UniformSphere":
+            attract = r_cand**alpha / alpha * _psi_raw(d, alpha, rho)
+            log_profile, profile = tilde_psi0, _psi_raw
+        else:
+            attract = 0.5 * x * x + r_cand * r_cand * d / (2.0 * (4.0 - beta))
+            log_profile, profile = _log_ball_lambda, _ball_raw
+        if params.beta_is_log:
+            value = attract - math.log(r_cand) - log_profile(d, rho)
+        else:
+            value = attract - r_cand**beta / beta * profile(d, beta, rho)
+    finite = np.isfinite(value)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(
+            f"potential at x_norm={float(x[i])!r} is not finite: {float(value[i])!r}"
+        )
+    return _shaped(x_norm, value)

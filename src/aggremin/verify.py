@@ -33,7 +33,9 @@ from .potentials import (
     total_potential,
     unit_sphere_area,
 )
-from .special import Hyp2F1Input, hyp2f1
+# The scalar hyp2f1 stays importable here for the tracer in bench/tracing.py,
+# which wraps it where this module looks it up; verify itself calls _hyp2f1.
+from .special import _hyp2f1, hyp2f1  # noqa: F401
 
 __all__ = [
     "ELReport",
@@ -282,9 +284,7 @@ def verify_euler_lagrange(
         eta_val = closed_form_eta(params)
 
     grid = _el_grid(n_grid)
-    values = np.array(
-        [total_potential(params, cand, cand.radius * math.sqrt(r)) for r in grid]
-    )
+    values = total_potential(params, cand, cand.radius * np.sqrt(grid))
     deviation = values - eta_val
     support = grid == 1.0 if cand.kind == "UniformSphere" else grid <= 1.0
     tol = 1e-9 * max(1.0, abs(eta_val))
@@ -317,20 +317,14 @@ def psi_capital(params: KernelParams, rho):
     (psi_beta'(1) = beta v_beta / 4).  The log kernel is beta = 0:
     v_beta = 1 and psi_beta/beta becomes tilde_psi0.  A scalar rho gives
     a float, an array of nodes an array; the two seam values are
-    computed once per call.
+    computed once per call, and each profile is one call over the nodes.
     """
     _sphere_compatible(params)
     d, alpha, beta = params.d, params.alpha, params.beta
     _, pa1, _ = psi_values_at_one(d, alpha)
     scale = 0.25 * psi_values_at_one(d, beta)[0]
-
-    def at(r):
-        repel = tilde_psi0(d, r) if params.beta_is_log else psi_gamma(d, beta, r) / beta
-        return scale * psi_gamma(d, alpha, r) / pa1 - repel
-
-    if np.ndim(rho) == 0:
-        return at(rho)
-    return np.array([at(r) for r in rho])
+    repel = tilde_psi0(d, rho) if params.beta_is_log else psi_gamma(d, beta, rho) / beta
+    return scale * psi_gamma(d, alpha, rho) / pa1 - repel
 
 
 def psi_capital_dd_at_one(params: KernelParams) -> float:
@@ -416,16 +410,11 @@ def single_zero_scan(
         raise DomainError(f"need c > a1 + b1, got c={c}")
     if n_grid < 2:
         raise DomainError(f"n_grid must be at least 2, got {n_grid}")
-    pattern = []
-    for z in np.linspace(0.0, 1.0, n_grid):
-        z = float(z)
-        f1 = hyp2f1(Hyp2F1Input(a1, b1, c, z))
-        f2 = hyp2f1(Hyp2F1Input(a2, b2, c, z))
-        g = f1 - q * f2
-        if abs(g) <= 1e-12 * (abs(f1) + q * abs(f2)):
-            sym = "0"
-        else:
-            sym = "+" if g > 0 else "-"
-        if not pattern or pattern[-1] != sym:
-            pattern.append(sym)
-    return "".join(pattern)
+    z = np.linspace(0.0, 1.0, n_grid)
+    f1 = _hyp2f1(a1, b1, c, z)
+    f2 = _hyp2f1(a2, b2, c, z)
+    g = f1 - q * f2
+    zero = np.abs(g) <= 1e-12 * (np.abs(f1) + q * np.abs(f2))
+    symbols = np.where(zero, "0", np.where(g > 0, "+", "-"))
+    keep = np.concatenate([[True], symbols[1:] != symbols[:-1]])
+    return "".join(symbols[keep])

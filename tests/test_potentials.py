@@ -7,8 +7,10 @@ at least one route that shares no code with it.
 """
 
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,14 @@ from aggremin import (
     total_potential,
     unit_sphere_area,
 )
-from aggremin.potentials import _check_dim, _log_series
+from aggremin.potentials import (
+    SERIES_CAP,
+    _ball_raw,
+    _check_dim,
+    _log_ball_lambda,
+    _log_series,
+    _psi_raw,
+)
 
 
 def _rel(got: float, want: float) -> float:
@@ -440,6 +449,133 @@ def test_log_series_at_one_matches_the_digamma_value(d, c0, bound):
     where its terms decay slowest; (1, 2) is the ball log profile."""
     want = digamma(c0) - digamma(c0 - (2.0 - d) / 2.0)
     assert abs(_log_series(d, c0, 1.0) - want) <= bound * abs(want)
+
+
+def test_d1_ball_log_series_matches_mpmath():
+    """The d = 1 ball series S(z) = (z/4) 3F2(1, 1, 3/2; 2, 3; z) in closed form."""
+    zs = [1e-300, 1e-12, 1e-5, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-12, 1.0]
+    got = _log_series(1, 2.0, np.array(zs))
+    # 20 digits are plenty for a 1e-14 check, and mpmath's 3F2 near
+    # z = 1 costs about a second a point even so.
+    with mpmath.workdps(20):
+        for z, value in zip(zs, got):
+            want = mpmath.mpf(z) / 4 * mpmath.hyp3f2(1, 1, 1.5, 2, 3, z)
+            assert abs(value - want) <= 1e-14 * abs(want), z
+
+
+# Fast nodes (small z) next to slow ones (z near 1), so a node that
+# stopped with its neighbours instead of on its own would show.
+_Z_NODES = np.array([0.0, 1e-300, 0.01, 0.3, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-5, 1.0 - 1e-9, 1.0])
+_RHO_NODES = np.concatenate(
+    [_Z_NODES, 1.0 + np.array([-1e-6, -5e-7, 5e-7, 1e-6, 1e-5]), 1.0 / _Z_NODES[1:-1], [1e12]]
+)
+
+
+def _log_series_loop(d: int, c0: float, z: float) -> float:
+    """The log series at one node, summed block by block: the reference
+    for the (node x term) blocks of _log_series, with the same arithmetic."""
+    if d == 2 or z == 0.0:
+        return 0.0
+    a0 = (2.0 - d) / 2.0
+
+    def ratio(m):
+        n = m + 1.0
+        return (a0 + n) / (c0 + n) * (n / (n + 1.0)) * z
+
+    total = last = 1.0
+    k, block = 0, 64
+    while k < SERIES_CAP and last != 0.0:
+        m = min(block, SERIES_CAP - k)
+        terms = last * np.cumprod(ratio(np.arange(k, k + m, dtype=float)))
+        partial = total + np.cumsum(terms)
+        small = np.abs(terms) <= np.finfo(float).eps * np.abs(partial)
+        hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
+        if hits.size:
+            j = hits[0] + 2
+            total, last, k = float(partial[j]), float(terms[j]), k + j + 1
+            break
+        total, last, k = float(partial[-1]), float(terms[-1]), k + m
+        block = min(block * 2, 65536)
+    r = ratio(float(k))
+    tail = last * r / (1.0 - r) if 0.0 < r < 1.0 else 0.0
+    return a0 / c0 * z * (total + tail)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_array_nodes_equal_the_same_nodes_one_at_a_time(d):
+    """Bit for bit: each node's value depends on that node alone, and the
+    series equals the block-by-block loop at every node."""
+
+    def one_at_a_time(f, *args, nodes=_RHO_NODES):
+        return np.array([f(*args, np.array([r]))[0] for r in nodes])
+
+    for c0 in (d / 2.0, 2.0):
+        got = _log_series(d, c0, _Z_NODES).tolist()
+        assert got == [float(_log_series(d, c0, float(z))) for z in _Z_NODES], c0
+        if not (d == 1 and c0 == 2.0):  # that one is in closed form
+            assert got == [_log_series_loop(d, c0, float(z)) for z in _Z_NODES], c0
+    assert np.array_equal(_log_ball_lambda(d, _RHO_NODES), one_at_a_time(_log_ball_lambda, d))
+    for g in (-d + 0.3, 4.0 - d - 0.3):
+        assert np.array_equal(_ball_raw(d, g, _RHO_NODES), one_at_a_time(_ball_raw, d, g))
+    if d >= 2:
+        want = np.array([tilde_psi0(d, float(r)) for r in _RHO_NODES])
+        assert np.array_equal(tilde_psi0(d, _RHO_NODES), want)
+        for g in (2.0 - d + 0.3, 1.0, 3.5):
+            assert np.array_equal(_psi_raw(d, g, _RHO_NODES), one_at_a_time(_psi_raw, d, g))
+
+
+_PARAMS = KernelParams(3, 2.5, 1.0)
+_PUBLIC_PROFILES = [
+    lambda x: psi_gamma(3, 1.5, x),
+    lambda x: tilde_psi0(3, x),
+    lambda x: sphere_potential(3, 1.5, x),
+    lambda x: ball_potential(3, -1.0, x),
+    lambda x: total_potential(_PARAMS, candidate_for(_PARAMS), x),
+]
+
+
+def test_scalar_in_gives_float_out_and_array_in_gives_array_out():
+    nodes = np.array([[0.0, 0.5], [1.0, 2.0]])
+    for call in _PUBLIC_PROFILES:
+        assert type(call(0.5)) is float
+        assert type(call(np.float64(0.5))) is float
+        values = call(nodes)
+        assert isinstance(values, np.ndarray) and values.shape == nodes.shape
+        assert values[0, 1] == call(0.5)
+
+
+def test_a_bad_node_in_an_array_raises_the_scalar_error():
+    for bad in (-0.5, math.nan):
+        for call in _PUBLIC_PROFILES:
+            with pytest.raises(DomainError) as scalar:
+                call(bad)
+            with pytest.raises(DomainError) as array:
+                call(np.array([0.5, 2.0, bad, -3.0]))
+            assert str(array.value) == str(scalar.value)
+    # An overflowing node raises the non-finite error, naming that node.
+    potential = _PUBLIC_PROFILES[-1]
+    for x_norm in (1e150, math.inf):
+        with pytest.raises(DomainError) as scalar:
+            potential(x_norm)
+        with pytest.raises(DomainError) as array:
+            potential(np.array([0.5, x_norm, 1e200]))
+        assert str(array.value) == str(scalar.value)
+        assert "not finite" in str(scalar.value)
+
+
+def test_tilde_psi0_block_memory_stays_small():
+    """(node x term) blocks hold at most 2^16 elements: the peak over a
+    4000-node grid clustered at rho = 1 stays a few megabytes."""
+    from aggremin.verify import _el_grid
+
+    grid = _el_grid(4000)
+    tracemalloc.start()
+    try:
+        tilde_psi0(3, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_tilde_psi0_gates():

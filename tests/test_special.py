@@ -22,6 +22,7 @@ from aggremin import (
     gamma_fn,
     hyp2f1,
 )
+from aggremin.special import _hyp2f1
 
 mpmath.mp.dps = 40
 
@@ -80,6 +81,32 @@ def test_hyp2f1_input_validation():
         Hyp2F1Input(2.0, 2.0, 3.0, 1.0)
     inp = Hyp2F1Input(0.5, -1.3, 2.0, 0.25)
     assert inp.z == 0.25
+
+
+def test_array_evaluator_equals_scalar_calls():
+    """One array call gives, bit for bit, what hyp2f1 gives node by node,
+    the Gauss value at z = 1 included."""
+    z = np.array([0.0, 1e-300, 0.2, 0.75, 0.9, 1.0 - 1e-12, 1.0])
+    for a, b, c in ((-1.25, -0.75, 1.5), (0.3, 1.7, 2.9), (-2.0, 0.4, 2.5)):
+        want = [hyp2f1(Hyp2F1Input(a, b, c, float(x))) for x in z]
+        assert _hyp2f1(a, b, c, z).tolist() == want, (a, b, c)
+
+
+def test_array_evaluator_gate_is_the_scalar_gate():
+    """The array call names its first bad node with the scalar text, and
+    the z = 1 gate on c - a - b still fires through hyp2f1."""
+    for a, b, c, bad in ((1.0, 1.0, -2.0, 0.5), (1.0, 1.0, 2.0, -0.1), (1.0, 1.0, 2.0, 1.5),
+                         (1.0, 1.0, 2.0, math.nan), (2.0, 2.0, 3.0, 1.0)):
+        with pytest.raises(DomainError) as scalar:
+            hyp2f1(Hyp2F1Input(a, b, c, bad))
+        with pytest.raises(DomainError) as array:
+            _hyp2f1(a, b, c, np.array([0.25, bad, 0.5 if bad == 1.0 else 7.0]))
+        assert str(array.value) == str(scalar.value)
+    with pytest.raises(DomainError, match="c-a-b > 0"):
+        hyp2f1(Hyp2F1Input(2.0, 2.0, 3.0, 1.0))
+    with pytest.raises(NonConvergence) as array:
+        _hyp2f1(1.0, 40.0, 11.0, np.array([0.5, 1.0 - 1e-16]))
+    assert "0.9999999999999999" in str(array.value)
 
 
 def test_hyp2f1_spot_values():

@@ -7,6 +7,7 @@ where the candidate stops minimizing.
 """
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import mpmath
@@ -135,6 +136,19 @@ def test_forced_sphere_flag_is_a_no_op_in_the_sphere_regime():
     normal = verify_euler_lagrange(params, n_grid=300)
     forced = verify_euler_lagrange(params, n_grid=300, force_sphere=True)
     assert normal == forced
+
+
+def test_euler_lagrange_memory_stays_small():
+    """The log-kernel audit sums its series in blocks of at most 2^16
+    elements, so its peak allocation stays a few megabytes."""
+    params = KernelParams(3, 2.0, 0.0, beta_is_log=True)
+    tracemalloc.start()
+    try:
+        verify_euler_lagrange(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_euler_lagrange_gates():
@@ -336,6 +350,25 @@ def test_single_zero_scan_pure_signs():
         Hyp2F1Input(0.5, 1.0, 4.0, 1.0)
     )
     assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, q, 31) == "-0"
+
+
+def test_single_zero_scan_matches_a_node_by_node_scan():
+    """The two array calls give the pattern of a scan one node at a time."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a2, b2 = rng.uniform(0.1, 2.0, size=2)
+        a1, b1 = a2 + rng.uniform(0.1, 2.0), b2 + rng.uniform(0.1, 2.0)
+        c = a1 + b1 + rng.uniform(0.2, 3.0)
+        q = float(np.exp(rng.uniform(-6.9, 6.9)))
+        symbols = []
+        for z in np.linspace(0.0, 1.0, 41):
+            f1 = hyp2f1(Hyp2F1Input(a1, b1, c, float(z)))
+            f2 = hyp2f1(Hyp2F1Input(a2, b2, c, float(z)))
+            g = f1 - q * f2
+            sym = "0" if abs(g) <= 1e-12 * (abs(f1) + q * abs(f2)) else "+" if g > 0 else "-"
+            if not symbols or symbols[-1] != sym:
+                symbols.append(sym)
+        assert single_zero_scan(a1, b1, a2, b2, c, q, 41) == "".join(symbols)
 
 
 def test_single_zero_scan_gates():

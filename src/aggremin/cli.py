@@ -128,16 +128,14 @@ def cmd_closed_form(args) -> int:
 
 def cmd_verify_el(args) -> int:
     params = _params_from(args)
-    report = verify_euler_lagrange(
-        params, n_grid=args.grid, force_sphere=args.force_sphere
-    )
+    report = verify_euler_lagrange(params, force_sphere=args.force_sphere)
     _emit({"schema": SCHEMA, "report": "euler-lagrange", **asdict(report)}, args.out)
     return 0 if report.passed else 3
 
 
 def cmd_convexity(args) -> int:
     params = _params_from(args)
-    report = convexity_report(params, rho_max=args.rho_max, n_grid=args.grid)
+    report = convexity_report(params)
     payload = {"schema": SCHEMA, "report": "convexity", **asdict(report)}
     # NaN is not JSON (RFC 8259); an absent curvature is written as null.
     if math.isnan(report.psi_dd_at_one):
@@ -306,7 +304,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("verify-el", help="grid check of the sufficiency conditions")
     _add_param_flags(sp)
-    sp.add_argument("--grid", type=int, default=2000, help="number of grid nodes")
     sp.add_argument(
         "--force-sphere",
         action="store_true",
@@ -317,8 +314,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("convexity", help="second differences of the combination Psi")
     _add_param_flags(sp)
-    sp.add_argument("--rho-max", type=float, default=10.0, help="grid upper end")
-    sp.add_argument("--grid", type=int, default=400, help="number of grid nodes")
     sp.add_argument("--out", help="write JSON here instead of stdout")
     sp.set_defaults(func=cmd_convexity)
 

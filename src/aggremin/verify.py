@@ -243,7 +243,7 @@ def _el_grid(n_grid: int) -> np.ndarray:
     # exterior is [0, 1] again in 1/rho.  The half-grid on [0, 1] is a
     # low block, the lower half of the cubic warp 2^(u^3), u in [-1, 1],
     # that clusters nodes at the tight support boundary, and rho = 1
-    # exactly; its positive nodes are mirrored.  Odd n_grid loses a node.
+    # exactly; its positive nodes are mirrored.
     n_low = int(round(0.2 * n_grid))
     n_warp = n_grid // 2 - n_low
     u = np.linspace(-1.0, 1.0, 2 * n_warp)[:n_warp]
@@ -252,22 +252,31 @@ def _el_grid(n_grid: int) -> np.ndarray:
     return np.concatenate([half, 1.0 / half[-2:0:-1]])
 
 
-def verify_euler_lagrange(
-    params: KernelParams, n_grid: int = 2000, *, force_sphere: bool = False
-) -> ELReport:
+# Each audit has one grid, built here once; its report shares one tuple.
+# Euler-Lagrange: 2000 nodes up to rho = 800.  Convexity: [0, 1] and
+# [1, 10] uniform with 40 and 360 nodes, meeting at rho = 1 (index
+# _SEAM) so that no second-difference stencil straddles the branch point.
+_EL_GRID = _el_grid(2000)
+_SEAM = 39
+_CONVEXITY_GRID = np.concatenate(
+    [np.linspace(0.0, 1.0, _SEAM + 1), np.linspace(1.0, 10.0, 360)[1:]]
+)
+_EL_GRID.flags.writeable = _CONVEXITY_GRID.flags.writeable = False
+_EL_NODES = tuple(_EL_GRID.tolist())
+_CONVEXITY_NODES = tuple(_CONVEXITY_GRID.tolist())
+
+
+def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -> ELReport:
     """Check the sufficiency conditions for the candidate minimizer.
 
-    Evaluates the candidate's potential on a grid of squared scaled
-    radii: it must equal eta on the support (the sphere rho = 1, or the
-    ball rho <= 1) and exceed eta - tol outside.  The grid is closed
-    under rho -> 1/rho and reaches rho = 0.4 n_grid (800 at the default
-    2000 nodes).  With ``force_sphere`` a sphere candidate is tested
-    even where the classification picks the ball or nothing; below the
-    critical curve this makes the report fail, which is the point of
-    the flag.
+    Evaluates the candidate's potential on a fixed grid of squared
+    scaled radii: it must equal eta on the support (the sphere rho = 1,
+    or the ball rho <= 1) and exceed eta - tol outside.  The grid has
+    2000 nodes, is closed under rho -> 1/rho and reaches rho = 800.
+    With ``force_sphere`` a sphere candidate is tested even where the
+    classification picks the ball or nothing; below the critical curve
+    this makes the report fail, which is the point of the flag.
     """
-    if n_grid < 100:
-        raise DomainError(f"n_grid must be at least 100, got {n_grid}")
     if force_sphere and classify(params).tag not in ("SphereTheorem1", "Boundary"):
         if not params.beta_is_log and not params.d + params.beta > 2:
             raise RegimeError("forced sphere candidate needs d + beta > 2")
@@ -283,10 +292,9 @@ def verify_euler_lagrange(
         cand = candidate_for(params)
         eta_val = closed_form_eta(params)
 
-    grid = _el_grid(n_grid)
-    values = total_potential(params, cand, cand.radius * np.sqrt(grid))
+    values = total_potential(params, cand, cand.radius * np.sqrt(_EL_GRID))
     deviation = values - eta_val
-    support = grid == 1.0 if cand.kind == "UniformSphere" else grid <= 1.0
+    support = _EL_GRID == 1.0 if cand.kind == "UniformSphere" else _EL_GRID <= 1.0
     tol = 1e-9 * max(1.0, abs(eta_val))
     dev_support = float(np.max(np.abs(deviation[support])))
     margin = float(np.min(deviation[~support]))
@@ -295,7 +303,7 @@ def verify_euler_lagrange(
         eta=float(eta_val),
         support_max_abs_dev=dev_support,
         exterior_min_margin=margin,
-        grid=tuple(float(g) for g in grid),
+        grid=_EL_NODES,
         passed=passed,
         tol=tol,
     )
@@ -346,42 +354,27 @@ def psi_capital_dd_at_one(params: KernelParams) -> float:
     return 0.25 * v_beta * (_seam_curvature(d, params.alpha) - _seam_curvature(d, beta))
 
 
-def convexity_report(
-    params: KernelParams, rho_max: float = 10.0, n_grid: int = 400
-) -> ConvexityReport:
-    """Scan raw second differences of Psi over [0, rho_max].
+def convexity_report(params: KernelParams) -> ConvexityReport:
+    """Scan raw second differences of Psi over [0, 10].
 
-    The grid is uniform on each side of rho = 1 with no stencil
-    straddling the branch point, since psi_beta is typically only C^1
-    there.  ``psi_dd_at_one`` carries the closed-form second derivative
-    when it exists (d + beta > 3) and nan otherwise.  The report passes
-    only if no second difference and no finite ``psi_dd_at_one`` falls
-    below -tol: just under beta_star the negative curvature sits so close
-    to rho = 1 that the grid alone can miss it.
+    The fixed grid is uniform on each side of rho = 1, 40 nodes on
+    [0, 1] and 360 on [1, 10], with no stencil straddling the branch
+    point, since psi_beta is typically only C^1 there.
+    ``psi_dd_at_one`` carries the closed-form second derivative when it
+    exists (d + beta > 3) and nan otherwise.  The report passes only if
+    no second difference and no finite ``psi_dd_at_one`` falls below
+    -tol: just under beta_star the negative curvature sits so close to
+    rho = 1 that the grid alone can miss it.
     """
-    _sphere_compatible(params)
-    if not 1 < rho_max < math.inf:
-        raise DomainError(f"rho_max must be finite and exceed 1, got {rho_max}")
-    if n_grid < 10:
-        raise DomainError(f"n_grid must be at least 10, got {n_grid}")
-    n_left = max(5, int(round(n_grid / rho_max)))
-    n_right = max(5, n_grid - n_left)
-    left = np.linspace(0.0, 1.0, n_left)
-    right = np.linspace(1.0, rho_max, n_right)
-    grid = np.concatenate([left, right[1:]])
-    vals = psi_capital(params, grid)
-    # left ends and right starts at rho = 1, index n_left - 1.
+    vals = psi_capital(params, _CONVEXITY_GRID)
     second = np.concatenate(
-        [np.diff(vals[:n_left], n=2), np.diff(vals[n_left - 1 :], n=2)]
+        [np.diff(vals[: _SEAM + 1], n=2), np.diff(vals[_SEAM:], n=2)]
     )
     min_sd = float(np.min(second))
-    try:
-        dd = psi_capital_dd_at_one(params)
-    except DomainError:
-        dd = math.nan
+    dd = psi_capital_dd_at_one(params) if params.d + params.beta > 3 else math.nan
     tol = 1e-7
     return ConvexityReport(
-        grid=tuple(float(g) for g in grid),
+        grid=_CONVEXITY_NODES,
         min_second_difference=min_sd,
         psi_dd_at_one=dd,
         passed=min_sd >= -tol and (math.isnan(dd) or dd >= -tol),

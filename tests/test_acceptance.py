@@ -459,7 +459,7 @@ def test_criterion_9(tmp_path, capsys):
         failures.append(f"regime refusal rc={rc}")
 
     rc = cli_main(["verify-el", "--d", "3", "--alpha", "2", "--beta", "0.7",
-                   "--grid", "400", "--force-sphere"])
+                   "--force-sphere"])
     out = capsys.readouterr().out
     if rc != 3 or json.loads(out)["passed"] is not False:
         failures.append(f"failed-audit rc={rc}")
@@ -469,12 +469,11 @@ def test_criterion_9(tmp_path, capsys):
     if rc != 64:
         failures.append(f"usage rc={rc}")
 
-    rc = cli_main(["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5",
-                   "--grid", "300"])
+    rc = cli_main(["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5"])
     payload = json.loads(capsys.readouterr().out)
     fields = {k: v for k, v in payload.items() if k not in ("schema", "report")}
     fields["grid"] = tuple(fields["grid"])
-    fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=300)
+    fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5))
     if rc != 0 or ELReport(**fields) != fresh:
         failures.append("JSON round-trip drifted")
 

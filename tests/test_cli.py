@@ -156,6 +156,9 @@ def test_closed_form_domain_error_exits_2(capsys):
         ["phase-scan", "--d", "3", "--beta-min", "-1.0", "--alpha-max", "nan"],
         ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "16", "--seed", "-1", "--out", "x"],
         ["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5", "--rho-max", "8"],
+        ["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5", "--grid", "300"],
+        ["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5", "--grid", "400"],
+        ["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5", "--rho-max", "8"],
     ],
 )
 def test_usage_mistakes_exit_64(argv, capsys):
@@ -174,10 +177,7 @@ def test_missing_beta_message_names_the_flag(capsys):
 def test_verify_el_payload_rebuilds_the_report(capsys):
     """The JSON payload loses nothing: rebuilding it reproduces the
     report object field for field, floats included."""
-    rc, out, _ = _run(
-        ["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5", "--grid", "300"],
-        capsys,
-    )
+    rc, out, _ = _run(["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5"], capsys)
     assert rc == 0
     payload = json.loads(out)
     assert list(payload) == [
@@ -190,15 +190,14 @@ def test_verify_el_payload_rebuilds_the_report(capsys):
     fields = {k: v for k, v in payload.items() if k not in ("schema", "report")}
     fields["grid"] = tuple(fields["grid"])
     rebuilt = ELReport(**fields)
-    fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=300)
+    fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5))
     assert rebuilt == fresh
 
 
 def test_verify_el_forced_sphere_exits_3(capsys):
     """Forcing the sphere candidate below beta_star reports the dip."""
     rc, out, _ = _run(
-        ["verify-el", "--d", "3", "--alpha", "2", "--beta", "0.7",
-         "--grid", "400", "--force-sphere"],
+        ["verify-el", "--d", "3", "--alpha", "2", "--beta", "0.7", "--force-sphere"],
         capsys,
     )
     assert rc == 3
@@ -237,21 +236,6 @@ def test_convexity_without_curvature_is_valid_json(exponent, rc_want, capsys):
     assert rc == rc_want
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["psi_dd_at_one"] is None
-
-
-@pytest.mark.parametrize("command", ["convexity"])
-def test_infinite_rho_max_is_a_domain_error(command, capsys):
-    """An unbounded grid is refused up front (exit 2), and the refusal
-    is strict JSON with no Infinity or NaN in it."""
-    rc, out, err = _run(
-        [command, "--d", "3", "--alpha", "2", "--beta", "1.5", "--rho-max", "inf"],
-        capsys,
-    )
-    assert rc == 2
-    payload = json.loads(out, parse_constant=_reject_constant)
-    assert payload["error"]["type"] == "DomainError"
-    assert "rho_max" in payload["error"]["reason"]
-    assert err == ""
 
 
 def test_simulate_writes_artifacts(tmp_path, capsys):

@@ -40,6 +40,7 @@ from aggremin import (
     verify_euler_lagrange,
 )
 from aggremin.closed_form import _radius_sphere
+from aggremin.verify import _el_grid
 
 
 def test_sphere_quadrature_matches_closed_form():
@@ -89,7 +90,7 @@ def test_euler_lagrange_passes_in_supported_regimes():
         KernelParams(1, 2.0, -0.5),
     ]
     for params in cases:
-        report = verify_euler_lagrange(params, n_grid=300)
+        report = verify_euler_lagrange(params)
         assert report.passed, params
         assert report.eta == eta(params)
         assert report.support_max_abs_dev <= report.tol
@@ -98,23 +99,26 @@ def test_euler_lagrange_passes_in_supported_regimes():
         assert report.grid == tuple(sorted(report.grid))
     # The grid mirrors its interior: it is closed under rho -> 1/rho (to
     # one rounding), keeps exactly n_grid nodes, and needs no end point.
-    for n_grid in (100, 300, 2000):
-        report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=n_grid)
-        grid = np.array(report.grid)
+    for n_grid in (100, 300):
+        grid = _el_grid(n_grid)
         assert grid.size == n_grid
         positive = grid[grid > 0.0]
         np.testing.assert_allclose(np.sort(1.0 / positive), positive, rtol=1e-15, atol=0.0)
-    assert grid.max() > 25.0  # n_grid = 2000 is the default
+    # The audit's own grid: 2000 nodes reaching rho = 800.
+    grid = verify_euler_lagrange(KernelParams(3, 2.0, 1.5)).grid
+    assert len(grid) == 2000
+    assert 0.0 in grid and 1.0 in grid
+    assert max(grid) == 800.0
 
 
 def test_euler_lagrange_report_round_trips_through_dict():
-    report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=300)
+    report = verify_euler_lagrange(KernelParams(3, 2.0, 1.5))
     assert ELReport(**asdict(report)) == report
 
 
 def test_forced_sphere_fails_below_the_critical_curve():
     params = KernelParams(3, 2.0, 0.7)
-    report = verify_euler_lagrange(params, n_grid=400, force_sphere=True)
+    report = verify_euler_lagrange(params, force_sphere=True)
     assert not report.passed
     assert report.exterior_min_margin < -1e-3
     # The failure has two faces: the potential dips below the surface
@@ -123,9 +127,7 @@ def test_forced_sphere_fails_below_the_critical_curve():
     cand = CandidateMinimizer("UniformSphere", r)
     level = total_potential(params, cand, r)
     grid = np.array(report.grid)
-    dev = np.array(
-        [total_potential(params, cand, r * math.sqrt(g)) for g in grid]
-    ) - level
+    dev = total_potential(params, cand, r * np.sqrt(grid)) - level
     assert dev[grid < 1.0].min() < -1e-3
     outside_band = (grid > 1.0) & (grid <= 1.5)
     assert dev[outside_band].min() < -5e-5
@@ -133,8 +135,8 @@ def test_forced_sphere_fails_below_the_critical_curve():
 
 def test_forced_sphere_flag_is_a_no_op_in_the_sphere_regime():
     params = KernelParams(3, 2.0, 1.5)
-    normal = verify_euler_lagrange(params, n_grid=300)
-    forced = verify_euler_lagrange(params, n_grid=300, force_sphere=True)
+    normal = verify_euler_lagrange(params)
+    forced = verify_euler_lagrange(params, force_sphere=True)
     assert normal == forced
 
 
@@ -152,8 +154,6 @@ def test_euler_lagrange_memory_stays_small():
 
 
 def test_euler_lagrange_gates():
-    with pytest.raises(DomainError):
-        verify_euler_lagrange(KernelParams(3, 2.0, 1.5), n_grid=50)
     with pytest.raises(RegimeError):
         verify_euler_lagrange(KernelParams(3, 3.0, 0.1))
     with pytest.raises(RegimeError):
@@ -305,8 +305,8 @@ def test_convexity_report_fails_below_the_critical_curve():
     grid = np.array(report.grid)
     left = grid[grid <= 1.0]
     right = grid[grid >= 1.0]
-    vals_left = np.array([psi_capital(params, r) for r in left])
-    vals_right = np.array([psi_capital(params, r) for r in right])
+    vals_left = psi_capital(params, left)
+    vals_right = psi_capital(params, right)
     second = np.concatenate([np.diff(vals_left, 2), np.diff(vals_right, 2)])
     centers = np.concatenate([left[1:-1], right[1:-1]])
     assert abs(centers[int(np.argmin(second))] - 1.0) < 0.1
@@ -335,13 +335,14 @@ def test_convexity_report_round_trips_through_dict():
     assert ConvexityReport(**asdict(report)) == report
 
 
-def test_convexity_report_gates():
-    good = KernelParams(3, 2.0, 1.5)
-    for rho_max in (0.5, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            convexity_report(good, rho_max=rho_max)
-    with pytest.raises(DomainError):
-        convexity_report(good, n_grid=5)
+def test_audits_take_only_the_parameter_point():
+    params = KernelParams(3, 2.0, 1.5)
+    with pytest.raises(TypeError):
+        verify_euler_lagrange(params, 300)
+    with pytest.raises(TypeError):
+        convexity_report(params, 10.0)
+    with pytest.raises(TypeError):
+        convexity_report(params, n_grid=400)
 
 
 def test_single_zero_scan_pure_signs():

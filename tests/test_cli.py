@@ -83,6 +83,19 @@ def test_closed_form_out_file(tmp_path, capsys):
     assert payload["R"] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("command", ["closed-form", "verify-el"])
+def test_large_dimension_is_a_domain_error(command, capsys):
+    """At d = 400 the gamma functions leave the float range; the radius is
+    nan, and that is one JSON refusal, not a traceback."""
+    rc, out, err = _run([command, "--d", "400", "--alpha", "3", "--beta", "1.9"], capsys)
+    assert rc == 2
+    assert err == ""
+    assert json.loads(out)["error"] == {
+        "type": "DomainError",
+        "reason": "radius must be positive, got nan",
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

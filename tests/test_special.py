@@ -54,9 +54,46 @@ def test_gamma_matches_mpmath_on_range():
 
 
 def test_gamma_pole_rejection():
-    for x in (0.0, -1.0, -7.0):
+    for x in (0.0, -1.0, -3.0, -7.0):
         with pytest.raises(PoleError):
             gamma_fn(x)
+
+
+def test_gamma_matches_mpmath_to_a_few_ulps():
+    """math.gamma's worst relative error on (-20.5, 60) is below 2e-15."""
+    for x in np.linspace(-20.5, 60.0, 1611):
+        if x <= 0 and abs(x - round(x)) < 1e-3:
+            continue
+        assert _rel(gamma_fn(float(x)), float(mpmath.gamma(x))) < 2e-15, x
+
+
+def test_gamma_overflow_is_infinite():
+    """Beyond float range the value is inf, not an OverflowError; at -inf
+    it is nan, not a ValueError."""
+    for x in (172.0, 400.5):
+        assert gamma_fn(x) == math.inf
+    assert math.isnan(gamma_fn(-math.inf))
+
+
+def test_hyp2f1_ends_are_exact():
+    """z = 0 gives 1.0; at z = 1, c - a = -2 is a zero of 1/Gamma."""
+    value = _hyp2f1(3.0, -2.5, 1.0, [0.0, 1.0])
+    assert value.tolist() == [1.0, 0.0]
+
+
+def test_gauss_value_with_underflowing_gamma_is_nonconvergence():
+    """Gamma(c - a) = Gamma(-200.5) underflows to -0.0, so its reciprocal
+    is infinite; the value is not finite, and no ZeroDivisionError leaks."""
+    with pytest.raises(NonConvergence):
+        _hyp2f1(300.5, -500.0, 100.0, [1.0])
+
+
+@pytest.mark.parametrize("d, g", [(2, 3.0), (3, 1.3), (5, -0.9)])
+def test_gauss_value_on_the_sphere_profile(d, g):
+    """F(-g/2, (2-g-d)/2; d/2; 1) at exponents of the acceptance sphere
+    triples, against mpmath."""
+    a, b, c = -g / 2.0, (2.0 - g - d) / 2.0, d / 2.0
+    assert _rel(float(_hyp2f1(a, b, c, 1.0)), float(mpmath.hyp2f1(a, b, c, 1))) < 1e-14
 
 
 def test_digamma_values_and_oracle():

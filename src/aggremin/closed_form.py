@@ -159,11 +159,20 @@ def _energy_ball(d: int, beta: float, beta_is_log: bool) -> float:
 
 
 def energy(params: KernelParams) -> float:
-    """Minimum interaction energy in a supported regime."""
+    """Minimum interaction energy in a supported regime.
+
+    Raises DomainError where the gamma functions leave the float range
+    and the value is not finite (the sphere from about d = 130, the ball
+    from about d = 340).
+    """
     tag = _require_supported(params)
     if tag.tag == "BallTheorem2":
-        return _energy_ball(params.d, params.beta, params.beta_is_log)
-    return _energy_sphere(params.d, params.alpha, params.beta, params.beta_is_log)
+        value = _energy_ball(params.d, params.beta, params.beta_is_log)
+    else:
+        value = _energy_sphere(params.d, params.alpha, params.beta, params.beta_is_log)
+    if not math.isfinite(value):
+        raise DomainError(f"energy is not finite in d={params.d}, got {value}")
+    return value
 
 
 def candidate_for(params: KernelParams) -> CandidateMinimizer:

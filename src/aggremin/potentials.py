@@ -88,9 +88,15 @@ def _pow_or_inf(base: np.ndarray, p: float) -> np.ndarray:
 
 
 def unit_sphere_area(d) -> float:
-    """Surface measure of the unit sphere in R^d, |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2)."""
+    """Surface measure of the unit sphere in R^d, |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2).
+
+    Raises DomainError from d = 344, where Gamma(d/2) overflows.
+    """
     d = _check_dim(d, 1)
-    return 2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0)
+    g = gamma_fn(d / 2.0)
+    if math.isinf(g):
+        raise DomainError(f"Gamma({d / 2.0}) overflows in d={d}")
+    return 2.0 * math.pi ** (d / 2.0) / g
 
 
 def _psi_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:

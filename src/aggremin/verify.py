@@ -211,28 +211,45 @@ def ball_potential_quad(d, gamma: float, x_norm: float) -> float:
 
 @dataclass(frozen=True)
 class ELReport:
-    """Outcome of the variational sufficiency check on a grid.
+    """Outcome of the variational sufficiency check on its fixed grid.
 
-    ``support_max_abs_dev`` is the worst |potential - eta| over support
-    nodes; ``exterior_min_margin`` the smallest potential - eta off the
-    support (negative means the candidate fails).  ``passed`` holds
-    both to the one tolerance ``tol``.
+    Locations are squared scaled radii rho = |x/R|^2, nodes of the grid
+    that ``verify_euler_lagrange`` describes; on a tie the first node in
+    grid order is reported.
+
+    * ``eta``: the level the potential must hold on the support.
+    * ``support_max_abs_dev``: the worst |potential - eta| over support
+      nodes, at node ``rho_worst_support``.
+    * ``exterior_min_margin``: the smallest potential - eta off the
+      support (negative means the candidate fails), at node
+      ``rho_worst_exterior``.
+    * ``passed``: both figures within the one tolerance ``tol``.
     """
 
     eta: float
     support_max_abs_dev: float
+    rho_worst_support: float
     exterior_min_margin: float
-    grid: tuple
+    rho_worst_exterior: float
     passed: bool
     tol: float
 
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Raw second differences of Psi on a kink-aware uniform grid."""
+    """Raw second differences of Psi on a kink-aware uniform grid.
 
-    grid: tuple
+    * ``min_second_difference``: the smallest second difference over the
+      fixed grid that ``convexity_report`` describes, no stencil
+      straddling rho = 1.
+    * ``rho_min_second_difference``: the centre node of that stencil; on
+      a tie the first in grid order.
+    * ``psi_dd_at_one``: the exact Psi''(1), nan where it does not exist.
+    * ``passed``: neither figure below -``tol``.
+    """
+
     min_second_difference: float
+    rho_min_second_difference: float
     psi_dd_at_one: float
     passed: bool
     tol: float
@@ -252,18 +269,16 @@ def _el_grid(n_grid: int) -> np.ndarray:
     return np.concatenate([half, 1.0 / half[-2:0:-1]])
 
 
-# Each audit has one grid, built here once; its report shares one tuple.
-# Euler-Lagrange: 2000 nodes up to rho = 800.  Convexity: [0, 1] and
-# [1, 10] uniform with 40 and 360 nodes, meeting at rho = 1 (index
-# _SEAM) so that no second-difference stencil straddles the branch point.
+# Each audit has one grid, built here once.  Euler-Lagrange: 2000 nodes
+# up to rho = 800.  Convexity: [0, 1] and [1, 10] uniform with 40 and
+# 360 nodes, meeting at rho = 1 (index _SEAM) so that no second-difference
+# stencil straddles the branch point.
 _EL_GRID = _el_grid(2000)
 _SEAM = 39
 _CONVEXITY_GRID = np.concatenate(
     [np.linspace(0.0, 1.0, _SEAM + 1), np.linspace(1.0, 10.0, 360)[1:]]
 )
 _EL_GRID.flags.writeable = _CONVEXITY_GRID.flags.writeable = False
-_EL_NODES = tuple(_EL_GRID.tolist())
-_CONVEXITY_NODES = tuple(_CONVEXITY_GRID.tolist())
 
 
 def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -> ELReport:
@@ -296,15 +311,19 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     deviation = values - eta_val
     support = _EL_GRID == 1.0 if cand.kind == "UniformSphere" else _EL_GRID <= 1.0
     tol = 1e-9 * max(1.0, abs(eta_val))
-    dev_support = float(np.max(np.abs(deviation[support])))
-    margin = float(np.min(deviation[~support]))
-    passed = dev_support <= tol and margin >= -tol
+    abs_dev = np.abs(deviation[support])
+    worst = int(np.argmax(abs_dev))
+    exterior = deviation[~support]
+    lowest = int(np.argmin(exterior))
+    dev_support = float(abs_dev[worst])
+    margin = float(exterior[lowest])
     return ELReport(
         eta=float(eta_val),
         support_max_abs_dev=dev_support,
+        rho_worst_support=float(_EL_GRID[support][worst]),
         exterior_min_margin=margin,
-        grid=_EL_NODES,
-        passed=passed,
+        rho_worst_exterior=float(_EL_GRID[~support][lowest]),
+        passed=dev_support <= tol and margin >= -tol,
         tol=tol,
     )
 
@@ -366,16 +385,17 @@ def convexity_report(params: KernelParams) -> ConvexityReport:
     -tol: just under beta_star the negative curvature sits so close to
     rho = 1 that the grid alone can miss it.
     """
-    vals = psi_capital(params, _CONVEXITY_GRID)
-    second = np.concatenate(
-        [np.diff(vals[: _SEAM + 1], n=2), np.diff(vals[_SEAM:], n=2)]
-    )
-    min_sd = float(np.min(second))
+    second = np.diff(psi_capital(params, _CONVEXITY_GRID), n=2)
+    # Entry k is the stencil centred on node k + 1; the one centred on
+    # the seam straddles the branch point and is left out.
+    second[_SEAM - 1] = np.inf
+    lowest = int(np.argmin(second))
+    min_sd = float(second[lowest])
     dd = psi_capital_dd_at_one(params) if params.d + params.beta > 3 else math.nan
     tol = 1e-7
     return ConvexityReport(
-        grid=_CONVEXITY_NODES,
         min_second_difference=min_sd,
+        rho_min_second_difference=float(_CONVEXITY_GRID[lowest + 1]),
         psi_dd_at_one=dd,
         passed=min_sd >= -tol and (math.isnan(dd) or dd >= -tol),
         tol=tol,
@@ -401,9 +421,9 @@ def single_zero_scan(
         raise DomainError(f"need 0 < b2 < b1, got b2={b2}, b1={b1}")
     if not c > a1 + b1:
         raise DomainError(f"need c > a1 + b1, got c={c}")
-    if n_grid < 2:
-        raise DomainError(f"n_grid must be at least 2, got {n_grid}")
-    z = np.linspace(0.0, 1.0, n_grid)
+    if not float(n_grid).is_integer() or n_grid < 2:
+        raise DomainError(f"n_grid must be an integer of at least 2, got {n_grid}")
+    z = np.linspace(0.0, 1.0, int(n_grid))
     f1 = _hyp2f1(a1, b1, c, z)
     f2 = _hyp2f1(a2, b2, c, z)
     g = f1 - q * f2

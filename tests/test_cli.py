@@ -7,11 +7,13 @@ be captured per call; one test shells out to confirm the installed
 entry points actually resolve.
 """
 
+import importlib
 import json
 import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,14 +196,13 @@ def test_verify_el_payload_rebuilds_the_report(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert list(payload) == [
-        "schema", "report", "eta", "support_max_abs_dev", "exterior_min_margin",
-        "grid", "passed", "tol",
+        "schema", "report", "eta", "support_max_abs_dev", "rho_worst_support",
+        "exterior_min_margin", "rho_worst_exterior", "passed", "tol",
     ]
     assert payload["schema"] == "aggremin/1"
     assert payload["report"] == "euler-lagrange"
     assert payload["passed"] is True
     fields = {k: v for k, v in payload.items() if k not in ("schema", "report")}
-    fields["grid"] = tuple(fields["grid"])
     rebuilt = ELReport(**fields)
     fresh = verify_euler_lagrange(KernelParams(3, 2.0, 1.5))
     assert rebuilt == fresh
@@ -219,13 +220,33 @@ def test_verify_el_forced_sphere_exits_3(capsys):
     assert payload["exterior_min_margin"] < -1e-3
 
 
+def test_audit_payloads_hold_only_small_scalars(capsys):
+    """The audit reports say where their worst figure sits, not the
+    whole grid: every value is a scalar and each payload is under 1 KB."""
+    runs = {
+        "plain": ["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5"],
+        "forced": ["verify-el", "--d", "3", "--alpha", "2", "--beta", "0.7",
+                   "--force-sphere"],
+        "convexity": ["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5"],
+    }
+    payloads = {}
+    for name, argv in runs.items():
+        _, out, _ = _run(argv, capsys)
+        assert len(out.encode()) < 1024, name
+        payloads[name] = json.loads(out)
+        for key, value in payloads[name].items():
+            assert isinstance(value, (str, bool, int, float)), (name, key)
+    # Below the critical curve the forced sphere's deepest dip is the centre.
+    assert payloads["forced"]["rho_worst_exterior"] == 0.0
+
+
 def test_convexity_exit_codes(capsys):
     rc, out, _ = _run(["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5"], capsys)
     assert rc == 0
     payload = json.loads(out)
     assert list(payload) == [
-        "schema", "report", "grid", "min_second_difference", "psi_dd_at_one",
-        "passed", "tol",
+        "schema", "report", "min_second_difference", "rho_min_second_difference",
+        "psi_dd_at_one", "passed", "tol",
     ]
     assert payload["report"] == "convexity"
     assert payload["passed"] is True
@@ -448,3 +469,17 @@ def test_console_script_help():
     proc = subprocess.run(["aggremin", "--help"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "usage" in proc.stdout.lower()
+
+
+def test_console_script_maps_to_main(capsys):
+    """The console script named in pyproject.toml resolves to ``main``,
+    checked without installing the package."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts["aggremin"] == "aggremin.cli:main"
+    module, _, attr = scripts["aggremin"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is main
+    assert entry(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out.lower()

@@ -201,6 +201,37 @@ def test_beta_next_to_zero_is_refused_not_extrapolated():
     assert math.isfinite(energy(KernelParams(3, 2.0, 2e-6)))
 
 
+def test_sphere_energy_past_the_float_range_is_a_domain_error():
+    """From d = 130 the gamma ratio of the sphere radius is inf/inf; the
+    energy refuses it, and the radius keeps its own refusal."""
+    assert math.isfinite(energy(KernelParams(129, 3.0, 1.999)))
+    params = KernelParams(130, 3.0, 1.999)
+    with pytest.raises(DomainError, match="d=130"):
+        energy(params)
+    with pytest.raises(DomainError, match="radius must be positive, got nan"):
+        radius(params)
+
+
+def test_log_sphere_energy_past_the_float_range_is_a_domain_error():
+    assert math.isfinite(energy(KernelParams(130, 3.0, 0.0, beta_is_log=True)))
+    with pytest.raises(DomainError, match="d=131"):
+        energy(KernelParams(131, 3.0, 0.0, beta_is_log=True))
+
+
+def test_ball_energy_past_the_float_range_is_a_domain_error():
+    assert math.isfinite(energy(KernelParams(340, 2.0, 1.5 - 340)))
+    with pytest.raises(DomainError, match="d=341"):
+        energy(KernelParams(341, 2.0, 1.5 - 341))
+
+
+def test_unit_sphere_area_past_the_float_range_is_a_domain_error():
+    """Gamma(172) overflows, so 2 pi^172 / Gamma(172) would read 0.0
+    where the true area is about 1e-223."""
+    assert 1e-224 < unit_sphere_area(343) < 1e-222
+    with pytest.raises(DomainError, match="d=344"):
+        unit_sphere_area(344)
+
+
 def test_energy_formulas_agree_at_the_regime_junction():
     # At alpha = 2, beta = 4 - d both families degenerate to the same
     # sphere, so the two unrelated energy expressions must coincide.

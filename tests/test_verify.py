@@ -32,6 +32,7 @@ from aggremin import (
     hyp2f1,
     psi_capital,
     psi_capital_dd_at_one,
+    radius,
     single_zero_scan,
     sphere_potential,
     sphere_potential_quad,
@@ -40,7 +41,7 @@ from aggremin import (
     verify_euler_lagrange,
 )
 from aggremin.closed_form import _radius_sphere
-from aggremin.verify import _el_grid
+from aggremin.verify import _CONVEXITY_GRID, _EL_GRID, _el_grid
 
 
 def test_sphere_quadrature_matches_closed_form():
@@ -95,8 +96,6 @@ def test_euler_lagrange_passes_in_supported_regimes():
         assert report.eta == eta(params)
         assert report.support_max_abs_dev <= report.tol
         assert report.exterior_min_margin >= -report.tol
-        assert 0.0 in report.grid and 1.0 in report.grid
-        assert report.grid == tuple(sorted(report.grid))
     # The grid mirrors its interior: it is closed under rho -> 1/rho (to
     # one rounding), keeps exactly n_grid nodes, and needs no end point.
     for n_grid in (100, 300):
@@ -104,11 +103,12 @@ def test_euler_lagrange_passes_in_supported_regimes():
         assert grid.size == n_grid
         positive = grid[grid > 0.0]
         np.testing.assert_allclose(np.sort(1.0 / positive), positive, rtol=1e-15, atol=0.0)
-    # The audit's own grid: 2000 nodes reaching rho = 800.
-    grid = verify_euler_lagrange(KernelParams(3, 2.0, 1.5)).grid
-    assert len(grid) == 2000
-    assert 0.0 in grid and 1.0 in grid
-    assert max(grid) == 800.0
+    # The audit's own grid: 2000 sorted nodes, 0 and 1 among them,
+    # reaching rho = 800.
+    assert 0.0 in _EL_GRID and 1.0 in _EL_GRID
+    assert np.array_equal(_EL_GRID, np.sort(_EL_GRID))
+    assert len(_EL_GRID) == 2000
+    assert max(_EL_GRID) == 800.0
 
 
 def test_euler_lagrange_report_round_trips_through_dict():
@@ -126,11 +126,27 @@ def test_forced_sphere_fails_below_the_critical_curve():
     r = _radius_sphere(3, 2.0, 0.7)
     cand = CandidateMinimizer("UniformSphere", r)
     level = total_potential(params, cand, r)
-    grid = np.array(report.grid)
-    dev = total_potential(params, cand, r * np.sqrt(grid)) - level
-    assert dev[grid < 1.0].min() < -1e-3
-    outside_band = (grid > 1.0) & (grid <= 1.5)
+    dev = total_potential(params, cand, r * np.sqrt(_EL_GRID)) - level
+    assert dev[_EL_GRID < 1.0].min() < -1e-3
+    outside_band = (_EL_GRID > 1.0) & (_EL_GRID <= 1.5)
     assert dev[outside_band].min() < -5e-5
+    # The report names the deeper face: the centre.
+    assert report.rho_worst_exterior == 0.0
+
+
+def test_euler_lagrange_report_names_its_worst_nodes():
+    """The reported locations are where a recomputation on the audit's
+    grid finds the worst support deviation and the lowest margin."""
+    params = KernelParams(2, 2.0, -1.0)
+    report = verify_euler_lagrange(params)
+    cand = CandidateMinimizer("BallProfile", radius(params))
+    dev = total_potential(params, cand, cand.radius * np.sqrt(_EL_GRID)) - eta(params)
+    inside = _EL_GRID <= 1.0
+    assert report.rho_worst_support == _EL_GRID[inside][np.argmax(np.abs(dev[inside]))]
+    assert report.rho_worst_exterior == _EL_GRID[~inside][np.argmin(dev[~inside])]
+    assert report.rho_worst_support == 0.005
+    # A sphere's support is the one node rho = 1.
+    assert verify_euler_lagrange(KernelParams(3, 2.0, 1.5)).rho_worst_support == 1.0
 
 
 def test_forced_sphere_flag_is_a_no_op_in_the_sphere_regime():
@@ -284,7 +300,7 @@ def test_convexity_report_passes_in_regime():
     assert report.passed
     assert report.min_second_difference >= -report.tol
     assert report.psi_dd_at_one > 0.0
-    assert 0.0 in report.grid and 1.0 in report.grid
+    assert 0.0 in _CONVEXITY_GRID and 1.0 in _CONVEXITY_GRID
 
 
 def test_convexity_report_on_the_critical_curve():
@@ -301,15 +317,17 @@ def test_convexity_report_fails_below_the_critical_curve():
     assert report.min_second_difference < -report.tol
     assert report.psi_dd_at_one < 0.0
     # The violation concentrates where the curvature formula says it
-    # must: in the stencils nearest the seam.
-    grid = np.array(report.grid)
-    left = grid[grid <= 1.0]
-    right = grid[grid >= 1.0]
+    # must: in the stencils nearest the seam.  The recomputation here is
+    # the independent check on the report's location.
+    left = _CONVEXITY_GRID[_CONVEXITY_GRID <= 1.0]
+    right = _CONVEXITY_GRID[_CONVEXITY_GRID >= 1.0]
     vals_left = psi_capital(params, left)
     vals_right = psi_capital(params, right)
     second = np.concatenate([np.diff(vals_left, 2), np.diff(vals_right, 2)])
     centers = np.concatenate([left[1:-1], right[1:-1]])
-    assert abs(centers[int(np.argmin(second))] - 1.0) < 0.1
+    centre = centers[int(np.argmin(second))]
+    assert abs(centre - 1.0) < 0.1
+    assert centre == report.rho_min_second_difference
 
 
 def test_convexity_report_fails_when_only_the_curvature_at_one_is_negative():
@@ -383,6 +401,8 @@ def test_single_zero_scan_gates():
         single_zero_scan(1.5, 2.0, 0.5, 1.0, 3.0, 1.0, 11)
     with pytest.raises(DomainError):
         single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1.0, 1)
+    with pytest.raises(DomainError):
+        single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1.0, 2.5)
 
 
 @given(

@@ -10,6 +10,7 @@ a silently different model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -65,7 +66,8 @@ class CandidateMinimizer:
     radius ``radius``.  ``BallProfile``: the probability density
     proportional to (radius^2 - |x|^2)^((2-beta-d)/2) on the open ball;
     :func:`~aggremin.closed_form.ball_density` gives its values.  Both
-    are centered at the origin; translates are equally valid.
+    are centered at the origin; translates are equally valid.  The
+    radius must be positive and finite.
     """
 
     kind: str
@@ -76,6 +78,8 @@ class CandidateMinimizer:
             raise DomainError(f"unknown candidate kind {self.kind!r}")
         if not self.radius > 0:
             raise DomainError(f"radius must be positive, got {self.radius}")
+        if self.radius == math.inf:
+            raise DomainError(f"radius must be finite, got {self.radius}")
 
 
 @dataclass(frozen=True)

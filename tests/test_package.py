@@ -4,8 +4,9 @@ The public names are what the command line, the paper's closed forms
 and their oracles need; a name that disappears from this list breaks
 callers outside the package.  scipy.integrate is loaded only when a
 quadrature oracle runs, and scipy.special only at the first 2F1 ufunc or
-digamma call, so ``import aggremin`` loads no scipy module, and the
-power-law closed forms and the particle flow never load scipy.special.
+digamma call off the integers and half-integers, so ``import aggremin``
+loads no scipy module, and the closed forms (power-law and logarithmic)
+and the particle flow never load scipy.special.
 """
 
 import json
@@ -96,8 +97,9 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 
 def test_power_law_closed_forms_leave_scipy_special_unloaded(tmp_path):
-    """The gamma-function answers and the flow run without scipy.special;
-    the Euler-Lagrange audit, which evaluates 2F1 inside (0, 1), loads it."""
+    """The gamma- and digamma-function answers, the log kernel's included,
+    and the flow run without scipy.special; the Euler-Lagrange audit,
+    which evaluates 2F1 inside (0, 1), loads it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(aggremin.__file__)))
     code = textwrap.dedent(
         f"""
@@ -106,13 +108,17 @@ def test_power_law_closed_forms_leave_scipy_special_unloaded(tmp_path):
         import aggremin
         from aggremin import cli
         seen = {{"import": any(m.startswith("scipy") for m in sys.modules)}}
-        for point in ((2, 3.0, 1.7), (3, 2.0, -1.0)):
-            p = aggremin.KernelParams(*point)
+        for point in ((2, 3.0, 1.7), (3, 2.0, -1.0), (3, 2.0, 0.0), (5, 3.0, 0.0)):
+            p = aggremin.KernelParams(*point, beta_is_log=point[2] == 0.0)
             values = (aggremin.radius(p), aggremin.energy(p), aggremin.eta(p))
             assert all(v == v for v in values), values
             seen[f"closed forms {{point}}"] = "scipy.special" in sys.modules
         commands = {{
             "closed-form": ["closed-form", "--d", "2", "--alpha", "3", "--beta", "1.7"],
+            "closed-form --log-beta": ["closed-form", "--d", "3", "--alpha", "2", "--log-beta"],
+            "phase-scan through 0": ["phase-scan", "--d", "3", "--alpha-min", "2.0",
+                                     "--alpha-max", "2.0", "--alpha-steps", "1", "--beta-min",
+                                     "-0.7", "--beta-max", "2.0", "--beta-steps", "28"],
             "phase-scan": ["phase-scan", "--d", "3", "--beta-min", "-1.5", "--beta-max", "1.5",
                            "--beta-steps", "4", "--alpha-steps", "3", "--format", "json"],
             "simulate": ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "16",
@@ -135,4 +141,4 @@ def test_power_law_closed_forms_leave_scipy_special_unloaded(tmp_path):
     seen = json.loads(proc.stdout)
     assert seen.pop("verify_euler_lagrange") is True
     assert seen == dict.fromkeys(seen, False)
-    assert len(seen) == 6
+    assert len(seen) == 10

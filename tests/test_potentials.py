@@ -38,9 +38,9 @@ from aggremin import (
     unit_sphere_area,
 )
 from aggremin.potentials import (
-    SERIES_CAP,
     _ball_raw,
     _check_dim,
+    _coefficients,
     _log_ball_lambda,
     _log_series,
     _psi_raw,
@@ -440,15 +440,58 @@ def test_tilde_psi0_seam_value_and_taylor_patch():
                 assert err <= bound, (d, rho, float(err))
 
 
-@pytest.mark.parametrize(
-    "d, c0, bound",
-    [(1, 2.0, 2e-10), (3, 1.5, 1e-11), (3, 2.0, 1e-11), (5, 2.0, 1e-11), (5, 2.5, 1e-11)],
-)
-def test_log_series_at_one_matches_the_digamma_value(d, c0, bound):
+@pytest.mark.parametrize("d, c0", [(1, 2.0), (3, 1.5), (3, 2.0), (5, 2.0), (5, 2.5)])
+def test_log_series_at_one_matches_the_digamma_value(d, c0):
     """At z = 1 the series sums to digamma(c0) - digamma(c0 - (2-d)/2),
     where its terms decay slowest; (1, 2) is the ball log profile."""
     want = digamma(c0) - digamma(c0 - (2.0 - d) / 2.0)
-    assert abs(_log_series(d, c0, 1.0) - want) <= bound * abs(want)
+    assert abs(_log_series(d, c0, 1.0) - want) <= 1e-14 * abs(want)
+
+
+def _log_series_mpmath(d: int, c0: float, z: float):
+    """(a0/c0) z 3F2(1, 1, a0+1; 2, c0+1; z) with a0 = (2-d)/2, at 20 digits.
+
+    Beyond z = 0.99, where mpmath's 3F2 takes seconds a point, the value
+    at 1, digamma(c0) - digamma(c0 - a0), less the integral over [z, 1]
+    of the derivative (2F1(a0, 1; c0; t) - 1)/t.
+    """
+    with mpmath.workdps(20):
+        a0 = mpmath.mpf(2 - d) / 2
+        z = mpmath.mpf(z)
+        if z <= 0.99:
+            return a0 / c0 * z * mpmath.hyp3f2(1, 1, a0 + 1, 2, mpmath.mpf(c0) + 1, z)
+        at_one = mpmath.digamma(c0) - mpmath.digamma(c0 - a0)
+        if z == 1:
+            return at_one
+        return at_one - mpmath.quad(lambda t: (mpmath.hyp2f1(a0, 1, c0, t) - 1) / t, [z, 1])
+
+
+@pytest.mark.parametrize(
+    "d, c0",
+    [(1, 2.0)] + [(d, c0) for d in (3, 4, 5, 6, 7) for c0 in dict.fromkeys((2.0, d / 2.0))],
+)
+def test_log_series_matches_mpmath(d, c0):
+    """Both regimes of the series, the power sum (z <= 1/2) and the
+    closed forms (z > 1/2), within 1e-14 relative of mpmath."""
+    zs = [1e-300, 1e-12, 1e-5, 0.1, 0.37, 0.5, 0.5 + 1e-12, 0.7, 0.9, 0.99,
+          0.999, 1.0 - 1e-5, 1.0 - 1e-9, 1.0 - 1e-12, 1.0]
+    got = _log_series(d, c0, np.array(zs))
+    for z, value in zip(zs, got):
+        want = _log_series_mpmath(d, c0, z)
+        assert abs(value - want) <= 1e-14 * abs(want), (z, float(value), float(want))
+
+
+@pytest.mark.parametrize("d", [9, 11, 12, 13, 50, 51, 130, 131, 201, 400])
+def test_log_series_at_one_in_high_dimension(d):
+    """Across the switch from closed form to power sum (d = 11 to 13) and
+    where the sphere's power sum grows past 64 terms (d = 201, 400)."""
+    for c0 in (2.0, d / 2.0):
+        with mpmath.workdps(30):
+            want = float(mpmath.digamma(c0) - mpmath.digamma(c0 - mpmath.mpf(2 - d) / 2))
+        assert abs(_log_series(d, c0, 1.0) - want) <= 1e-14 * abs(want), c0
+    coef, whole = _coefficients(d, d / 2.0)
+    assert whole == (d % 2 == 0 or d >= 13)
+    assert coef.size == (64 if d <= 168 else 5 * math.isqrt(d))
 
 
 def test_d1_ball_log_series_matches_mpmath():
@@ -463,48 +506,17 @@ def test_d1_ball_log_series_matches_mpmath():
             assert abs(value - want) <= 1e-14 * abs(want), z
 
 
-# Fast nodes (small z) next to slow ones (z near 1), so a node that
-# stopped with its neighbours instead of on its own would show.
+# Power-sum nodes (z <= 1/2) next to closed-form ones (z > 1/2), so a
+# node whose value depended on its neighbours would show.
 _Z_NODES = np.array([0.0, 1e-300, 0.01, 0.3, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-5, 1.0 - 1e-9, 1.0])
 _RHO_NODES = np.concatenate(
     [_Z_NODES, 1.0 + np.array([-1e-6, -5e-7, 5e-7, 1e-6, 1e-5]), 1.0 / _Z_NODES[1:-1], [1e12]]
 )
 
 
-def _log_series_loop(d: int, c0: float, z: float) -> float:
-    """The log series at one node, summed block by block: the reference
-    for the (node x term) blocks of _log_series, with the same arithmetic."""
-    if d == 2 or z == 0.0:
-        return 0.0
-    a0 = (2.0 - d) / 2.0
-
-    def ratio(m):
-        n = m + 1.0
-        return (a0 + n) / (c0 + n) * (n / (n + 1.0)) * z
-
-    total = last = 1.0
-    k, block = 0, 64
-    while k < SERIES_CAP and last != 0.0:
-        m = min(block, SERIES_CAP - k)
-        terms = last * np.cumprod(ratio(np.arange(k, k + m, dtype=float)))
-        partial = total + np.cumsum(terms)
-        small = np.abs(terms) <= np.finfo(float).eps * np.abs(partial)
-        hits = np.nonzero(small[:-2] & small[1:-1] & small[2:])[0]
-        if hits.size:
-            j = hits[0] + 2
-            total, last, k = float(partial[j]), float(terms[j]), k + j + 1
-            break
-        total, last, k = float(partial[-1]), float(terms[-1]), k + m
-        block = min(block * 2, 65536)
-    r = ratio(float(k))
-    tail = last * r / (1.0 - r) if 0.0 < r < 1.0 else 0.0
-    return a0 / c0 * z * (total + tail)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_array_nodes_equal_the_same_nodes_one_at_a_time(d):
-    """Bit for bit: each node's value depends on that node alone, and the
-    series equals the block-by-block loop at every node."""
+    """Bit for bit: each node's value depends on that node alone."""
 
     def one_at_a_time(f, *args, nodes=_RHO_NODES):
         return np.array([f(*args, np.array([r]))[0] for r in nodes])
@@ -512,8 +524,6 @@ def test_array_nodes_equal_the_same_nodes_one_at_a_time(d):
     for c0 in (d / 2.0, 2.0):
         got = _log_series(d, c0, _Z_NODES).tolist()
         assert got == [float(_log_series(d, c0, float(z))) for z in _Z_NODES], c0
-        if not (d == 1 and c0 == 2.0):  # that one is in closed form
-            assert got == [_log_series_loop(d, c0, float(z)) for z in _Z_NODES], c0
     assert np.array_equal(_log_ball_lambda(d, _RHO_NODES), one_at_a_time(_log_ball_lambda, d))
     for g in (-d + 0.3, 4.0 - d - 0.3):
         assert np.array_equal(_ball_raw(d, g, _RHO_NODES), one_at_a_time(_ball_raw, d, g))

@@ -78,7 +78,7 @@ def _params_from(args) -> KernelParams:
     if args.log_beta and beta is None:
         beta = 0.0
     if alpha is None:
-        raise _UsageError("--alpha is required (or pass --log-alpha)")
+        raise _UsageError("--alpha is required (or, for simulate, --log-alpha)")
     if beta is None:
         raise _UsageError("--beta is required (or pass --log-beta)")
     return KernelParams(
@@ -91,7 +91,7 @@ def _params_from(args) -> KernelParams:
 
 
 def _beta_star_or_none(params: KernelParams):
-    if params.d < 2 or params.alpha_is_log or params.alpha < 2:
+    if params.d < 2 or params.alpha < 2:
         return None
     return beta_star(params.d, params.alpha)
 
@@ -279,11 +279,7 @@ def _add_param_flags(sp) -> None:
     sp.add_argument("--d", type=int, required=True, help="ambient dimension")
     sp.add_argument("--alpha", type=float, help="attraction exponent")
     sp.add_argument("--beta", type=float, help="repulsion exponent")
-    sp.add_argument(
-        "--log-alpha",
-        action="store_true",
-        help="logarithmic attraction (alpha = 0)",
-    )
+    sp.set_defaults(log_alpha=False)
     sp.add_argument(
         "--log-beta",
         action="store_true",
@@ -319,6 +315,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("simulate", help="particle descent with CSV/JSON artifacts")
     _add_param_flags(sp)
+    # No closed form or audit covers a log attraction; only simulate takes one.
+    sp.add_argument(
+        "--log-alpha", action="store_true", help="logarithmic attraction (alpha = 0)"
+    )
     sp.add_argument("--n", type=int, required=True, help="particle count (>= 16)")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.add_argument("--tol", type=float, default=1e-8, help="force convergence target")

@@ -121,25 +121,26 @@ class ParticleSystem:
     """State of the N-particle descent.
 
     Positions are an N x d array of pairwise-distinct finite points.
-    ``energy_trace`` holds the energy after every accepted step starting
-    from the initial state; ``step_trace`` the step that produced each
-    entry (the first entry is the initial ``step_size``).  A ``step``
+    ``step_size`` is where the next ``step`` starts backtracking: 0.5 in
+    a new state.  ``energy_trace`` holds the energy after every accepted
+    step starting from the initial state; ``step_trace`` the step that
+    produced each entry (the first entry is that 0.5).  A ``step``
     records its step size h along the forces, ``run_to_convergence`` the
     accepted line-search multiplier of its quasi-Newton direction.
     ``energy_evals`` counts the kernel evaluations and ``backtracks`` the
     rejected line-search trials of the descent that produced the state.
-    The constructor takes only ``positions``, ``params`` and
-    ``step_size``; the other fields are records of the descent, set by
-    ``step`` and ``run_to_convergence``.  Instances are immutable;
-    ``step`` returns a new one.
+    The constructor takes only ``positions`` and ``params``; the other
+    fields are records of the descent, set by ``step`` and
+    ``run_to_convergence``.  Instances are immutable; ``step`` returns a
+    new one.
     """
 
     positions: np.ndarray
     params: KernelParams
-    step_size: float = _START_STEP
+    step_size: float = field(default=_START_STEP, init=False)
     iteration: int = field(default=0, init=False)
     energy_trace: tuple = field(default=(), init=False)
-    step_trace: tuple = field(default=(), init=False)
+    step_trace: tuple = field(default=(_START_STEP,), init=False)
     energy_evals: int = field(default=0, init=False)
     backtracks: int = field(default=0, init=False)
 
@@ -152,11 +153,8 @@ class ParticleSystem:
         if not np.all(np.isfinite(pos)):
             raise DomainError("positions must be finite")
         energy, _ = _energy_and_forces(self.params, pos)
-        if not self.step_size > 0:
-            raise DomainError(f"step_size must be positive, got {self.step_size}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "energy_trace", (energy,))
-        object.__setattr__(self, "step_trace", (self.step_size,))
 
     @property
     def n_particles(self) -> int:

@@ -341,11 +341,10 @@ def tilde_psi0(d, rho):
     """
     nodes = _check_rho(rho)
     d = _check_dim(d, 2)
-    value = np.empty_like(nodes)
-    inner = nodes <= 1.0
-    value[inner] = -0.5 * _log_series(d, d / 2.0, nodes[inner])
-    r = nodes[~inner]
-    value[~inner] = 0.5 * np.log(r) - 0.5 * _log_series(d, d / 2.0, 1.0 / r)
+    outer = nodes > 1.0
+    z = np.where(outer, 1.0 / np.maximum(nodes, 1.0), nodes)
+    value = -0.5 * _log_series(d, d / 2.0, z)
+    value[outer] += 0.5 * np.log(nodes[outer])
     return _shaped(rho, value)
 
 

@@ -302,7 +302,7 @@ def test_criterion_6(capsys):
         b1 = b2 + rng.uniform(0.1, 2.0)
         c = a1 + b1 + rng.uniform(0.2, 3.0)
         q = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
-        pattern = single_zero_scan(a1, b1, a2, b2, c, q, 41).replace("0", "")
+        pattern = single_zero_scan(a1, b1, a2, b2, c, q).replace("0", "")
         counts[pattern] = counts.get(pattern, 0) + 1
         if pattern not in ("", "-", "+", "-+"):
             violations += 1

@@ -72,6 +72,15 @@ def test_closed_form_log_ball_payload(capsys):
     assert "ball of radius 1.0" in payload["density_description"]
 
 
+def test_closed_form_in_one_dimension_has_no_beta_star(capsys):
+    """beta_star exists only from d = 2; a d = 1 ball point writes null."""
+    rc, out, _ = _run(["closed-form", "--d", "1", "--alpha", "2", "--beta", "0.5"], capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["regime"] == "BallTheorem2"
+    assert payload["beta_star"] is None
+
+
 def test_closed_form_out_file(tmp_path, capsys):
     """--out redirects the report to a file and leaves stdout quiet."""
     target = tmp_path / "report.json"
@@ -185,6 +194,9 @@ def test_closed_form_domain_error_exits_2(capsys):
         ["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5", "--grid", "300"],
         ["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5", "--grid", "400"],
         ["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5", "--rho-max", "8"],
+        ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "16", "--max-iter", "0", "--out", "x"],
+        ["closed-form", "--d", "3", "--alpha", "2", "--beta", "1.5", "--log-alpha"],
+        ["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5", "--log-alpha"],
     ],
 )
 def test_usage_mistakes_exit_64(argv, capsys):
@@ -198,6 +210,26 @@ def test_missing_beta_message_names_the_flag(capsys):
     rc, _, err = _run(["closed-form", "--d", "3", "--alpha", "2"], capsys)
     assert rc == 64
     assert "--beta is required (or pass --log-beta)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["closed-form", "--d", "3", "--beta", "1"],
+         "--alpha is required (or, for simulate, --log-alpha)"),
+        (["simulate", "--d", "2", "--beta", "1.75", "--n", "16", "--out", "x"],
+         "--alpha is required (or, for simulate, --log-alpha)"),
+        (["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5", "--log-alpha"],
+         "unrecognized arguments: --log-alpha"),
+    ],
+)
+def test_alpha_flags_messages(argv, message, capsys):
+    """--alpha is required, except on simulate, whose --log-alpha stands
+    in for it; the other commands do not know --log-alpha."""
+    rc, out, err = _run(argv, capsys)
+    assert rc == 64
+    assert out == ""
+    assert message in err
 
 
 def test_verify_el_payload_rebuilds_the_report(capsys):
@@ -328,6 +360,22 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     )
     assert stats["radius_rel_err"] < 1e-3
     assert stats["energy_rel_err"] < 1e-3
+
+
+def test_simulate_takes_a_log_attraction(tmp_path, capsys):
+    """--log-alpha selects ln r for the attraction; no closed form
+    covers it, so the stats carry no prediction."""
+    rc, _, _ = _run(
+        ["simulate", "--d", "2", "--log-alpha", "--beta", "-1", "--n", "16",
+         "--max-iter", "20", "--allow-partial", "--out", str(tmp_path / "log")],
+        capsys,
+    )
+    assert rc == 0
+    stats = json.loads((tmp_path / "log_stats.json").read_text())
+    assert stats["alpha"] == 0.0
+    assert stats["alpha_is_log"] is True
+    assert stats["regime"] == "OutOfScope"
+    assert "R" not in stats
 
 
 def test_simulate_seed_reproducibility(tmp_path, capsys):

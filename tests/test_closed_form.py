@@ -20,6 +20,7 @@ from aggremin import (
     IllConditioned,
     KernelParams,
     RegimeError,
+    RegimeTag,
     ball_density,
     beta_star,
     candidate_for,
@@ -31,6 +32,7 @@ from aggremin import (
     radius,
     unit_sphere_area,
 )
+from aggremin import closed_form
 from aggremin.closed_form import _energy_ball, _energy_sphere
 
 
@@ -187,6 +189,34 @@ def test_energy_anchor_values():
     assert abs(energy(log_ball) - 0.375) < 1e-14
     want = 0.6 * (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
     assert abs(energy(KernelParams(2, 2.0, -1.0)) - want) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [
+        (lambda: KernelParams(2.5, 2.0, 1.0), "dimension must be a positive integer"),
+        (lambda: KernelParams(0, 2.0, -0.5), "dimension must be a positive integer"),
+        (lambda: KernelParams(3, 2.0, 1.0, beta_is_log=True), "beta_is_log requires beta == 0"),
+        (lambda: KernelParams(3, 0.0, -1.0), "set alpha_is_log=True"),
+        (lambda: KernelParams(3, 1.5, 1.5), "need beta < alpha"),
+        (lambda: CandidateMinimizer("Disk", 1.0), "unknown candidate kind 'Disk'"),
+        (lambda: RegimeTag("Sphere"), "unknown regime tag 'Sphere'"),
+    ],
+)
+def test_records_refuse_invalid_fields(make, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        make()
+
+
+@pytest.mark.parametrize("point", [(3, 3.0, 1.5), (3, 2.0, -1.0)])
+def test_eta_refuses_an_energy_one_percent_off(point, monkeypatch):
+    """The two eta routes catch a closed-form energy 1% too high, at a
+    sphere point and at a ball point."""
+    monkeypatch.setattr(closed_form, "_energy_sphere", lambda *a: 1.01 * _energy_sphere(*a))
+    monkeypatch.setattr(closed_form, "_energy_ball", lambda *a: 1.01 * _energy_ball(*a))
+    params = KernelParams(*point)
+    with pytest.raises(IllConditioned, match="eta routes disagree"):
+        eta(params)
 
 
 def test_beta_next_to_zero_is_refused_not_extrapolated():

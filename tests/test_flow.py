@@ -179,19 +179,16 @@ def test_particle_system_validation_and_trace_defaults():
         ParticleSystem(positions=[[0.0, math.nan], [1.0, 0.0]], params=params)
     with pytest.raises(DomainError):
         ParticleSystem(positions=[[0.0, 0.0]], params=params)
-    with pytest.raises(DomainError):
-        ParticleSystem(
-            positions=[[0.0, 0.0], [1.0, 0.0]], params=params, step_size=-1.0
-        )
-    # The descent records are set by the descent, not by the caller.
-    with pytest.raises(TypeError):
-        ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params, iteration=1)
-    assert list(inspect.signature(ParticleSystem).parameters) == [
-        "positions", "params", "step_size",
-    ]
+    # The descent records, the step size among them, are set by the
+    # descent, not by the caller.
+    for record in ("step_size", "iteration"):
+        with pytest.raises(TypeError):
+            ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params, **{record: 1})
+    assert list(inspect.signature(ParticleSystem).parameters) == ["positions", "params"]
     sys0 = ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params)
     assert sys0.energy_trace == (discrete_energy(sys0),)
-    assert sys0.step_trace == (sys0.step_size,)
+    assert sys0.step_size == 0.5
+    assert sys0.step_trace == (0.5,)
     assert sys0.n_particles == 2
 
 
@@ -420,12 +417,14 @@ def test_driver_converges_on_the_ball_benchmark_cloud():
 
 
 def test_step_counts_its_kernel_passes():
+    # A cloud of width 1e-2 feels repulsive forces of order 1e4, so the
+    # starting step 0.5 overshoots and has to be halved.
     rng = np.random.default_rng(8)
-    sys0 = ParticleSystem(positions=rng.normal(size=(20, 2)), params=BALL, step_size=50.0)
+    sys0 = ParticleSystem(positions=1e-2 * rng.normal(size=(20, 2)), params=BALL)
     sys1 = step(sys0)
     assert sys1.backtracks > 0
     assert sys1.energy_evals == 2 + sys1.backtracks
-    assert sys1.step_trace[-1] == 50.0 / 2**sys1.backtracks
+    assert sys1.step_trace[-1] == 0.5 / 2**sys1.backtracks
 
 
 def test_line_search_rejects_a_collision_and_stalls_uphill():

@@ -9,6 +9,7 @@ loads no scipy module, and the closed forms (power-law and logarithmic)
 and the particle flow never load scipy.special.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -67,12 +68,75 @@ PUBLIC = {
     "verify_euler_lagrange",
 }
 
+# The parameter names of every public callable that has a signature of
+# its own: a new keyword fails test_public_signatures_are_pinned until it
+# is listed here on purpose.  The error classes not named here define no
+# constructor and take their built-in base's arguments.
+SIGNATURES = {
+    "CandidateMinimizer": ("kind", "radius"),
+    "ConvexityReport": (
+        "min_second_difference", "rho_min_second_difference", "psi_dd_at_one",
+        "passed", "tol",
+    ),
+    "ELReport": (
+        "eta", "support_max_abs_dev", "rho_worst_support", "exterior_min_margin",
+        "rho_worst_exterior", "passed", "tol",
+    ),
+    "Hyp2F1Input": ("a", "b", "c", "z"),
+    "KernelParams": ("d", "alpha", "beta", "alpha_is_log", "beta_is_log"),
+    "NonConvergence": ("message", "partial"),
+    "ParticleSystem": ("positions", "params"),
+    "RadialStats": ("mean_radius", "std_radius", "max_radius", "center"),
+    "RegimeTag": ("tag", "detail"),
+    "ball_density": ("params", "r"),
+    "ball_potential": ("d", "gamma", "x_norm"),
+    "ball_potential_quad": ("d", "gamma", "x_norm"),
+    "beta_star": ("d", "alpha"),
+    "candidate_for": ("params",),
+    "classify": ("params",),
+    "convexity_report": ("params",),
+    "digamma": ("x",),
+    "discrete_energy": ("sys",),
+    "energy": ("params",),
+    "eta": ("params",),
+    "gamma_fn": ("x",),
+    "hyp2f1": ("inp",),
+    "max_force": ("sys",),
+    "psi_capital": ("params", "rho"),
+    "psi_capital_dd_at_one": ("params",),
+    "psi_gamma": ("d", "gamma", "rho"),
+    "psi_values_at_one": ("d", "gamma"),
+    "quadratic_ball_moment": ("d", "beta"),
+    "radial_stats": ("sys",),
+    "radius": ("params",),
+    "run_to_convergence": ("params", "n_particles", "seed", "tol", "max_iter"),
+    "single_zero_scan": ("a1", "b1", "a2", "b2", "c", "q"),
+    "sphere_potential": ("d", "gamma", "x_norm"),
+    "sphere_potential_quad": ("d", "gamma", "x_norm"),
+    "step": ("sys",),
+    "tilde_psi0": ("d", "rho"),
+    "total_potential": ("params", "candidate", "x_norm"),
+    "unit_sphere_area": ("d",),
+    "verify_euler_lagrange": ("params", "force_sphere"),
+}
+
 
 def test_public_names_are_exactly_the_supported_surface():
     assert len(aggremin.__all__) == len(PUBLIC) == 47
     assert set(aggremin.__all__) == PUBLIC
     for name in aggremin.__all__:
         assert getattr(aggremin, name) is not None, name
+
+
+def test_public_signatures_are_pinned():
+    assert set(SIGNATURES) <= PUBLIC
+    for name in sorted(PUBLIC - {"__version__"}):
+        obj = getattr(aggremin, name)
+        if name in SIGNATURES:
+            assert tuple(inspect.signature(obj).parameters) == SIGNATURES[name], name
+        else:
+            assert issubclass(obj, aggremin.AggreminError), name
+            assert "__init__" not in vars(obj), name
 
 
 def test_import_leaves_scipy_integrate_unloaded():

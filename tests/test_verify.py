@@ -24,6 +24,7 @@ from aggremin import (
     Hyp2F1Input,
     IllConditioned,
     KernelParams,
+    QuadratureFailure,
     RegimeError,
     ball_potential,
     ball_potential_quad,
@@ -40,6 +41,7 @@ from aggremin import (
     unit_sphere_area,
     verify_euler_lagrange,
 )
+from aggremin import verify
 from aggremin.closed_form import _radius_sphere
 from aggremin.verify import _CONVEXITY_GRID, _EL_GRID, _el_grid
 
@@ -53,6 +55,22 @@ def test_sphere_quadrature_matches_closed_form():
                 want = sphere_potential(d, g, x)
                 got = sphere_potential_quad(d, g, x)
                 assert abs(got - want) < 1e-9 * abs(want), (d, g, x)
+
+
+@pytest.mark.parametrize(
+    "oracle, args, where",
+    [
+        (sphere_potential_quad, (3, 1.0, 0.5), "sphere"),
+        (ball_potential_quad, (1, 0.5, 0.3), "line"),
+        (ball_potential_quad, (3, 0.5, 0.3), "ball"),
+    ],
+)
+def test_quadrature_oracles_refuse_a_large_error_estimate(oracle, args, where, monkeypatch):
+    """An integral whose error estimate is 1e-3 of a unit value is a
+    QuadratureFailure, not a number."""
+    monkeypatch.setattr(verify, "_quiet_quad", lambda *a, **k: (1.0, 1e-3))
+    with pytest.raises(QuadratureFailure, match=f"^{where} quadrature error .* too large"):
+        oracle(*args)
 
 
 def test_sphere_quadrature_log_shortcut_and_gates():
@@ -364,15 +382,16 @@ def test_audits_take_only_the_parameter_point():
 
 
 def test_single_zero_scan_pure_signs():
-    assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1e-9, 31) == "+"
+    assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1e-9) == "+"
     q = hyp2f1(Hyp2F1Input(1.5, 2.0, 4.0, 1.0)) / hyp2f1(
         Hyp2F1Input(0.5, 1.0, 4.0, 1.0)
     )
-    assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, q, 31) == "-0"
+    assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, q) == "-0"
 
 
 def test_single_zero_scan_matches_a_node_by_node_scan():
-    """The two array calls give the pattern of a scan one node at a time."""
+    """The two array calls give the pattern of a scan one node at a time
+    over the same 41 uniform nodes."""
     rng = np.random.default_rng(11)
     for _ in range(50):
         a2, b2 = rng.uniform(0.1, 2.0, size=2)
@@ -387,22 +406,21 @@ def test_single_zero_scan_matches_a_node_by_node_scan():
             sym = "0" if abs(g) <= 1e-12 * (abs(f1) + q * abs(f2)) else "+" if g > 0 else "-"
             if not symbols or symbols[-1] != sym:
                 symbols.append(sym)
-        assert single_zero_scan(a1, b1, a2, b2, c, q, 41) == "".join(symbols)
+        assert single_zero_scan(a1, b1, a2, b2, c, q) == "".join(symbols)
 
 
 def test_single_zero_scan_gates():
     with pytest.raises(DomainError):
-        single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, -1.0, 11)
+        single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, -1.0)
     with pytest.raises(DomainError):
-        single_zero_scan(0.5, 2.0, 1.5, 1.0, 4.0, 1.0, 11)
+        single_zero_scan(0.5, 2.0, 1.5, 1.0, 4.0, 1.0)
     with pytest.raises(DomainError):
-        single_zero_scan(1.5, 0.5, 0.5, 1.0, 4.0, 1.0, 11)
+        single_zero_scan(1.5, 0.5, 0.5, 1.0, 4.0, 1.0)
     with pytest.raises(DomainError):
-        single_zero_scan(1.5, 2.0, 0.5, 1.0, 3.0, 1.0, 11)
-    with pytest.raises(DomainError):
-        single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1.0, 1)
-    with pytest.raises(DomainError):
-        single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1.0, 2.5)
+        single_zero_scan(1.5, 2.0, 0.5, 1.0, 3.0, 1.0)
+    # The grid is fixed: a node count is not an argument.
+    with pytest.raises(TypeError):
+        single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1.0, 41)
 
 
 @given(
@@ -417,5 +435,5 @@ def test_single_zero_scan_gates():
 def test_single_zero_scan_crosses_at_most_once(a2, da, b2, db, dc, lnq):
     a1, b1 = a2 + da, b2 + db
     c = a1 + b1 + dc
-    pattern = single_zero_scan(a1, b1, a2, b2, c, math.exp(lnq), 21)
+    pattern = single_zero_scan(a1, b1, a2, b2, c, math.exp(lnq))
     assert pattern.replace("0", "") in ("", "-", "+", "-+")

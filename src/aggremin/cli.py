@@ -90,10 +90,9 @@ def _params_from(args) -> KernelParams:
     )
 
 
-def _beta_star_or_none(params: KernelParams):
-    if params.d < 2 or params.alpha < 2:
-        return None
-    return beta_star(params.d, params.alpha)
+def _beta_star_or_none(d: int, alpha: float):
+    # beta_star exists from d = 2; both callers have alpha >= 2 already.
+    return beta_star(d, alpha) if d >= 2 else None
 
 
 def _density_description(params: KernelParams, cand: CandidateMinimizer) -> str:
@@ -116,7 +115,7 @@ def cmd_closed_form(args) -> int:
         "regime": tag.tag,
         "detail": tag.detail,
         **asdict(params),
-        "beta_star": _beta_star_or_none(params),
+        "beta_star": _beta_star_or_none(params.d, params.alpha),
         "R": cand.radius,
         "E": energy(params),
         "eta": eta(params),
@@ -237,7 +236,7 @@ def cmd_phase_scan(args) -> int:
     rows = []
     for a in alphas:
         a = float(a)
-        bs = beta_star(d, a) if d >= 2 else None
+        bs = _beta_star_or_none(d, a)
         for b in betas:
             b = 0.0 if abs(b) <= zero_tol else float(b)
             if b >= a:

@@ -6,8 +6,8 @@ per-particle forces together, from a single pass over the N(N-1)/2
 particle pairs; when alpha = 2 the attraction goes through the centroid
 in O(N) instead.  ``run_to_convergence`` drives a random cloud to a
 critical point with limited-memory BFGS (Liu & Nocedal 1989) and an
-Armijo backtracking line search, and ``step`` takes one steepest-descent
-step with the same backtracking, so the recorded energies never
+Armijo backtracking line search, and ``step`` is the first iteration of
+that descent, a steepest-descent step, so the recorded energies never
 increase.  Converged configurations act as an empirical cross-check on
 the closed-form minimizers: in the sphere regime the particles should
 ring up at the predicted radius, in the ball regime they should fill it.
@@ -121,12 +121,10 @@ class ParticleSystem:
     """State of the N-particle descent.
 
     Positions are an N x d array of pairwise-distinct finite points.
-    ``step_size`` is where the next ``step`` starts backtracking: 0.5 in
-    a new state.  ``energy_trace`` holds the energy after every accepted
-    step starting from the initial state; ``step_trace`` the step that
-    produced each entry (the first entry is that 0.5).  A ``step``
-    records its step size h along the forces, ``run_to_convergence`` the
-    accepted line-search multiplier of its quasi-Newton direction.
+    ``energy_trace`` holds the energy after every accepted iteration
+    starting from the initial state; ``step_trace`` the accepted
+    line-search multiplier that produced each entry (the first entry,
+    for the initial state, is 0.5: the first direction is 0.5 F).
     ``energy_evals`` counts the kernel evaluations and ``backtracks`` the
     rejected line-search trials of the descent that produced the state.
     The constructor takes only ``positions`` and ``params``; the other
@@ -137,7 +135,6 @@ class ParticleSystem:
 
     positions: np.ndarray
     params: KernelParams
-    step_size: float = field(default=_START_STEP, init=False)
     iteration: int = field(default=0, init=False)
     energy_trace: tuple = field(default=(), init=False)
     step_trace: tuple = field(default=(_START_STEP,), init=False)
@@ -219,29 +216,92 @@ def _line_search(params, x, direction, e0, slope, t, iteration):
         t *= 0.5
 
 
-def step(sys: ParticleSystem) -> ParticleSystem:
-    """One accepted steepest-descent step with backtracking on the step size.
+# A kernel power that overflows gives inf or nan here, not a warning:
+# the descent refuses such a start, and its line search such a trial.
+@np.errstate(over="ignore", invalid="ignore")
+def _descend(params, x, max_iter, tol, prior=None):
+    """Limited-memory BFGS from positions ``x``, starting with an empty
+    curvature history.
 
-    The proposal x + h F is halved until the energy does not increase
-    and no particles collide, then the accepted step is recorded and
-    the next attempt starts 10% larger.  Underflow of h below 1e-16
-    raises StallError; by construction the energy trace never rises.
+    The two-loop recursion over the last 10 curvature pairs (a pair
+    enters only when y.s > 0) gives the direction, falling back to
+    steepest descent when that is not a descent direction; the first
+    direction is 0.5 F.  An Armijo line search halves its multiplier
+    from 1 until the energy drops enough and no particles collide.  The
+    descent stops when the largest per-particle force is at most ``tol``
+    or after ``max_iter`` iterations, and returns the state reached with
+    its largest force.  That state extends the records of ``prior``, the
+    state at ``x`` if there is one; without it the records start at
+    ``x`` as a new ``ParticleSystem``'s do.  The kernel pass at ``x``
+    counts as an energy evaluation.  Raises DomainError if the energy or
+    a force at ``x`` is not finite.
     """
-    _, forces = _energy_and_forces(sys.params, sys.positions)
-    h, positions, energy, _, rejected = _line_search(
-        sys.params, sys.positions, forces, sys.energy_trace[-1], 0.0,
-        sys.step_size, sys.iteration,
-    )
+    n = x.shape[0]
+    energy, forces = _energy_and_forces(params, x)
+    if not (math.isfinite(energy) and np.all(np.isfinite(forces))):
+        raise DomainError(
+            f"the energy or a force is not finite at the start (energy {energy})"
+        )
+    if prior is None:
+        # The other records keep their field defaults.
+        prior = _state(x, params, energy_trace=(energy,))
+    # Appended lists, made tuples once: arrays of max_iter + 1 would
+    # allocate a large iteration budget up front.
+    energies, steps = list(prior.energy_trace), list(prior.step_trace)
+    evals, backtracks = prior.energy_evals + 1, prior.backtracks
+    # The energy gradient is -F / N, so H0 = 0.5 N I makes the first
+    # direction 0.5 F.
+    grad = forces.ravel() / -n
+    scale = _START_STEP * n
+    history = deque(maxlen=_HISTORY)
+    k = prior.iteration
+    stop = k + max_iter
+    while k < stop and _max_norm(forces) > tol:
+        direction = _lbfgs_direction(grad, history, scale)
+        slope = float(grad @ direction)
+        if not slope < 0.0:
+            history.clear()
+            direction = -scale * grad
+            slope = float(grad @ direction)
+        t, x_new, energy, forces, rejected = _line_search(
+            params, x, direction.reshape(x.shape), energy, slope, 1.0, k
+        )
+        evals += 1 + rejected
+        backtracks += rejected
+        grad_new = forces.ravel() / -n
+        s = (x_new - x).ravel()
+        y = grad_new - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            history.append((s, y, 1.0 / sy))
+            scale = sy / float(y @ y)
+        x, grad = x_new, grad_new
+        k += 1
+        energies.append(energy)
+        steps.append(t)
     return _state(
-        positions,
-        sys.params,
-        step_size=h * 1.1,
-        iteration=sys.iteration + 1,
-        energy_trace=sys.energy_trace + (energy,),
-        step_trace=sys.step_trace + (h,),
-        energy_evals=sys.energy_evals + 2 + rejected,
-        backtracks=sys.backtracks + rejected,
-    )
+        x,
+        params,
+        iteration=k,
+        energy_trace=tuple(energies),
+        step_trace=tuple(steps),
+        energy_evals=evals,
+        backtracks=backtracks,
+    ), _max_norm(forces)
+
+
+def step(sys: ParticleSystem) -> ParticleSystem:
+    """One accepted steepest-descent step: the first iteration of
+    ``run_to_convergence``'s descent, taken from ``sys``.
+
+    The proposal x + t 0.5 F has its multiplier t halved from 1 until
+    the energy drops by the Armijo margin and no particles collide; the
+    accepted t is recorded.  Underflow of t below 1e-16 raises
+    StallError; by construction the energy trace never rises.  Raises
+    DomainError if the energy or a force of ``sys`` is not finite.
+    """
+    # A tol of -inf runs the iteration even at a critical point.
+    return _descend(sys.params, sys.positions, 1, -math.inf, sys)[0]
 
 
 def radial_stats(sys: ParticleSystem) -> RadialStats:
@@ -299,16 +359,13 @@ def run_to_convergence(
 
     Particles start uniformly distributed in a ball of twice the
     predicted radius (unit ball when no prediction applies) and move by
-    limited-memory BFGS on the energy: the two-loop recursion over the
-    last 10 curvature pairs (a pair enters only when y.s > 0) gives the
-    direction, falling back to steepest descent when that is not a
-    descent direction, and an Armijo line search halves its multiplier
-    from 1 until the energy drops enough and no particles collide.  The
-    first direction is 0.5 F, the start of ``step``.  The descent stops
-    when the largest per-particle force drops to ``tol``.  Returns the
-    converged system with its radial statistics; if the iteration
-    budget runs out first, raises NonConvergence whose ``partial``
-    attribute carries the best-so-far pair.
+    limited-memory BFGS on the energy (see ``_descend``); its first
+    iteration is ``step``.  The descent stops when the largest
+    per-particle force drops to ``tol``.  Returns the converged system
+    with its radial statistics; if the iteration budget runs out first,
+    raises NonConvergence whose ``partial`` attribute carries the
+    best-so-far pair.  Raises DomainError if the kernel is not finite
+    on the starting cloud.
     """
     if n_particles < 16:
         raise DomainError(f"need at least 16 particles, got {n_particles}")
@@ -320,51 +377,8 @@ def run_to_convergence(
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     x = _initial_positions(params, n_particles, rng)
-    energy, forces = _energy_and_forces(params, x)
-    # Appended lists, made tuples once: arrays of max_iter + 1 would
-    # allocate a large iteration budget up front.
-    energies, steps = [energy], [_START_STEP]
-    evals, backtracks = 1, 0
-    # The energy gradient is -F / N, so H0 = 0.5 N I makes the first
-    # direction 0.5 F, the first move of ``step``.
-    grad = forces.ravel() / -n_particles
-    scale = _START_STEP * n_particles
-    history = deque(maxlen=_HISTORY)
-    k = 0
-    while k < max_iter and _max_norm(forces) > tol:
-        direction = _lbfgs_direction(grad, history, scale)
-        slope = float(grad @ direction)
-        if not slope < 0.0:
-            history.clear()
-            direction = -scale * grad
-            slope = float(grad @ direction)
-        t, x_new, energy, forces, rejected = _line_search(
-            params, x, direction.reshape(x.shape), energy, slope, 1.0, k
-        )
-        evals += 1 + rejected
-        backtracks += rejected
-        grad_new = forces.ravel() / -n_particles
-        s = (x_new - x).ravel()
-        y = grad_new - grad
-        sy = float(s @ y)
-        if sy > 0.0:
-            history.append((s, y, 1.0 / sy))
-            scale = sy / float(y @ y)
-        x, grad = x_new, grad_new
-        k += 1
-        energies.append(energy)
-        steps.append(t)
-    sys = _state(
-        x,
-        params,
-        step_size=_START_STEP,
-        iteration=k,
-        energy_trace=tuple(energies),
-        step_trace=tuple(steps),
-        energy_evals=evals,
-        backtracks=backtracks,
-    )
-    if _max_norm(forces) <= tol:
+    sys, force_norm = _descend(params, x, max_iter, tol)
+    if force_norm <= tol:
         return sys, radial_stats(sys)
     raise NonConvergence(
         f"force norm still above {tol} after {max_iter} iterations",

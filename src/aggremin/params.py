@@ -40,6 +40,9 @@ class KernelParams:
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
+        # beta is held finite by -d < beta < alpha once alpha is.
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
         for name, value, flag in (
             ("alpha", self.alpha, self.alpha_is_log),
             ("beta", self.beta, self.beta_is_log),

@@ -28,6 +28,15 @@ from aggremin import (
 from aggremin.cli import main
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _strict_json(text):
+    """Parse a payload or stats file; NaN and Infinity fail the test."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def _run(argv, capsys):
     """Invoke the CLI in process and capture both output streams."""
     rc = main(argv)
@@ -39,7 +48,7 @@ def test_closed_form_sphere_payload(capsys):
     """The sphere-regime report carries the exact rational answers."""
     rc, out, _ = _run(["closed-form", "--d", "3", "--alpha", "2", "--beta", "1"], capsys)
     assert rc == 0
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert list(payload) == [
         "schema", "regime", "detail", "d", "alpha", "beta", "alpha_is_log",
         "beta_is_log", "beta_star", "R", "E", "eta", "density_description",
@@ -62,7 +71,7 @@ def test_closed_form_log_ball_payload(capsys):
     """Logarithmic attraction at alpha = 2 lands in the ball regime."""
     rc, out, _ = _run(["closed-form", "--d", "2", "--alpha", "2", "--log-beta"], capsys)
     assert rc == 0
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert payload["regime"] == "BallTheorem2"
     assert payload["beta"] == 0.0
     assert payload["beta_is_log"] is True
@@ -76,7 +85,7 @@ def test_closed_form_in_one_dimension_has_no_beta_star(capsys):
     """beta_star exists only from d = 2; a d = 1 ball point writes null."""
     rc, out, _ = _run(["closed-form", "--d", "1", "--alpha", "2", "--beta", "0.5"], capsys)
     assert rc == 0
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert payload["regime"] == "BallTheorem2"
     assert payload["beta_star"] is None
 
@@ -90,7 +99,7 @@ def test_closed_form_out_file(tmp_path, capsys):
     )
     assert rc == 0
     assert out == ""
-    payload = json.loads(target.read_text())
+    payload = _strict_json(target.read_text())
     assert payload["R"] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
@@ -101,7 +110,7 @@ def test_large_dimension_is_a_domain_error(command, capsys):
     rc, out, err = _run([command, "--d", "400", "--alpha", "3", "--beta", "1.9"], capsys)
     assert rc == 2
     assert err == ""
-    assert json.loads(out)["error"] == {
+    assert _strict_json(out)["error"] == {
         "type": "DomainError",
         "reason": "radius must be positive, got nan",
     }
@@ -112,7 +121,7 @@ def test_infinite_ball_radius_is_a_domain_error(capsys):
     rc, out, err = _run(["closed-form", "--d", "341", "--alpha", "2", "--beta", "-339.5"], capsys)
     assert rc == 2
     assert err == ""
-    assert json.loads(out)["error"] == {
+    assert _strict_json(out)["error"] == {
         "type": "DomainError",
         "reason": "radius must be finite, got inf",
     }
@@ -160,7 +169,7 @@ def test_closed_form_out_of_scope_exits_2(capsys):
     """Parameters outside both regimes produce a structured refusal."""
     rc, out, _ = _run(["closed-form", "--d", "3", "--alpha", "3", "--beta", "0.1"], capsys)
     assert rc == 2
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert payload["schema"] == "aggremin/1"
     assert payload["error"]["type"] == "RegimeError"
     assert payload["error"]["reason"] == classify(KernelParams(3, 3.0, 0.1)).detail
@@ -170,7 +179,7 @@ def test_closed_form_domain_error_exits_2(capsys):
     """Integrability violations surface as DomainError, not a traceback."""
     rc, out, _ = _run(["closed-form", "--d", "3", "--alpha", "2", "--beta", "-7"], capsys)
     assert rc == 2
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert payload["error"]["type"] == "DomainError"
     assert "beta" in payload["error"]["reason"]
 
@@ -237,7 +246,7 @@ def test_verify_el_payload_rebuilds_the_report(capsys):
     report object field for field, floats included."""
     rc, out, _ = _run(["verify-el", "--d", "3", "--alpha", "2", "--beta", "1.5"], capsys)
     assert rc == 0
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert list(payload) == [
         "schema", "report", "eta", "support_max_abs_dev", "rho_worst_support",
         "exterior_min_margin", "rho_worst_exterior", "passed", "tol",
@@ -258,7 +267,7 @@ def test_verify_el_forced_sphere_exits_3(capsys):
         capsys,
     )
     assert rc == 3
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert payload["passed"] is False
     assert payload["exterior_min_margin"] < -1e-3
 
@@ -276,7 +285,7 @@ def test_audit_payloads_hold_only_small_scalars(capsys):
     for name, argv in runs.items():
         _, out, _ = _run(argv, capsys)
         assert len(out.encode()) < 1024, name
-        payloads[name] = json.loads(out)
+        payloads[name] = _strict_json(out)
         for key, value in payloads[name].items():
             assert isinstance(value, (str, bool, int, float)), (name, key)
     # Below the critical curve the forced sphere's deepest dip is the centre.
@@ -286,7 +295,7 @@ def test_audit_payloads_hold_only_small_scalars(capsys):
 def test_convexity_exit_codes(capsys):
     rc, out, _ = _run(["convexity", "--d", "3", "--alpha", "2", "--beta", "1.5"], capsys)
     assert rc == 0
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert list(payload) == [
         "schema", "report", "min_second_difference", "rho_min_second_difference",
         "psi_dd_at_one", "passed", "tol",
@@ -296,11 +305,7 @@ def test_convexity_exit_codes(capsys):
 
     rc, out, _ = _run(["convexity", "--d", "3", "--alpha", "2", "--beta", "0.5"], capsys)
     assert rc == 3
-    assert json.loads(out)["passed"] is False
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid JSON")
+    assert _strict_json(out)["passed"] is False
 
 
 @pytest.mark.parametrize(
@@ -311,7 +316,7 @@ def test_convexity_without_curvature_is_valid_json(exponent, rc_want, capsys):
     """In d + beta <= 3 there is no Psi''(1); the report says null, not NaN."""
     rc, out, _ = _run(["convexity", "--d", "2", "--alpha", "2"] + exponent, capsys)
     assert rc == rc_want
-    payload = json.loads(out, parse_constant=_reject_constant)
+    payload = _strict_json(out)
     assert payload["psi_dd_at_one"] is None
 
 
@@ -340,7 +345,7 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert trace_lines[1].startswith("0,")
     assert all(b <= a for a, b in zip(energies, energies[1:]))
 
-    stats = json.loads((tmp_path / "sim_stats.json").read_text())
+    stats = _strict_json((tmp_path / "sim_stats.json").read_text())
     assert list(stats) == [
         "schema", "d", "alpha", "beta", "alpha_is_log", "beta_is_log",
         "n_particles", "seed", "tol", "max_iter", "converged", "iterations",
@@ -371,7 +376,7 @@ def test_simulate_takes_a_log_attraction(tmp_path, capsys):
         capsys,
     )
     assert rc == 0
-    stats = json.loads((tmp_path / "log_stats.json").read_text())
+    stats = _strict_json((tmp_path / "log_stats.json").read_text())
     assert stats["alpha"] == 0.0
     assert stats["alpha_is_log"] is True
     assert stats["regime"] == "OutOfScope"
@@ -391,9 +396,31 @@ def test_simulate_seed_reproducibility(tmp_path, capsys):
     for suffix in ("_positions.csv", "_trace.csv"):
         assert (tmp_path / ("a" + suffix)).read_bytes() == (tmp_path / ("b" + suffix)).read_bytes()
 
-    stats = json.loads((tmp_path / "a_stats.json").read_text())
+    stats = _strict_json((tmp_path / "a_stats.json").read_text())
     assert stats["converged"] is False
     assert stats["iterations"] == 120
+
+
+@pytest.mark.parametrize(
+    "alpha, reason",
+    [
+        ("3000", "the energy or a force is not finite at the start (energy inf)"),
+        ("inf", "alpha must be finite, got inf"),
+    ],
+)
+def test_simulate_refuses_a_kernel_that_is_not_finite(alpha, reason, tmp_path, capsys):
+    """r^3000 overflows on the starting cloud, and alpha = inf is no
+    kernel: one JSON refusal, exit 2, even with --allow-partial, and no
+    artifact with a NaN in it."""
+    rc, out, err = _run(
+        ["simulate", "--d", "2", "--alpha", alpha, "--beta", "1", "--n", "16",
+         "--max-iter", "5", "--allow-partial", "--out", str(tmp_path / "big")],
+        capsys,
+    )
+    assert rc == 2
+    assert err == ""
+    assert _strict_json(out)["error"] == {"type": "DomainError", "reason": reason}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_unconverged_exits_3_without_flag(tmp_path, capsys):
@@ -408,7 +435,7 @@ def test_simulate_unconverged_exits_3_without_flag(tmp_path, capsys):
         capsys,
     )
     assert rc == 3
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert payload["error"]["type"] == "NonConvergence"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hard_trace.csv"]
     assert kept.read_text() == "earlier run\n"
@@ -489,7 +516,7 @@ def test_phase_scan_json_payload(capsys):
         capsys,
     )
     assert rc == 0
-    payload = json.loads(out)
+    payload = _strict_json(out)
     assert payload["schema"] == "aggremin/1"
     assert payload["d"] == 3
     assert len(payload["rows"]) == 45

@@ -199,6 +199,8 @@ def test_energy_anchor_values():
         (lambda: KernelParams(3, 2.0, 1.0, beta_is_log=True), "beta_is_log requires beta == 0"),
         (lambda: KernelParams(3, 0.0, -1.0), "set alpha_is_log=True"),
         (lambda: KernelParams(3, 1.5, 1.5), "need beta < alpha"),
+        (lambda: KernelParams(2, math.inf, 1.0), "alpha must be finite, got inf"),
+        (lambda: KernelParams(2, math.nan, 1.0), "alpha must be finite, got nan"),
         (lambda: CandidateMinimizer("Disk", 1.0), "unknown candidate kind 'Disk'"),
         (lambda: RegimeTag("Sphere"), "unknown regime tag 'Sphere'"),
     ],

@@ -179,15 +179,15 @@ def test_particle_system_validation_and_trace_defaults():
         ParticleSystem(positions=[[0.0, math.nan], [1.0, 0.0]], params=params)
     with pytest.raises(DomainError):
         ParticleSystem(positions=[[0.0, 0.0]], params=params)
-    # The descent records, the step size among them, are set by the
-    # descent, not by the caller.
+    # The descent records are set by the descent, not by the caller, and
+    # a step size is not among them: every iteration starts from 1.
     for record in ("step_size", "iteration"):
         with pytest.raises(TypeError):
             ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params, **{record: 1})
     assert list(inspect.signature(ParticleSystem).parameters) == ["positions", "params"]
     sys0 = ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params)
     assert sys0.energy_trace == (discrete_energy(sys0),)
-    assert sys0.step_size == 0.5
+    assert not hasattr(sys0, "step_size")
     assert sys0.step_trace == (0.5,)
     assert sys0.n_particles == 2
 
@@ -418,13 +418,47 @@ def test_driver_converges_on_the_ball_benchmark_cloud():
 
 def test_step_counts_its_kernel_passes():
     # A cloud of width 1e-2 feels repulsive forces of order 1e4, so the
-    # starting step 0.5 overshoots and has to be halved.
+    # starting multiplier 1 on 0.5 F overshoots and has to be halved.
     rng = np.random.default_rng(8)
     sys0 = ParticleSystem(positions=1e-2 * rng.normal(size=(20, 2)), params=BALL)
     sys1 = step(sys0)
     assert sys1.backtracks > 0
     assert sys1.energy_evals == 2 + sys1.backtracks
-    assert sys1.step_trace[-1] == 0.5 / 2**sys1.backtracks
+    assert sys1.step_trace[-1] == 1 / 2**sys1.backtracks
+
+
+@pytest.mark.parametrize(
+    "params, n, seed",
+    [(BALL, 100, 1), (KernelParams(2, 3.0, 1.75), 64, 0), (KernelParams(3, 2.5, 0.7), 32, 4)],
+)
+def test_step_is_the_first_iteration_of_the_driver(params, n, seed):
+    """One descent path: ``step`` from the driver's starting cloud is,
+    bit for bit, the driver's state after its first iteration."""
+    x0 = _initial_positions(params, n, np.random.default_rng(seed))
+    stepped = step(ParticleSystem(positions=x0, params=params))
+    with pytest.raises(NonConvergence) as exc:
+        run_to_convergence(params, n, seed, max_iter=1)
+    driven, _ = exc.value.partial
+    assert stepped.positions.tobytes() == driven.positions.tobytes()
+    assert stepped.energy_trace == driven.energy_trace
+    assert stepped.step_trace == driven.step_trace
+    assert stepped.iteration == driven.iteration == 1
+    assert stepped.energy_evals == driven.energy_evals
+    assert stepped.backtracks == driven.backtracks
+
+
+def test_descent_refuses_a_kernel_that_is_not_finite_at_the_start():
+    """r^3000 overflows on any cloud wider than 1: the energy is inf and
+    the forces are nan, and neither entry point descends from there (nor
+    warns: the descent handles the overflow)."""
+    params = KernelParams(2, 3000.0, 1.0)
+    with pytest.raises(DomainError, match="not finite at the start"):
+        run_to_convergence(params, 16, seed=0, max_iter=5)
+    with pytest.warns(RuntimeWarning):
+        wide = ParticleSystem(positions=[[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]], params=params)
+    assert wide.energy_trace == (math.inf,)
+    with pytest.raises(DomainError, match="not finite at the start"):
+        step(wide)
 
 
 def test_line_search_rejects_a_collision_and_stalls_uphill():

@@ -4,13 +4,15 @@ The continuum energy is discretized over N equal point masses with the
 self-interaction excluded.  One kernel gives the energy and the
 per-particle forces together, from a single pass over the N(N-1)/2
 particle pairs; when alpha = 2 the attraction goes through the centroid
-in O(N) instead.  ``run_to_convergence`` drives a random cloud to a
-critical point with limited-memory BFGS (Liu & Nocedal 1989) and an
-Armijo backtracking line search, and ``step`` is the first iteration of
-that descent, a steepest-descent step, so the recorded energies never
-increase.  Converged configurations act as an empirical cross-check on
-the closed-form minimizers: in the sphere regime the particles should
-ring up at the predicted radius, in the ball regime they should fill it.
+in O(N) instead.  Each ``ParticleSystem`` keeps the energy and forces
+of the one pass that made it.  ``run_to_convergence`` drives a random
+cloud to a critical point with limited-memory BFGS (Liu & Nocedal 1989)
+and an Armijo backtracking line search, and ``step`` is the first
+iteration of that descent, a steepest-descent step, so the recorded
+energies never increase.  Converged configurations act as an empirical
+cross-check on the closed-form minimizers: in the sphere regime the
+particles should ring up at the predicted radius, in the ball regime
+they should fill it.
 """
 
 from __future__ import annotations
@@ -113,32 +115,41 @@ def _energy_and_forces(params: KernelParams, x: np.ndarray):
 
 
 def _max_norm(forces: np.ndarray) -> float:
-    return float(np.sqrt(np.max(np.sum(forces * forces, axis=1))))
+    with np.errstate(over="ignore"):
+        peak = float(np.max(np.sum(forces * forces, axis=1)))
+    if peak != math.inf:
+        return math.sqrt(peak)
+    # A component above about 1e154 overflows its square but not hypot;
+    # abs, since a lone d = 1 component reduces to itself.
+    return float(np.max(np.hypot.reduce(np.abs(forces), axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
 class ParticleSystem:
     """State of the N-particle descent.
 
-    Positions are an N x d array of pairwise-distinct finite points.
+    Positions are an N x d array of pairwise-distinct finite points;
+    ``forces`` (N x d) and the last ``energy_trace`` entry are the one
+    kernel pass at them (the constructor's, or the accepted line-search
+    trial's), and both arrays are read-only so they stay paired.
     ``energy_trace`` holds the energy after every accepted iteration
     starting from the initial state; ``step_trace`` the accepted
     line-search multiplier that produced each entry (the first entry,
     for the initial state, is 0.5: the first direction is 0.5 F).
-    ``energy_evals`` counts the kernel evaluations and ``backtracks`` the
-    rejected line-search trials of the descent that produced the state.
-    The constructor takes only ``positions`` and ``params``; the other
-    fields are records of the descent, set by ``step`` and
-    ``run_to_convergence``.  Instances are immutable; ``step`` returns a
-    new one.
+    ``energy_evals`` counts the kernel passes, the constructor's
+    included, and ``backtracks`` the rejected line-search trials.  The
+    constructor takes only ``positions`` and ``params`` and refuses a
+    non-finite energy or force with DomainError; the other records are
+    set by the descent of ``step`` and ``run_to_convergence``.
     """
 
     positions: np.ndarray
     params: KernelParams
+    forces: np.ndarray = field(init=False)
     iteration: int = field(default=0, init=False)
     energy_trace: tuple = field(default=(), init=False)
     step_trace: tuple = field(default=(_START_STEP,), init=False)
-    energy_evals: int = field(default=0, init=False)
+    energy_evals: int = field(default=1, init=False)
     backtracks: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -149,9 +160,13 @@ class ParticleSystem:
             )
         if not np.all(np.isfinite(pos)):
             raise DomainError("positions must be finite")
-        energy, _ = _energy_and_forces(self.params, pos)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "energy_trace", (energy,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy, forces = _energy_and_forces(self.params, pos)
+        if not (math.isfinite(energy) and np.all(np.isfinite(forces))):
+            raise DomainError(
+                f"the energy or a force is not finite at the start (energy {energy})"
+            )
+        _set_records(self, pos, forces, energy_trace=(energy,))
 
     @property
     def n_particles(self) -> int:
@@ -170,24 +185,22 @@ class RadialStats:
 
 def discrete_energy(sys: ParticleSystem) -> float:
     """Energy (1/(2 N^2)) sum over ordered pairs i != j of W(|x_i - x_j|)."""
-    return _energy_and_forces(sys.params, sys.positions)[0]
+    return sys.energy_trace[-1]
 
 
 def max_force(sys: ParticleSystem) -> float:
     """Largest per-particle force magnitude; zero at a critical point."""
-    return _max_norm(_energy_and_forces(sys.params, sys.positions)[1])
+    return _max_norm(sys.forces)
 
 
-def _state(positions, params, **fields) -> ParticleSystem:
-    # Internal constructor for descent results, whose positions were
-    # already proven finite and distinct by the kernel; skips the O(N^2)
-    # revalidation in __post_init__.
-    new = object.__new__(ParticleSystem)
-    object.__setattr__(new, "positions", positions)
-    object.__setattr__(new, "params", params)
-    for name, value in fields.items():
-        object.__setattr__(new, name, value)
-    return new
+def _set_records(state, positions, forces, **records) -> ParticleSystem:
+    # A descent state is an object.__new__(ParticleSystem), skipping
+    # __post_init__'s pass: the accepted line-search trial brings its own.
+    positions.setflags(write=False)
+    forces.setflags(write=False)
+    for name, value in dict(records, positions=positions, forces=forces).items():
+        object.__setattr__(state, name, value)
+    return state
 
 
 def _line_search(params, x, direction, e0, slope, t, iteration):
@@ -217,10 +230,10 @@ def _line_search(params, x, direction, e0, slope, t, iteration):
 
 
 # A kernel power that overflows gives inf or nan here, not a warning:
-# the descent refuses such a start, and its line search such a trial.
+# the constructor refuses such a start, and the line search such a trial.
 @np.errstate(over="ignore", invalid="ignore")
-def _descend(params, x, max_iter, tol, prior=None):
-    """Limited-memory BFGS from positions ``x``, starting with an empty
+def _descend(sys, max_iter, tol):
+    """Limited-memory BFGS from the state ``sys``, starting with an empty
     curvature history.
 
     The two-loop recursion over the last 10 curvature pairs (a pair
@@ -229,32 +242,23 @@ def _descend(params, x, max_iter, tol, prior=None):
     direction is 0.5 F.  An Armijo line search halves its multiplier
     from 1 until the energy drops enough and no particles collide.  The
     descent stops when the largest per-particle force is at most ``tol``
-    or after ``max_iter`` iterations, and returns the state reached with
-    its largest force.  That state extends the records of ``prior``, the
-    state at ``x`` if there is one; without it the records start at
-    ``x`` as a new ``ParticleSystem``'s do.  The kernel pass at ``x``
-    counts as an energy evaluation.  Raises DomainError if the energy or
-    a force at ``x`` is not finite.
+    or after ``max_iter`` iterations, and returns the state reached,
+    extending the records of ``sys``.  It starts from the energy and
+    forces ``sys`` holds, so the kernel runs only in the line search.
     """
+    params, x, forces = sys.params, sys.positions, sys.forces
     n = x.shape[0]
-    energy, forces = _energy_and_forces(params, x)
-    if not (math.isfinite(energy) and np.all(np.isfinite(forces))):
-        raise DomainError(
-            f"the energy or a force is not finite at the start (energy {energy})"
-        )
-    if prior is None:
-        # The other records keep their field defaults.
-        prior = _state(x, params, energy_trace=(energy,))
     # Appended lists, made tuples once: arrays of max_iter + 1 would
     # allocate a large iteration budget up front.
-    energies, steps = list(prior.energy_trace), list(prior.step_trace)
-    evals, backtracks = prior.energy_evals + 1, prior.backtracks
+    energies, steps = list(sys.energy_trace), list(sys.step_trace)
+    energy = energies[-1]
+    evals, backtracks = sys.energy_evals, sys.backtracks
     # The energy gradient is -F / N, so H0 = 0.5 N I makes the first
     # direction 0.5 F.
     grad = forces.ravel() / -n
     scale = _START_STEP * n
     history = deque(maxlen=_HISTORY)
-    k = prior.iteration
+    k = sys.iteration
     stop = k + max_iter
     while k < stop and _max_norm(forces) > tol:
         direction = _lbfgs_direction(grad, history, scale)
@@ -279,15 +283,11 @@ def _descend(params, x, max_iter, tol, prior=None):
         k += 1
         energies.append(energy)
         steps.append(t)
-    return _state(
-        x,
-        params,
-        iteration=k,
-        energy_trace=tuple(energies),
-        step_trace=tuple(steps),
-        energy_evals=evals,
-        backtracks=backtracks,
-    ), _max_norm(forces)
+    return _set_records(
+        object.__new__(ParticleSystem), x, forces, params=params, iteration=k,
+        energy_trace=tuple(energies), step_trace=tuple(steps),
+        energy_evals=evals, backtracks=backtracks,
+    )
 
 
 def step(sys: ParticleSystem) -> ParticleSystem:
@@ -296,12 +296,12 @@ def step(sys: ParticleSystem) -> ParticleSystem:
 
     The proposal x + t 0.5 F has its multiplier t halved from 1 until
     the energy drops by the Armijo margin and no particles collide; the
-    accepted t is recorded.  Underflow of t below 1e-16 raises
-    StallError; by construction the energy trace never rises.  Raises
-    DomainError if the energy or a force of ``sys`` is not finite.
+    accepted t is recorded; its kernel passes are these trials, as it
+    starts from the forces ``sys`` holds.  Underflow of t below 1e-16
+    raises StallError; by construction the energy trace never rises.
     """
     # A tol of -inf runs the iteration even at a critical point.
-    return _descend(sys.params, sys.positions, 1, -math.inf, sys)[0]
+    return _descend(sys, 1, -math.inf)
 
 
 def radial_stats(sys: ParticleSystem) -> RadialStats:
@@ -361,11 +361,12 @@ def run_to_convergence(
     predicted radius (unit ball when no prediction applies) and move by
     limited-memory BFGS on the energy (see ``_descend``); its first
     iteration is ``step``.  The descent stops when the largest
-    per-particle force drops to ``tol``.  Returns the converged system
-    with its radial statistics; if the iteration budget runs out first,
-    raises NonConvergence whose ``partial`` attribute carries the
-    best-so-far pair.  Raises DomainError if the kernel is not finite
-    on the starting cloud.
+    per-particle force drops to ``tol``; ``energy_evals`` counts all its
+    kernel passes, the starting cloud's included.  Returns the converged
+    system with its radial statistics; if the iteration budget runs out
+    first, raises NonConvergence whose ``partial`` attribute carries the
+    best-so-far pair.  Raises DomainError if the energy or a force is
+    not finite on the starting cloud.
     """
     if n_particles < 16:
         raise DomainError(f"need at least 16 particles, got {n_particles}")
@@ -375,10 +376,9 @@ def run_to_convergence(
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    x = _initial_positions(params, n_particles, rng)
-    sys, force_norm = _descend(params, x, max_iter, tol)
-    if force_norm <= tol:
+    x = _initial_positions(params, n_particles, np.random.default_rng(seed))
+    sys = _descend(ParticleSystem(x, params), max_iter, tol)
+    if _max_norm(sys.forces) <= tol:
         return sys, radial_stats(sys)
     raise NonConvergence(
         f"force norm still above {tol} after {max_iter} iterations",

@@ -320,9 +320,18 @@ def test_convexity_without_curvature_is_valid_json(exponent, rc_want, capsys):
     assert payload["psi_dd_at_one"] is None
 
 
-def test_simulate_writes_artifacts(tmp_path, capsys):
+def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
     """A converging run leaves positions, trace, and stats behind, and
-    the stats agree with the closed-form prediction."""
+    the stats agree with the closed-form prediction; the run makes
+    exactly the kernel passes it counts, none after the descent."""
+    calls = []
+    kernel = flow._energy_and_forces
+
+    def counted(params, x):
+        calls.append(x.shape)
+        return kernel(params, x)
+
+    monkeypatch.setattr(flow, "_energy_and_forces", counted)
     prefix = tmp_path / "sim"
     rc, _, _ = _run(
         ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75",
@@ -358,6 +367,7 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert stats["final_max_force"] <= 1e-4
     assert len(trace_lines) - 1 == stats["iterations"] + 1
     assert stats["energy_evals"] == stats["iterations"] + 1 + stats["backtracks"]
+    assert len(calls) == stats["energy_evals"]
     assert stats["regime"] == "SphereTheorem1"
     assert stats["R"] == radius(KernelParams(2, 3.0, 1.75))
     assert stats["radius_rel_err"] == pytest.approx(

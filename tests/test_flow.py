@@ -32,6 +32,7 @@ from aggremin import (
     run_to_convergence,
     step,
 )
+from aggremin import flow
 from aggremin.flow import _energy_and_forces, _initial_positions, _line_search
 
 
@@ -179,17 +180,28 @@ def test_particle_system_validation_and_trace_defaults():
         ParticleSystem(positions=[[0.0, math.nan], [1.0, 0.0]], params=params)
     with pytest.raises(DomainError):
         ParticleSystem(positions=[[0.0, 0.0]], params=params)
-    # The descent records are set by the descent, not by the caller, and
-    # a step size is not among them: every iteration starts from 1.
-    for record in ("step_size", "iteration"):
+    # The records are set by the kernel pass and the descent, not by the
+    # caller, and a step size is not among them: every iteration starts
+    # from 1.
+    for record in ("step_size", "iteration", "forces"):
         with pytest.raises(TypeError):
             ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params, **{record: 1})
     assert list(inspect.signature(ParticleSystem).parameters) == ["positions", "params"]
-    sys0 = ParticleSystem(positions=[[0.0, 0.0], [1.0, 0.0]], params=params)
-    assert sys0.energy_trace == (discrete_energy(sys0),)
+    start = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    sys0 = ParticleSystem(positions=start, params=params)
+    energy, forces = _energy_and_forces(params, start)
+    assert sys0.energy_trace == (energy,)
+    assert sys0.forces.tobytes() == forces.tobytes()
+    assert sys0.energy_evals == 1
     assert not hasattr(sys0, "step_size")
     assert sys0.step_trace == (0.5,)
-    assert sys0.n_particles == 2
+    assert sys0.n_particles == 3
+    # The positions and forces of one pass are read-only, so they stay
+    # paired; the caller's array is copied, not frozen.
+    for record in (sys0.positions, sys0.forces):
+        with pytest.raises(ValueError):
+            record[0, 0] = 1.0
+    start[0, 0] = 1.0
 
 
 def test_step_leaves_an_equilibrium_pair_unchanged():
@@ -397,8 +409,10 @@ def test_driver_reruns_are_bit_identical():
     assert outs[0].step_trace == outs[1].step_trace
 
 
-def test_driver_trace_is_monotone_and_counted():
+def test_driver_trace_is_monotone_and_counted(monkeypatch):
+    calls = _count_kernel_passes(monkeypatch)
     system, _ = run_to_convergence(KernelParams(2, 3.0, 1.75), 48, seed=6, tol=1e-7)
+    assert len(calls) == system.energy_evals
     trace = np.array(system.energy_trace)
     steps = np.array(system.step_trace)
     assert len(trace) == len(steps) == system.iteration + 1
@@ -416,13 +430,35 @@ def test_driver_converges_on_the_ball_benchmark_cloud():
     assert max_force(system) <= 1e-4
 
 
-def test_step_counts_its_kernel_passes():
+def _count_kernel_passes(monkeypatch) -> list:
+    """Record every call of the pair kernel in the returned list."""
+    calls = []
+    kernel = flow._energy_and_forces
+
+    def counted(params, x):
+        calls.append(x.shape)
+        return kernel(params, x)
+
+    monkeypatch.setattr(flow, "_energy_and_forces", counted)
+    return calls
+
+
+def test_step_counts_its_kernel_passes(monkeypatch):
+    """A state is made by one kernel pass and keeps its result: reading
+    its energy or largest force runs none, and a step runs only its
+    line-search trials."""
+    calls = _count_kernel_passes(monkeypatch)
     # A cloud of width 1e-2 feels repulsive forces of order 1e4, so the
     # starting multiplier 1 on 0.5 F overshoots and has to be halved.
     rng = np.random.default_rng(8)
     sys0 = ParticleSystem(positions=1e-2 * rng.normal(size=(20, 2)), params=BALL)
+    assert len(calls) == sys0.energy_evals == 1
+    discrete_energy(sys0)
+    max_force(sys0)
+    assert len(calls) == 1
     sys1 = step(sys0)
     assert sys1.backtracks > 0
+    assert len(calls) - 1 == 1 + sys1.backtracks
     assert sys1.energy_evals == 2 + sys1.backtracks
     assert sys1.step_trace[-1] == 1 / 2**sys1.backtracks
 
@@ -449,16 +485,35 @@ def test_step_is_the_first_iteration_of_the_driver(params, n, seed):
 
 def test_descent_refuses_a_kernel_that_is_not_finite_at_the_start():
     """r^3000 overflows on any cloud wider than 1: the energy is inf and
-    the forces are nan, and neither entry point descends from there (nor
-    warns: the descent handles the overflow)."""
+    the forces are nan, so no state is built there and no descent
+    starts (nor warns, which the RuntimeWarning filter would turn into
+    an error: the constructor handles the overflow)."""
     params = KernelParams(2, 3000.0, 1.0)
     with pytest.raises(DomainError, match="not finite at the start"):
         run_to_convergence(params, 16, seed=0, max_iter=5)
-    with pytest.warns(RuntimeWarning):
-        wide = ParticleSystem(positions=[[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]], params=params)
-    assert wide.energy_trace == (math.inf,)
-    with pytest.raises(DomainError, match="not finite at the start"):
-        step(wide)
+    with pytest.raises(DomainError, match=r"not finite at the start \(energy inf\)"):
+        ParticleSystem(positions=[[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]], params=params)
+
+
+def test_max_force_of_a_force_whose_square_overflows():
+    """At (1, 80, 1) the points 0, 100, 300 have a finite energy near
+    2e195 and finite forces near 1e195, whose squares overflow; where
+    the squares are finite, the norm is the plain one bit for bit."""
+    params = KernelParams(1, 80.0, 1.0)
+    points = [0.0, 100.0, 300.0]
+    huge = ParticleSystem(positions=[[p] for p in points], params=params)
+    assert math.isfinite(discrete_energy(huge))
+    want = max(
+        abs(sum(force(params, [p - q])[0] for q in points if q != p)) / 3
+        for p in points
+    )
+    assert math.isfinite(want)
+    assert max_force(huge) == pytest.approx(want, rel=1e-14)
+    cloud = ParticleSystem(
+        positions=np.random.default_rng(2).normal(size=(12, 3)), params=KernelParams(3, 2.5, 0.7)
+    )
+    f = cloud.forces
+    assert max_force(cloud) == float(np.sqrt(np.max(np.sum(f * f, axis=1))))
 
 
 def test_line_search_rejects_a_collision_and_stalls_uphill():

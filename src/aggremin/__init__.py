@@ -46,12 +46,7 @@ from .potentials import (
     total_potential,
     unit_sphere_area,
 )
-from .special import (
-    Hyp2F1Input,
-    digamma,
-    gamma_fn,
-    hyp2f1,
-)
+from .special import digamma, gamma_fn
 from .verify import (
     ConvexityReport,
     ELReport,
@@ -72,7 +67,6 @@ __all__ = [
     "ConvexityReport",
     "DomainError",
     "ELReport",
-    "Hyp2F1Input",
     "IllConditioned",
     "KernelParams",
     "NonConvergence",
@@ -95,7 +89,6 @@ __all__ = [
     "energy",
     "eta",
     "gamma_fn",
-    "hyp2f1",
     "max_force",
     "psi_capital",
     "psi_capital_dd_at_one",

@@ -50,8 +50,8 @@ def beta_star(d, alpha: float) -> float:
     """
     if not float(d).is_integer() or d < 2:
         raise DomainError(f"need integer d >= 2, got {d}")
-    if not alpha >= 2:
-        raise DomainError(f"need alpha >= 2, got {alpha}")
+    if not 2 <= alpha < math.inf:
+        raise DomainError(f"need finite alpha >= 2, got {alpha}")
     d = int(d)
     return (-10.0 + 3.0 * alpha + 7.0 * d - alpha * d - d * d) / (d + alpha - 3.0)
 

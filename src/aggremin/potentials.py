@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, RegimeError
 from .params import CandidateMinimizer, KernelParams
-from .special import Hyp2F1Input, _hyp2f1, gamma_fn, hyp2f1
+from .special import _hyp2f1, gamma_fn
 
 __all__ = [
     "KernelParams",
@@ -141,7 +141,7 @@ def psi_values_at_one(d, gamma: float):
         return (1.0, 0.0, 0.0)
     if not d + gamma > 2:
         raise DomainError(f"need d + gamma > 2, got {d + gamma}")
-    value = hyp2f1(Hyp2F1Input(-gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0, 1.0))
+    value = float(_hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0, 1.0))
     first = 0.25 * gamma * value
     second = first * _seam_curvature(d, gamma) if d + gamma > 3 else math.nan
     return (value, first, second)

@@ -1,12 +1,12 @@
 """Gamma-family functions and the Gauss hypergeometric function 2F1.
 
 Everything here is real-argument and restricted to z in [0, 1], which is
-all the radial potential formulas need.  ``_hyp2f1`` evaluates F(a,b;c;z)
-over an array of z in one call, behind one vector gate; ``hyp2f1`` is its
-scalar face, one validated :class:`Hyp2F1Input` at a time.  For z in
-(0, 1) the value is scipy's ``hyp2f1`` ufunc; on the parameters the
-potentials use (a = -gamma/2, b = (2-gamma-d)/2, c in {d/2, 2-gamma/2},
-z up to 1 - 1e-12) it agrees with mpmath to better than 1e-12 relative.
+all the radial potential formulas need.  ``_hyp2f1`` is the package's
+one 2F1 evaluator: it takes F(a,b;c;z) at one z or over an array of z in
+one call, behind one gate.  For z in (0, 1) the value is scipy's
+``hyp2f1`` ufunc; on the parameters the potentials use (a = -gamma/2,
+b = (2-gamma-d)/2, c in {d/2, 2-gamma/2}, z up to 1 - 1e-12) it agrees
+with mpmath to better than 1e-12 relative.
 z = 0 is exactly 1, and z = 1 is the Gauss summation formula
 (DLMF 15.4.20), exact up to gamma-function rounding whenever c-a-b > 0.
 A non-finite result raises NonConvergence.
@@ -22,18 +22,12 @@ ufunc on a node inside (0, 1), or ``digamma`` at any other argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError
 
-__all__ = [
-    "Hyp2F1Input",
-    "gamma_fn",
-    "digamma",
-    "hyp2f1",
-]
+__all__ = ["gamma_fn", "digamma"]
 
 
 _EULER_GAMMA = 0.5772156649015329
@@ -98,25 +92,12 @@ def digamma(x: float) -> float:
     return float(psi(x))
 
 
-def _check_hyp2f1(a: float, b: float, c: float, z: np.ndarray) -> None:
-    """The domain of F(a,b;c;z) here, for every node of z at once.
-
-    c must avoid the non-positive integers and z must lie in [0, 1];
-    z = 1 additionally needs c - a - b > 0 for the series to converge.
-    The first bad node is named.
-    """
-    if _is_nonpositive_integer(c):
-        raise DomainError(f"c={c} is a non-positive integer")
-    outside = ~((z >= 0.0) & (z <= 1.0))
-    if outside.any():
-        raise DomainError(f"z={float(z[outside][0])} outside [0, 1]")
-    if (z == 1.0).any() and not c - a - b > 0:
-        raise DomainError(f"z=1 requires c-a-b > 0, got c-a-b={c - a - b}")
-
-
 def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
     """F(a,b;c;z) at every node of z in [0, 1], as an array of z's shape.
 
+    The gate: c must avoid the non-positive integers, every node must lie
+    in [0, 1], and a node at z = 1 needs c - a - b > 0 for the series to
+    converge.  A refusal raises DomainError naming the first bad node.
     At z = 0 this is exactly 1.  At z = 1 it is
     Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)), and zeros of 1/Gamma at
     non-positive integer c-a or c-b are honored exactly.  Only the nodes
@@ -125,9 +106,15 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
     first such node.
     """
     z = np.asarray(z, dtype=float)
-    _check_hyp2f1(a, b, c, z)
-    value = np.ones(z.shape)
+    if _is_nonpositive_integer(c):
+        raise DomainError(f"c={c} is a non-positive integer")
+    outside = ~((z >= 0.0) & (z <= 1.0))
+    if outside.any():
+        raise DomainError(f"z={float(z[outside][0])} outside [0, 1]")
     at_one = z == 1.0
+    if at_one.any() and not c - a - b > 0:
+        raise DomainError(f"z=1 requires c-a-b > 0, got c-a-b={c - a - b}")
+    value = np.ones(z.shape)
     if at_one.any():
         value[at_one] = gamma_fn(c) * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b)
     inside = (z > 0.0) & ~at_one
@@ -141,24 +128,3 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
         raise NonConvergence(f"hyp2f1({a!r}, {b!r}; {c!r}; {bad!r}) is not finite")
     return value
 
-
-@dataclass(frozen=True)
-class Hyp2F1Input:
-    """Validated parameter/argument bundle (a, b, c, z) for F(a,b;c;z).
-
-    The gate is :func:`_hyp2f1`'s: c must avoid the non-positive
-    integers, z must lie in [0, 1], and z = 1 needs c - a - b > 0.
-    """
-
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self):
-        _check_hyp2f1(self.a, self.b, self.c, np.asarray(self.z, dtype=float))
-
-
-def hyp2f1(inp: Hyp2F1Input) -> float:
-    """Gauss hypergeometric function F(a,b;c;z) for one z in [0, 1]; see :func:`_hyp2f1`."""
-    return float(_hyp2f1(inp.a, inp.b, inp.c, inp.z))

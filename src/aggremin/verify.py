@@ -33,9 +33,7 @@ from .potentials import (
     total_potential,
     unit_sphere_area,
 )
-# The scalar hyp2f1 stays importable here for the tracer in bench/tracing.py,
-# which wraps it where this module looks it up; verify itself calls _hyp2f1.
-from .special import _hyp2f1, hyp2f1  # noqa: F401
+from .special import _hyp2f1
 
 __all__ = [
     "ELReport",
@@ -416,8 +414,8 @@ def single_zero_scan(a1: float, b1: float, a2: float, b2: float, c: float, q: fl
     1 in {'-', '0', '+'}, e.g. "-+" for a single crossing; values within
     1e-12 of the local term size count as zero.
     """
-    if not q > 0:
-        raise DomainError(f"need q > 0, got {q}")
+    if not 0 < q < math.inf:
+        raise DomainError(f"need finite q > 0, got {q}")
     if not 0 < a2 < a1:
         raise DomainError(f"need 0 < a2 < a1, got a2={a2}, a1={a1}")
     if not 0 < b2 < b1:

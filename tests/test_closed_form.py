@@ -54,6 +54,8 @@ def test_beta_star_gates():
         beta_star(3, 1.5)
     with pytest.raises(DomainError):
         beta_star(2.5, 3.0)
+    with pytest.raises(DomainError, match="finite alpha"):
+        beta_star(2, math.inf)
 
 
 @given(d=st.integers(2, 6), alpha=st.floats(2.0, 4.0))

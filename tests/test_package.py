@@ -24,7 +24,6 @@ PUBLIC = {
     "ConvexityReport",
     "DomainError",
     "ELReport",
-    "Hyp2F1Input",
     "IllConditioned",
     "KernelParams",
     "NonConvergence",
@@ -48,7 +47,6 @@ PUBLIC = {
     "energy",
     "eta",
     "gamma_fn",
-    "hyp2f1",
     "max_force",
     "psi_capital",
     "psi_capital_dd_at_one",
@@ -82,7 +80,6 @@ SIGNATURES = {
         "eta", "support_max_abs_dev", "rho_worst_support", "exterior_min_margin",
         "rho_worst_exterior", "passed", "tol",
     ),
-    "Hyp2F1Input": ("a", "b", "c", "z"),
     "KernelParams": ("d", "alpha", "beta", "alpha_is_log", "beta_is_log"),
     "NonConvergence": ("message", "partial"),
     "ParticleSystem": ("positions", "params"),
@@ -100,7 +97,6 @@ SIGNATURES = {
     "energy": ("params",),
     "eta": ("params",),
     "gamma_fn": ("x",),
-    "hyp2f1": ("inp",),
     "max_force": ("sys",),
     "psi_capital": ("params", "rho"),
     "psi_capital_dd_at_one": ("params",),
@@ -122,7 +118,7 @@ SIGNATURES = {
 
 
 def test_public_names_are_exactly_the_supported_surface():
-    assert len(aggremin.__all__) == len(PUBLIC) == 47
+    assert len(aggremin.__all__) == len(PUBLIC) == 45
     assert set(aggremin.__all__) == PUBLIC
     for name in aggremin.__all__:
         assert getattr(aggremin, name) is not None, name

@@ -19,7 +19,6 @@ from scipy.integrate import quad
 from aggremin import (
     CandidateMinimizer,
     DomainError,
-    Hyp2F1Input,
     KernelParams,
     RegimeError,
     ball_potential,
@@ -28,7 +27,6 @@ from aggremin import (
     digamma,
     eta,
     gamma_fn,
-    hyp2f1,
     psi_gamma,
     psi_values_at_one,
     quadratic_ball_moment,
@@ -45,6 +43,7 @@ from aggremin.potentials import (
     _log_series,
     _psi_raw,
 )
+from aggremin.special import _hyp2f1
 
 
 def _rel(got: float, want: float) -> float:
@@ -265,7 +264,7 @@ def sphere_potential_alt(d, gamma: float, x_norm: float) -> float:
         raise DomainError("alternative form is singular at x_norm = 1")
     z = 4.0 * x / (1.0 + x) ** 2
     surf = unit_sphere_area(d)
-    f = hyp2f1(Hyp2F1Input(-gamma / 2.0, (d - 1.0) / 2.0, d - 1.0, z))
+    f = float(_hyp2f1(-gamma / 2.0, (d - 1.0) / 2.0, d - 1.0, z))
     return surf * (1.0 + x) ** gamma * f
 
 

@@ -21,7 +21,6 @@ from aggremin import (
     ConvexityReport,
     DomainError,
     ELReport,
-    Hyp2F1Input,
     IllConditioned,
     KernelParams,
     QuadratureFailure,
@@ -30,7 +29,6 @@ from aggremin import (
     ball_potential_quad,
     convexity_report,
     eta,
-    hyp2f1,
     psi_capital,
     psi_capital_dd_at_one,
     radius,
@@ -43,6 +41,7 @@ from aggremin import (
 )
 from aggremin import verify
 from aggremin.closed_form import _radius_sphere
+from aggremin.special import _hyp2f1
 from aggremin.verify import _CONVEXITY_GRID, _EL_GRID, _el_grid
 
 
@@ -383,9 +382,7 @@ def test_audits_take_only_the_parameter_point():
 
 def test_single_zero_scan_pure_signs():
     assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, 1e-9) == "+"
-    q = hyp2f1(Hyp2F1Input(1.5, 2.0, 4.0, 1.0)) / hyp2f1(
-        Hyp2F1Input(0.5, 1.0, 4.0, 1.0)
-    )
+    q = float(_hyp2f1(1.5, 2.0, 4.0, 1.0)) / float(_hyp2f1(0.5, 1.0, 4.0, 1.0))
     assert single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, q) == "-0"
 
 
@@ -400,8 +397,8 @@ def test_single_zero_scan_matches_a_node_by_node_scan():
         q = float(np.exp(rng.uniform(-6.9, 6.9)))
         symbols = []
         for z in np.linspace(0.0, 1.0, 41):
-            f1 = hyp2f1(Hyp2F1Input(a1, b1, c, float(z)))
-            f2 = hyp2f1(Hyp2F1Input(a2, b2, c, float(z)))
+            f1 = float(_hyp2f1(a1, b1, c, z))
+            f2 = float(_hyp2f1(a2, b2, c, z))
             g = f1 - q * f2
             sym = "0" if abs(g) <= 1e-12 * (abs(f1) + q * abs(f2)) else "+" if g > 0 else "-"
             if not symbols or symbols[-1] != sym:
@@ -412,6 +409,8 @@ def test_single_zero_scan_matches_a_node_by_node_scan():
 def test_single_zero_scan_gates():
     with pytest.raises(DomainError):
         single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, -1.0)
+    with pytest.raises(DomainError, match="finite q"):
+        single_zero_scan(1.5, 2.0, 0.5, 1.0, 4.0, math.inf)
     with pytest.raises(DomainError):
         single_zero_scan(0.5, 2.0, 1.5, 1.0, 4.0, 1.0)
     with pytest.raises(DomainError):

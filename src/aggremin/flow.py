@@ -67,6 +67,7 @@ def _power_terms(r2: np.ndarray, p: float, is_log: bool):
     return coef * r2 / p, coef
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _energy_and_forces(params: KernelParams, x: np.ndarray):
     """Energy (1/N^2) sum_{i<j} W(|x_i - x_j|) and the per-particle mean
     force F_i = -(1/N) sum_{j != i} grad W(x_i - x_j), in one pair pass.
@@ -78,7 +79,7 @@ def _energy_and_forces(params: KernelParams, x: np.ndarray):
     same inputs are bit-identical.  For alpha = 2 the attraction is
     sum_i |x_i - c|^2 / (2N) in energy and -(x_i - c) in force, with c
     the centroid, and stays out of the pair pass.  Raises DomainError if
-    two particles coincide.
+    two particles coincide or the energy or a force is not finite.
     """
     n, d = x.shape
     first, second = _pairs(n)
@@ -111,6 +112,10 @@ def _energy_and_forces(params: KernelParams, x: np.ndarray):
         dev = x - x.mean(axis=0)
         energy += float(np.sum(dev * dev)) / (2 * n)
         forces -= dev
+    if not (math.isfinite(energy) and np.all(np.isfinite(forces))):
+        raise DomainError(
+            f"the energy or a force is not finite at the start (energy {energy})"
+        )
     return energy, forces
 
 
@@ -129,9 +134,9 @@ class ParticleSystem:
     """State of the N-particle descent.
 
     Positions are an N x d array of pairwise-distinct finite points;
-    ``forces`` (N x d) and the last ``energy_trace`` entry are the one
-    kernel pass at them (the constructor's, or the accepted line-search
-    trial's), and both arrays are read-only so they stay paired.
+    ``forces`` (N x d) and the last ``energy_trace`` entry are one
+    finite kernel pass at them (the constructor's, or the accepted
+    line-search trial's); both arrays are read-only so they stay paired.
     ``energy_trace`` holds the energy after every accepted iteration
     starting from the initial state; ``step_trace`` the accepted
     line-search multiplier that produced each entry (the first entry,
@@ -160,17 +165,8 @@ class ParticleSystem:
             )
         if not np.all(np.isfinite(pos)):
             raise DomainError("positions must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy, forces = _energy_and_forces(self.params, pos)
-        if not (math.isfinite(energy) and np.all(np.isfinite(forces))):
-            raise DomainError(
-                f"the energy or a force is not finite at the start (energy {energy})"
-            )
+        energy, forces = _energy_and_forces(self.params, pos)
         _set_records(self, pos, forces, energy_trace=(energy,))
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
 
 
 @dataclass(frozen=True)
@@ -203,16 +199,16 @@ def _set_records(state, positions, forces, **records) -> ParticleSystem:
     return state
 
 
-def _line_search(params, x, direction, e0, slope, t, iteration):
-    """Backtrack t from its start until x + t * direction is accepted.
+def _line_search(params, x, direction, e0, slope, iteration):
+    """Backtrack t from 1 until x + t * direction is accepted.
 
-    A trial is accepted when its particles are distinct and its energy
-    is finite and at most e0 + _ARMIJO * t * slope (slope = 0 asks only
-    that the energy not rise).  Each rejection halves t; t below 1e-16
-    raises StallError.  Returns the accepted (t, x, energy, forces) and
-    the number of rejected trials.
+    A trial is accepted when the kernel passes it and its energy is at
+    most e0 + _ARMIJO * t * slope (slope = 0 asks only that the energy
+    not rise).  Each rejection halves t; t below 1e-16 raises
+    StallError.  Returns the accepted (t, x, energy, forces) and the
+    number of rejected trials.
     """
-    rejected = 0
+    t, rejected = 1.0, 0
     while True:
         if t < _MIN_STEP:
             raise StallError(
@@ -223,14 +219,14 @@ def _line_search(params, x, direction, e0, slope, t, iteration):
             e1, f1 = _energy_and_forces(params, trial)
         except DomainError:
             e1 = math.nan
-        if math.isfinite(e1) and e1 <= e0 + _ARMIJO * t * slope:
+        if e1 <= e0 + _ARMIJO * t * slope:
             return t, trial, e1, f1, rejected
         rejected += 1
         t *= 0.5
 
 
-# A kernel power that overflows gives inf or nan here, not a warning:
-# the constructor refuses such a start, and the line search such a trial.
+# Where a force is above about 1e154, grad @ direction and the L-BFGS
+# products overflow: inf or nan here, not a warning, and no trial passes.
 @np.errstate(over="ignore", invalid="ignore")
 def _descend(sys, max_iter, tol):
     """Limited-memory BFGS from the state ``sys``, starting with an empty
@@ -268,7 +264,7 @@ def _descend(sys, max_iter, tol):
             direction = -scale * grad
             slope = float(grad @ direction)
         t, x_new, energy, forces, rejected = _line_search(
-            params, x, direction.reshape(x.shape), energy, slope, 1.0, k
+            params, x, direction.reshape(x.shape), energy, slope, k
         )
         evals += 1 + rejected
         backtracks += rejected

@@ -179,7 +179,8 @@ def _ball_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:
 def ball_potential(d, gamma: float, x_norm):
     """Weighted ball integral of |x - y|^gamma against (1-|y|^2)^((2-gamma-d)/2).
 
-    Defined for -d < gamma < -d + 4, where the weight is integrable.
+    Defined for -d < gamma < -d + 4, where the weight is integrable; the
+    gate on d and gamma is :func:`quadratic_ball_moment`'s.
     Equals C_gamma times a profile in rho = x_norm^2 (C_gamma from
     :func:`quadratic_ball_moment`), just as :func:`sphere_potential` is
     |S^(d-1)| times psi_gamma.  Inside the ball the profile is exactly
@@ -187,12 +188,9 @@ def ball_potential(d, gamma: float, x_norm):
     factor in 1/rho.  At x_norm = 1 the two branches share a common
     limit and the (affine) inner value is returned.
     """
-    d = _check_dim(d, 1)
-    if not -d < gamma < -d + 4:
-        raise DomainError(f"need -d < gamma < -d+4, got gamma={gamma} in d={d}")
-    x = _check_rho(x_norm, "x_norm")
     c_gamma, _ = quadratic_ball_moment(d, gamma)
-    return _shaped(x_norm, c_gamma * _ball_raw(d, gamma, x * x))
+    x = _check_rho(x_norm, "x_norm")
+    return _shaped(x_norm, c_gamma * _ball_raw(int(d), gamma, x * x))
 
 
 def quadratic_ball_moment(d, beta: float):

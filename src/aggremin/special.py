@@ -95,9 +95,9 @@ def digamma(x: float) -> float:
 def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
     """F(a,b;c;z) at every node of z in [0, 1], as an array of z's shape.
 
-    The gate: c must avoid the non-positive integers, every node must lie
-    in [0, 1], and a node at z = 1 needs c - a - b > 0 for the series to
-    converge.  A refusal raises DomainError naming the first bad node.
+    The gate: a, b and c must be finite, c must avoid the non-positive
+    integers, every node must lie in [0, 1], and a node at z = 1 needs
+    c - a - b > 0 for the series to converge.  A refusal raises DomainError naming the first bad node.
     At z = 0 this is exactly 1.  At z = 1 it is
     Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)), and zeros of 1/Gamma at
     non-positive integer c-a or c-b are honored exactly.  Only the nodes
@@ -106,6 +106,8 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
     first such node.
     """
     z = np.asarray(z, dtype=float)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"parameters must be finite, got a={a}, b={b}, c={c}")
     if _is_nonpositive_integer(c):
         raise DomainError(f"c={c} is a non-positive integer")
     outside = ~((z >= 0.0) & (z <= 1.0))

@@ -71,6 +71,8 @@ def sphere_potential_quad(d, gamma: float, x_norm: float) -> float:
     """
     d = _check_dim(d, 2)
     gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma}")
     x = float(x_norm)
     if not x >= 0:
         raise DomainError(f"x_norm must be >= 0, got {x}")

@@ -195,7 +195,7 @@ def test_particle_system_validation_and_trace_defaults():
     assert sys0.energy_evals == 1
     assert not hasattr(sys0, "step_size")
     assert sys0.step_trace == (0.5,)
-    assert sys0.n_particles == 3
+    assert sys0.positions.shape[0] == 3
     # The positions and forces of one pass are read-only, so they stay
     # paired; the caller's array is copied, not frozen.
     for record in (sys0.positions, sys0.forces):
@@ -487,7 +487,7 @@ def test_descent_refuses_a_kernel_that_is_not_finite_at_the_start():
     """r^3000 overflows on any cloud wider than 1: the energy is inf and
     the forces are nan, so no state is built there and no descent
     starts (nor warns, which the RuntimeWarning filter would turn into
-    an error: the constructor handles the overflow)."""
+    an error: the kernel handles the overflow)."""
     params = KernelParams(2, 3000.0, 1.0)
     with pytest.raises(DomainError, match="not finite at the start"):
         run_to_convergence(params, 16, seed=0, max_iter=5)
@@ -509,6 +509,11 @@ def test_max_force_of_a_force_whose_square_overflows():
     )
     assert math.isfinite(want)
     assert max_force(huge) == pytest.approx(want, rel=1e-14)
+    # A step from there: the slope grad . direction overflows to -inf, so
+    # no trial meets the Armijo test, and the overflow is no warning
+    # (which the RuntimeWarning filter would turn into an error).
+    with pytest.raises(StallError):
+        step(huge)
     cloud = ParticleSystem(
         positions=np.random.default_rng(2).normal(size=(12, 3)), params=KernelParams(3, 2.5, 0.7)
     )
@@ -525,11 +530,11 @@ def test_line_search_rejects_a_collision_and_stalls_uphill():
     inward = np.array([[1.0, 0.0], [-1.0, 0.0]])
     # t = 1 puts both particles at (1, 0); t = 0.5 is the unit-distance
     # equilibrium, energy -1/8 against 0 at distance 2.
-    t, trial, e1, _, rejected = _line_search(params, x, inward, e0, 0.0, 1.0, 0)
+    t, trial, e1, _, rejected = _line_search(params, x, inward, e0, 0.0, 0)
     assert (t, rejected) == (0.5, 1)
     assert np.array_equal(trial, [[0.5, 0.0], [1.5, 0.0]])
     assert e1 == -0.125 < e0
     # Moving apart raises the energy, so a claimed negative slope is
     # never met and t halves below 1e-16.
     with pytest.raises(StallError):
-        _line_search(params, x, -inward, e0, -1.0, 1.0, 0)
+        _line_search(params, x, -inward, e0, -1.0, 0)

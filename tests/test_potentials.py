@@ -126,6 +126,12 @@ def test_psi_gamma_domain_gates():
     # Far afield rho^(gamma/2) overflows to inf, as it reads at rho = inf.
     assert psi_gamma(3, 3.0, 1e240) == math.inf
     assert psi_gamma(3, 3.0, math.inf) == math.inf
+    # A non-finite exponent is outside the domain, not a failed 2F1.
+    for gamma, rho in ((math.nan, 0.5), (-math.inf, 2.0)):
+        with pytest.raises(DomainError):
+            psi_gamma(3, gamma, rho)
+    with pytest.raises(DomainError):
+        sphere_potential(3, math.inf, 0.5)
 
 
 @given(
@@ -196,6 +202,8 @@ def test_psi_values_at_one_gates():
         psi_values_at_one(3, -1.0)
     with pytest.raises(DomainError):
         psi_values_at_one(1, 1.0)
+    with pytest.raises(DomainError):
+        psi_values_at_one(3, math.inf)
 
 
 def test_dimension_is_checked_before_the_zero_exponent_shortcut():
@@ -421,7 +429,7 @@ def _tilde_psi0_mpmath(d: int, rho: float):
         return mpmath.diff(psi, 0)
 
 
-def test_tilde_psi0_seam_value_and_taylor_patch():
+def test_tilde_psi0_seam_value_and_slope_near_one():
     for d in (3, 5):
         v = tilde_psi0(d, 1.0)
         assert abs(v - 0.5 * (digamma(d - 1.0) - digamma(d / 2.0))) < 1e-15
@@ -429,8 +437,8 @@ def test_tilde_psi0_seam_value_and_taylor_patch():
             assert abs(tilde_psi0(d, 1.0 + s) - v - 0.25 * s) < 1e-12
         for s in (2e-6, -2e-6):
             assert abs(tilde_psi0(d, 1.0 + s) - v - 0.25 * s) < 1e-10
-    # The first-order patch against mpmath; in d = 3 the neglected term
-    # is of order (rho-1)^2 ln|rho-1|.
+    # Against mpmath within 1e-6 of the seam, where the d = 3 profile
+    # carries a term of order (rho-1)^2 ln|rho-1|.
     for d, bound in ((3, 5e-12), (5, 1e-12)):
         for s in (1e-12, 1e-9, 1e-7, 9e-7):
             for rho in (1.0 - s, 1.0 + s):
@@ -573,8 +581,9 @@ def test_a_bad_node_in_an_array_raises_the_scalar_error():
 
 
 def test_tilde_psi0_block_memory_stays_small():
-    """(node x term) blocks hold at most 2^16 elements: the peak over a
-    4000-node grid clustered at rho = 1 stays a few megabytes."""
+    """The per-node Horner sum of ``_log_series`` keeps its temporaries
+    at the grid's size: the peak over a 4000-node grid clustered at
+    rho = 1 stays a few megabytes."""
     from aggremin.verify import _el_grid
 
     grid = _el_grid(4000)
@@ -681,6 +690,8 @@ def test_total_potential_regime_gates():
         total_potential(KernelParams(1, 2.0, -0.5), sphere, 0.5)
     with pytest.raises(RegimeError):
         total_potential(KernelParams(2, 3.0, -0.5), sphere, 0.5)
+    with pytest.raises(RegimeError, match="need d \\+ alpha > 2"):
+        total_potential(KernelParams(2, -0.5, -1.0), sphere, 0.5)
     with pytest.raises(DomainError):
         total_potential(KernelParams(3, 2.0, 1.0), sphere, -1.0)
     # A potential that is not a finite float is refused, never inf - inf.

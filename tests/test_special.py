@@ -109,7 +109,8 @@ def test_digamma_is_exact_at_integers_and_half_integers():
 def test_hyp2f1_input_validation():
     """Each refusal of the gate, for one z and for an array of z."""
     for a, b, c, z in ((1.0, 1.0, -2.0, 0.5), (1.0, 1.0, 2.0, -0.1), (1.0, 1.0, 2.0, 1.5),
-                       (2.0, 2.0, 3.0, 1.0)):
+                       (2.0, 2.0, 3.0, 1.0), (math.nan, 1.0, 2.0, 0.5),
+                       (1.0, -math.inf, 2.0, 0.5), (1.0, 1.0, math.inf, 0.5)):
         with pytest.raises(DomainError):
             _hyp2f1(a, b, c, z)
         with pytest.raises(DomainError):
@@ -164,7 +165,7 @@ def test_hyp2f1_arcsin_identity():
         assert _rel(got, math.asin(z)) < 1e-12, z
 
 
-def test_hyp2f1_matches_mpmath_direct_path():
+def test_hyp2f1_matches_mpmath_at_moderate_z():
     cases = [
         (0.3, 1.7, 2.9, 0.5),
         (-2.3, 4.1, 1.5, 0.7),
@@ -176,9 +177,8 @@ def test_hyp2f1_matches_mpmath_direct_path():
         assert _rel(float(_hyp2f1(a, b, c, z)), want) < 1e-11, (a, b, c, z)
 
 
-def test_hyp2f1_matches_mpmath_connection_path():
-    """Arguments past 0.75, where the series converges slowly and
-    evaluators switch to a z -> 1-z connection formula."""
+def test_hyp2f1_matches_mpmath_near_the_branch_point():
+    """Arguments past 0.75, where the Gauss series converges slowly."""
     cases = [
         (1.1, 0.6, 3.45, 0.85),
         (-1.7, 2.2, 2.83, 0.97),
@@ -189,12 +189,10 @@ def test_hyp2f1_matches_mpmath_connection_path():
         assert _rel(float(_hyp2f1(a, b, c, z)), want) < 1e-11, (a, b, c, z)
 
 
-def test_hyp2f1_integer_gap_fallback():
+def test_hyp2f1_at_an_integer_and_a_near_integer_gap():
     """Integer and near-integer c-a-b, where the two terms of the z -> 1-z
-    connection formula cancel catastrophically.
-
-    The near-integer case keeps its original 1e-7 bound.
-    """
+    connection formula would cancel catastrophically; the near-integer
+    case is held to 1e-7."""
     want = float(mpmath.hyp2f1(0.5, 1.5, 3.0, 0.9))
     assert _rel(float(_hyp2f1(0.5, 1.5, 3.0, 0.9)), want) < 1e-10
     c = 3.0 + 3e-9

@@ -80,6 +80,10 @@ def test_sphere_quadrature_log_shortcut_and_gates():
         sphere_potential_quad(3, 1.0, -0.3)
     with pytest.raises(DomainError):
         sphere_potential_quad(1, 1.0, 0.5)
+    # A non-finite exponent is outside the domain, not a failed quadrature.
+    for gamma, x_norm in ((math.nan, 0.5), (math.inf, 0.5), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="gamma must be finite"):
+            sphere_potential_quad(3, gamma, x_norm)
 
 
 def test_ball_quadrature_matches_closed_form():

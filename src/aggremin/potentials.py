@@ -179,8 +179,7 @@ def _ball_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:
 def ball_potential(d, gamma: float, x_norm):
     """Weighted ball integral of |x - y|^gamma against (1-|y|^2)^((2-gamma-d)/2).
 
-    Defined for -d < gamma < -d + 4, where the weight is integrable; the
-    gate on d and gamma is :func:`quadratic_ball_moment`'s.
+    Defined for -d < gamma < -d + 4, where the weight is integrable.
     Equals C_gamma times a profile in rho = x_norm^2 (C_gamma from
     :func:`quadratic_ball_moment`), just as :func:`sphere_potential` is
     |S^(d-1)| times psi_gamma.  Inside the ball the profile is exactly

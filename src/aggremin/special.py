@@ -97,7 +97,8 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
 
     The gate: a, b and c must be finite, c must avoid the non-positive
     integers, every node must lie in [0, 1], and a node at z = 1 needs
-    c - a - b > 0 for the series to converge.  A refusal raises DomainError naming the first bad node.
+    c - a - b > 0 for the series to converge.  A refusal raises
+    DomainError naming the first bad node.
     At z = 0 this is exactly 1.  At z = 1 it is
     Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)), and zeros of 1/Gamma at
     non-positive integer c-a or c-b are honored exactly.  Only the nodes

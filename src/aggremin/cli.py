@@ -320,7 +320,10 @@ def _build_parser() -> _Parser:
     )
     sp.add_argument("--n", type=int, required=True, help="particle count (>= 16)")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sp.add_argument("--tol", type=float, default=1e-8, help="force convergence target")
+    sp.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="force convergence target (default 1e-6)",
+    )
     sp.add_argument("--max-iter", type=int, default=2000, help="iteration budget")
     sp.add_argument("--out", required=True, help="output path prefix")
     sp.add_argument(

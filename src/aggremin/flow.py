@@ -3,16 +3,19 @@
 The continuum energy is discretized over N equal point masses with the
 self-interaction excluded.  One kernel gives the energy and the
 per-particle forces together, from a single pass over the N(N-1)/2
-particle pairs; when alpha = 2 the attraction goes through the centroid
-in O(N) instead.  Each ``ParticleSystem`` keeps the energy and forces
-of the one pass that made it.  ``run_to_convergence`` drives a random
-cloud to a critical point with limited-memory BFGS (Liu & Nocedal 1989)
-and an Armijo backtracking line search, and ``step`` is the first
-iteration of that descent, a steepest-descent step, so the recorded
-energies never increase.  Converged configurations act as an empirical
-cross-check on the closed-form minimizers: in the sphere regime the
-particles should ring up at the predicted radius, in the ball regime
-they should fill it.
+particle pairs i < j; when alpha = 2 the attraction goes through the
+centroid in O(N) instead.  The pass walks the pairs in blocks of whole
+rows (all partners j of one i), so the share of the forces that falls
+on each row's own particle is one contiguous sum.  Each
+``ParticleSystem`` keeps the energy and forces of the one pass that
+made it.  ``run_to_convergence`` drives a random cloud to a critical
+point with limited-memory BFGS (Liu & Nocedal 1989) and an Armijo
+backtracking line search, and ``step`` is the first iteration of that
+descent, a steepest-descent step, so the recorded energies never
+increase.  Converged configurations act as an empirical cross-check on
+the closed-form minimizers: in the sphere regime the particles should
+ring up at the predicted radius, in the ball regime they should fill
+it.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ __all__ = [
 
 _MIN_STEP = 1e-16
 _START_STEP = 0.5
-# Pairs per block of the kernel: its temporaries stay small enough to be
-# reused from one block to the next instead of being mapped afresh.
+# Most pairs in one block of whole rows of the kernel (a longer row is a
+# block alone): its temporaries stay small enough to be reused from one
+# block to the next instead of being mapped afresh.
 _BLOCK = 8192
 # Limited-memory BFGS: curvature pairs kept, and the Armijo constant.
 _HISTORY = 10
@@ -49,13 +53,33 @@ _ARMIJO = 1e-4
 
 
 @functools.lru_cache(maxsize=4)
-def _pairs(n: int) -> tuple:
-    # The condensed upper triangle i < j, row by row; read-only because
-    # the cache hands the same arrays to every caller.
-    first, second = np.triu_indices(n, k=1)
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
+def _plan(n: int) -> tuple:
+    """The condensed upper triangle i < j in blocks of whole rows.
+
+    Row i holds the pairs (i, i+1), ..., (i, n-1).  A block takes the
+    rows a..b-1 whose pairs number at most _BLOCK together, and row a
+    alone when it is longer.  Each block is (a, b, j, starts, lengths):
+    the partner of each pair less a + 1, where each row begins in the
+    block, and the row lengths.  The arrays are read-only, because the
+    cache hands them to every caller.
+    """
+    lengths = np.arange(n - 1, 0, -1)
+    ends = np.cumsum(lengths)
+    lengths.setflags(write=False)
+    blocks, a = [], 0
+    while a < n - 1:
+        limit = ends[a] - lengths[a] + _BLOCK
+        b = max(a + 1, int(np.searchsorted(ends, limit, "right")))
+        rows = lengths[a:b]
+        starts = np.cumsum(rows) - rows
+        # Pair q of row a + r has partner a + 1 + r + q, stored as r + q.
+        j = np.arange(ends[b - 1] - ends[a] + rows[0])
+        j -= np.repeat(starts - np.arange(b - a), rows)
+        starts.setflags(write=False)
+        j.setflags(write=False)
+        blocks.append((a, b, j, starts, rows))
+        a = b
+    return tuple(blocks)
 
 
 def _power_terms(r2: np.ndarray, p: float, is_log: bool):
@@ -72,24 +96,30 @@ def _energy_and_forces(params: KernelParams, x: np.ndarray):
     """Energy (1/N^2) sum_{i<j} W(|x_i - x_j|) and the per-particle mean
     force F_i = -(1/N) sum_{j != i} grad W(x_i - x_j), in one pair pass.
 
-    The pairs are taken in blocks of the condensed upper triangle; r^2
-    is computed once per pair and both the energy terms and the force
-    coefficients come from it.  Forces are added back per coordinate
-    with ``np.bincount``, a fixed summation order, so reruns with the
-    same inputs are bit-identical.  For alpha = 2 the attraction is
+    The pairs are taken in the blocks of whole rows of ``_plan``.  In a
+    block the row side x_i is each row's particle repeated along its
+    row, the partner side x_j one ``take`` for all d coordinates, and
+    r^2 comes from their (d, pairs) difference, once per pair; both the
+    energy terms and the force coefficients come from it.  Each pair's
+    pull coef (x_i - x_j) goes to its partner per coordinate with
+    ``np.bincount``, and from its row's particle by one
+    ``np.add.reduceat`` over the block's contiguous rows: a bincount
+    there would add runs of up to N - 1 values into one bin, each add
+    waiting on the one before.  The blocks and both summation orders
+    depend on N alone, so reruns with the same inputs are
+    bit-identical.  For alpha = 2 the attraction is
     sum_i |x_i - c|^2 / (2N) in energy and -(x_i - c) in force, with c
     the centroid, and stays out of the pair pass.  Raises DomainError if
     two particles coincide or the energy or a force is not finite.
     """
     n, d = x.shape
-    first, second = _pairs(n)
     cols = np.ascontiguousarray(x.T)
     centroid = params.alpha == 2.0 and not params.alpha_is_log
     pair_sum = 0.0
-    forces = np.zeros((n, d))
-    for start in range(0, first.size, _BLOCK):
-        i, j = first[start:start + _BLOCK], second[start:start + _BLOCK]
-        diff = [col.take(i) - col.take(j) for col in cols]
+    acc = np.zeros((d, n))
+    for a, b, j, starts, lengths in _plan(n):
+        diff = np.repeat(cols[:, a:b], lengths, axis=1)
+        diff -= cols[:, a + 1:].take(j, axis=1)
         r2 = diff[0] * diff[0]
         for dk in diff[1:]:
             r2 += dk * dk
@@ -102,11 +132,12 @@ def _energy_and_forces(params: KernelParams, x: np.ndarray):
             w_attract, c_attract = _power_terms(r2, params.alpha, params.alpha_is_log)
             w, coef = w_attract - w_repel, c_attract - c_repel
         pair_sum += float(np.sum(w))
-        for k, dk in enumerate(diff):
-            pull = coef * dk
-            forces[:, k] += np.bincount(j, pull, n)
-            forces[:, k] -= np.bincount(i, pull, n)
+        diff *= coef
+        for k in range(d):
+            acc[k, a + 1:] += np.bincount(j, diff[k], n - a - 1)
+        acc[:, a:b] -= np.add.reduceat(diff, starts, axis=1)
     energy = pair_sum / n**2
+    forces = np.ascontiguousarray(acc.T)
     forces /= n
     if centroid:
         dev = x - x.mean(axis=0)
@@ -348,7 +379,7 @@ def run_to_convergence(
     params: KernelParams,
     n_particles: int,
     seed: int,
-    tol: float = 1e-8,
+    tol: float = 1e-6,
     max_iter: int = 2000,
 ):
     """Descend from a random cloud until the forces are negligible.
@@ -358,11 +389,16 @@ def run_to_convergence(
     limited-memory BFGS on the energy (see ``_descend``); its first
     iteration is ``step``.  The descent stops when the largest
     per-particle force drops to ``tol``; ``energy_evals`` counts all its
-    kernel passes, the starting cloud's included.  Returns the converged
-    system with its radial statistics; if the iteration budget runs out
-    first, raises NonConvergence whose ``partial`` attribute carries the
-    best-so-far pair.  Raises DomainError if the energy or a force is
-    not finite on the starting cloud.
+    kernel passes, the starting cloud's included.  The default tol is
+    one the descent reaches: an iteration at a largest force f lowers
+    an energy of order 1 by about f^2 / 10, so near f = 1e-8 the Armijo
+    test compares energies that differ by rounding, and the line search
+    can halve its multiplier thousands of times without converging.
+    Returns the converged system with its radial statistics; if the
+    iteration budget runs out first, raises NonConvergence whose
+    ``partial`` attribute carries the best-so-far pair.  Raises
+    DomainError if the energy or a force is not finite on the starting
+    cloud.
     """
     if n_particles < 16:
         raise DomainError(f"need at least 16 particles, got {n_particles}")

@@ -377,6 +377,21 @@ def test_simulate_writes_artifacts(tmp_path, capsys, monkeypatch):
     assert stats["energy_rel_err"] < 1e-3
 
 
+def test_simulate_tol_defaults_to_the_driver_tol(tmp_path, capsys):
+    """Without --tol, simulate stops at the driver's default force
+    tolerance, 1e-6, and records it in the stats."""
+    rc, _, _ = _run(
+        ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "32",
+         "--seed", "4", "--out", str(tmp_path / "sim")],
+        capsys,
+    )
+    assert rc == 0
+    stats = _strict_json((tmp_path / "sim_stats.json").read_text())
+    assert stats["tol"] == 1e-6
+    assert stats["converged"] is True
+    assert stats["final_max_force"] <= 1e-6
+
+
 def test_simulate_takes_a_log_attraction(tmp_path, capsys):
     """--log-alpha selects ln r for the attraction; no closed form
     covers it, so the stats carry no prediction."""

@@ -24,7 +24,8 @@ import math
 
 import pytest
 
-from make_reference import FLOW_CASES, REFERENCE, certify_record, flow_record
+import aggremin as ag
+from make_reference import FLOW_CASES, REFERENCE, certify_record, flow_record, kernel
 
 FLOAT_RTOL = 1e-13
 LOCATION_FLOOR = 1e-12
@@ -97,6 +98,19 @@ def test_certify_points_match_the_reference():
             eta = _sphere_eta(want) if key == "convexity" else 0.0
             moved += _mismatches(got[key], want[key], f"certify[{k}].{key}", eta=eta)
     assert moved == []
+
+
+def test_exterior_margins_sit_at_rounding_level():
+    """On the exterior of the support Psi - eta >= 0, and for these points
+    the smallest margin sits next to rho = 1, where it is 0 up to the
+    error of the hypergeometric profiles.  With the profiles accurate to
+    rounding there, every audited point reads at least
+    -1e-14 max(1, |eta|)."""
+    audited = [want["point"] for want in REF["certify"] if "refused" not in want["el"]]
+    assert len(audited) == 94
+    for point in audited:
+        report = ag.verify_euler_lagrange(kernel(point))
+        assert report.exterior_min_margin >= -1e-14 * max(1.0, abs(report.eta)), point
 
 
 @pytest.mark.parametrize("k", range(len(FLOW_CASES)))

@@ -226,6 +226,60 @@ def test_hyp2f1_matches_mpmath_on_the_potential_manifold():
         assert _rel(float(_hyp2f1(a, b, c, z)), want) < 1e-11, (a, b, c, z)
 
 
+# Both routes of _hyp2f1 on either side of z = 0.9, out to the branch point.
+_BRANCH_Z = (0.9, float(np.nextafter(0.9, 1.0)), 0.95, 0.99, 1.0 - 1e-6, 1.0 - 1e-12)
+
+
+def _profile_parameters():
+    """(a, b, c) of the sphere profile (c = d/2, m = c - a - b = d + g - 1)
+    and the ball profile (c = 2 - g/2, m = (2 + g + d)/2), d = 2..6, at
+    exponents g that put m at an integer or 1e-3 or 1e-2 to either side
+    of one, and at the g that make a = -g/2 or b = (2-g-d)/2 a
+    non-positive integer."""
+    out = []
+    for d in range(2, 7):
+        sphere, ball = [], []
+        for n in range(1, d + 4):
+            for off in (0.0, 1e-3, -1e-3, 1e-2, -1e-2):
+                sphere.append(n + off + 1.0 - d)
+                ball.append(2.0 * (n + off) - 2.0 - d)
+        for k in range(d + 2):
+            sphere += [2.0 * k, 2.0 + 2.0 * k - d]
+            ball += [-2.0 * k, 2.0 - 2.0 * k - d]
+        out += [(-g / 2.0, (2.0 - g - d) / 2.0, d / 2.0) for g in sphere if 2.0 - d < g <= 4.0]
+        out += [(-g / 2.0, (2.0 - g - d) / 2.0, 2.0 - g / 2.0) for g in ball if -d < g < 4.0 - d]
+    return out
+
+
+def test_hyp2f1_matches_mpmath_near_the_branch_point_on_both_profiles():
+    """Within 1e-14 relative of 40-digit mpmath on both routes: the ufunc
+    at z = 0.9, at integer c - a - b and at a terminating series, and the
+    z -> 1 - z connection formula above 0.9, also 1e-3 from an integer
+    c - a - b, where its two terms, added as written, would cancel."""
+    cases = _profile_parameters()
+    assert len(cases) > 200
+    for a, b, c in cases:
+        got = _hyp2f1(a, b, c, np.array(_BRANCH_Z))
+        for z, value in zip(_BRANCH_Z, got):
+            want = float(mpmath.hyp2f1(a, b, c, z))
+            assert _rel(float(value), want) <= 1e-14, (a, b, c, z)
+
+
+@pytest.mark.parametrize("d", [150, 200, 300])
+def test_sphere_profile_at_large_d_stays_finite(d):
+    """At large d, c - a - b = d + g - 1 is far above 10 and the Gamma
+    factors of the connection formula overflow: every node keeps scipy's
+    value at z, and none raises NonConvergence."""
+    from scipy.special import hyp2f1 as ufunc
+
+    for g in (1.5, 3.3):
+        a, b, c = -g / 2.0, (2.0 - g - d) / 2.0, d / 2.0
+        for z in (0.95, 0.999, 1.0 - 1e-9):
+            got = float(_hyp2f1(a, b, c, z))
+            assert math.isfinite(got)
+            assert _rel(got, float(ufunc(a, b, c, z))) <= 1e-13, (d, g, z)
+
+
 def test_hyp2f1_overflow_raises_nonconvergence():
     """c - a - b = -30 next to z = 1: the value exceeds the float range."""
     with pytest.raises(NonConvergence):

@@ -190,6 +190,26 @@ def test_euler_lagrange_memory_stays_small():
     assert peak < 4 * 2**20, peak
 
 
+def test_sphere_audit_sends_no_node_above_0_9_to_the_ufunc(monkeypatch):
+    """With c - a - b = d + gamma - 1 off the integers for both exponents,
+    every profile node above z = 0.9 takes the z -> 1 - z connection
+    formula, so scipy's hyp2f1 ufunc only ever sees z <= 0.9, where its
+    direct series is fast."""
+    import scipy.special
+
+    largest = []
+    ufunc = scipy.special.hyp2f1
+
+    def spy(a, b, c, z):
+        largest.append(float(np.max(z)))
+        return ufunc(a, b, c, z)
+
+    monkeypatch.setattr(scipy.special, "hyp2f1", spy)
+    report = verify_euler_lagrange(KernelParams(2, 3.5, 1.7))
+    assert report.passed
+    assert largest and max(largest) <= 0.9, max(largest)
+
+
 def test_euler_lagrange_gates():
     with pytest.raises(RegimeError):
         verify_euler_lagrange(KernelParams(3, 3.0, 0.1))

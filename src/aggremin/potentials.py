@@ -18,13 +18,14 @@ boundary), which the inner branch covers through the Gauss value of
 are rational multiples of that value (``_seam_curvature``).
 
 Every profile takes an array of rho and evaluates it in one pass: the
-power-law profiles through one ``special._hyp2f1`` call, the logarithmic
-ones through ``_log_series``, a series scipy lacks.  It takes one
-fixed-length power sum at z <= 1/2 and a closed form (logarithms and
-finite power sums) beyond, within 1.6e-15 relative of mpmath up to
-and at z = 1, so no profile needs a patch at its branch point.  The
-public functions gate their nodes once per call and give a float for a
-scalar argument, an array for an array.
+power-law profiles through one ``special._hyp2f1`` call, except the d = 3
+sphere profile, Archimedes' elementary shell formula (``_shell_raw``);
+the logarithmic ones through ``_log_series``, a series scipy lacks.
+It takes one fixed-length power sum at z <= 1/2 and a closed form
+(logarithms and finite power sums) beyond, within 1.6e-15 relative of
+mpmath up to and at z = 1, so no profile needs a patch at its branch
+point.  The public functions gate their nodes once per call and give a
+float for a scalar argument, an array for an array.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError, NonConvergence, RegimeError
 from .params import CandidateMinimizer, KernelParams
 from .special import _hyp2f1, gamma_fn
 
@@ -95,10 +96,46 @@ def unit_sphere_area(d) -> float:
     return 2.0 * math.pi ** (d / 2.0) / g
 
 
+def _shell_raw(gamma: float, rho: np.ndarray) -> np.ndarray:
+    """psi_gamma in d = 3 for gamma > -2, by Archimedes' shell formula.
+
+    F(-gamma/2, -(gamma+1)/2; 3/2; rho) = ((1+r)^p - (1-r)^p) / (2 p r)
+    with p = gamma + 2 and r = sqrt(rho) (DLMF 15.4(i)).  It is summed as
+    (1+r)^p (1 - q^p) / (2 p r) with q = (1-r)/(1+r), whose logarithm
+    log1p(-rho) - 2 log1p(r) adds two terms of one sign, so nothing
+    cancels, and 1 - q^p is one expm1.  Outside, the same form in
+    s = 1/r gives F at 1/rho, times rho^(gamma/2); there ln(1 - s^2) is
+    log((rho - 1)/rho) from the exact rho - 1 up to rho = 2 and
+    log1p(-1/rho) beyond.  rho = 1 gives 2^(gamma+1)/(gamma+2), rho = 0
+    gives 1 and rho = inf gives inf^(gamma/2).  A value that is not
+    finite before the outer power (gamma above about 1000) raises
+    NonConvergence, as the 2F1 does.
+    """
+    p = gamma + 2.0
+    outer = rho > 1.0
+    with np.errstate(all="ignore"):
+        inverse = 1.0 / rho
+        t = np.sqrt(np.where(outer, inverse, rho))
+        gap = np.where(rho > 2.0, np.log1p(-inverse), np.log((rho - 1.0) / rho))
+        gap = np.where(outer, gap, np.log1p(-rho))  # ln(1 - t^2)
+        log_rise = np.log1p(t)
+        value = np.exp(p * log_rise) * -np.expm1(p * (gap - 2.0 * log_rise)) / (2.0 * p * t)
+    value[t == 0.0] = 1.0
+    finite = np.isfinite(value)
+    if not finite.all():
+        bad = float(rho[~finite][0])
+        raise NonConvergence(f"psi_gamma(3, {gamma!r}, {bad!r}) is not finite")
+    value[outer] *= _pow_or_inf(rho[outer], gamma / 2.0)
+    return value
+
+
 def _psi_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:
-    """Two-branch hypergeometric profile at rho nodes, without the public gate."""
+    """Two-branch hypergeometric profile at rho nodes, without the public
+    gate; in d = 3 with gamma > -2, Archimedes' closed form (_shell_raw)."""
     if gamma == 0.0:
         return np.ones_like(rho)
+    if d == 3 and -2.0 < gamma < math.inf:
+        return _shell_raw(gamma, rho)
     z = np.where(rho <= 1.0, rho, 1.0 / np.maximum(rho, 1.0))
     value = _hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0, z)
     outer = rho > 1.0
@@ -115,7 +152,10 @@ def psi_gamma(d, gamma: float, rho):
     The two branches (series in rho inside, series in 1/rho times
     rho^(gamma/2) outside) glue continuously at rho = 1 whenever the
     boundary value exists (gamma > 1 - d), and in C^1 fashion once
-    d + gamma > 2.  Off the branch point every exponent is accepted.
+    d + gamma > 2.  In d = 3 with gamma > -2 the series is Archimedes'
+    shell formula ((1+r)^(gamma+2) - |1-r|^(gamma+2)) / (2(gamma+2) r),
+    r = sqrt(rho), evaluated in closed form without cancellation.  Off
+    the branch point every exponent is accepted.
     A scalar rho gives a float, an array of nodes an array.
     """
     nodes = _check_rho(rho)

@@ -3,10 +3,18 @@
 Everything here is real-argument and restricted to z in [0, 1], which is
 all the radial potential formulas need.  ``_hyp2f1`` is the package's
 one 2F1 evaluator: it takes F(a,b;c;z) at one z or over an array of z in
-one call, behind one gate.  z = 0 is exactly 1, and z = 1 is the Gauss
-summation formula (DLMF 15.4.20), exact up to gamma-function rounding
-whenever c-a-b > 0.  A node in (0, 1) takes one of two routes:
+one call, behind one gate.  z = 0 is exactly 1.  z = 1 takes the first
+route below, and a node in (0, 1) the first of the other three that
+gives it a finite value:
 
+* z = 1 is the Gauss summation formula (DLMF 15.4.20), the Gamma
+  product while its arguments are below 10 and, where c, c-a, c-b and
+  c-a-b are all positive and one of them is larger, two lgamma ratios
+  that stay exact to rounding and finite where the Gamma values
+  overflow (``_gauss_value``);
+* a node in (0, 1) where a or b is a non-positive integer sums the
+  series as the polynomial it is, by Horner's rule, unless its terms
+  cancel (``_terminating``);
 * above z = 0.9, with c-a-b below 10 and not an integer, the z -> 1 - z
   connection formula (DLMF 15.8.4) as two short series in w = 1 - z,
   its cancelling terms paired so that c-a-b next to an integer costs
@@ -19,7 +27,8 @@ whenever c-a-b > 0.  A node in (0, 1) takes one of two routes:
 
 On the parameters the potentials use (a = -gamma/2, b = (2-gamma-d)/2,
 c in {d/2, 2-gamma/2}, d = 2..12, z up to 1 - 1e-12) the value agrees
-with mpmath within 4.6e-15 relative.  A non-finite result raises
+with mpmath within 4.6e-15 relative, and the Gauss value of the sphere
+profile within 2.1e-15 up to d = 300.  A non-finite result raises
 NonConvergence.
 
 The gamma function is ``math.gamma``, and ``digamma`` is a finite sum at
@@ -57,9 +66,14 @@ _CONNECTION_TERMS = 64
 # A node whose connection terms cancel by more than this factor takes the
 # ufunc instead: the error of the sum grows with the cancellation.
 _CONNECTION_CANCEL = 16.0
-# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of ln Gamma.
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
-             -3617 / 122400)
+# The Gauss value at z = 1 is the Gamma product while all of its
+# arguments are below this: there the product is as accurate as the
+# lgamma ratios that take over above it, in under half their time.
+_GAUSS_PRODUCT_MAX = 10.0
+# (B_2k / (2k (2k - 1)), 1 - 2k), k = 1..8: the Stirling series of
+# ln Gamma, sum_k B_2k / (2k (2k - 1)) x^(1 - 2k).
+_STIRLING = tuple(zip((1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+                       1 / 156, -3617 / 122400), range(-1, -17, -2)))
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -124,23 +138,99 @@ def _gamma_quotient(p: float, q: float, r: float, s: float) -> float:
     return gamma_fn(p) * gamma_fn(q) * _rgamma(r) * _rgamma(s)
 
 
-def _lgamma_ratio(x: float, delta: float) -> float:
-    """ln(Gamma(x + delta)/Gamma(x)) for x > 0 and x + delta > 0.
+def _lgamma_split(x: float, delta: float) -> tuple[float, float]:
+    """(y, rest) with ln(Gamma(x + delta)/Gamma(x)) = rest + delta ln y,
+    for x > 0 and x + delta > 0, and delta >= -1/2.
 
     The error is a few roundings of delta ln x, not of ln Gamma(x), so the
     ratio stays exact to rounding as delta -> 0: the arguments are
-    raised past 10 by Gamma(y + 1) = y Gamma(y), then the two Stirling
-    series are subtracted term by term through log1p and expm1.
+    raised past 10 (x + delta past 9.5) by Gamma(y + 1) = y Gamma(y),
+    then the two Stirling series are subtracted term by term through
+    log1p and expm1.  y is the raised x + delta.  The large term
+    delta ln y is left to the caller, so that two ratios with the same
+    delta can take it as one logarithm of a quotient.
     """
-    total = 0.0
+    rest = 0.0
     while x < 10.0:
-        total -= math.log1p(delta / x)
+        rest -= math.log1p(delta / x)
         x += 1.0
     shift = math.log1p(delta / x)
-    total += (x - 0.5) * shift + delta * math.log(x + delta) - delta
-    for k, coefficient in enumerate(_STIRLING, 1):
-        total += coefficient * x ** (1 - 2 * k) * math.expm1((1 - 2 * k) * shift)
-    return total
+    rest += (x - 0.5) * shift - delta
+    for coefficient, power in _STIRLING:
+        rest += coefficient * x ** power * math.expm1(power * shift)
+    return x + delta, rest
+
+
+def _lgamma_ratio(x: float, delta: float) -> float:
+    """ln(Gamma(x + delta)/Gamma(x)) for x > 0, x + delta > 0 and
+    delta >= -1/2 (``_lgamma_split``)."""
+    y, rest = _lgamma_split(x, delta)
+    return rest + delta * math.log(y)
+
+
+def _gauss_value(a: float, b: float, c: float) -> float:
+    """F(a,b;c;1) = Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)), DLMF 15.4.20.
+
+    The Gamma product, rounded factor by factor, errs by about
+    eps x psi(x) at each rounded argument x: on the potentials'
+    parameters within 2.4e-15 of mpmath while every argument is below
+    _GAUSS_PRODUCT_MAX, but 3.3e-14 at the sphere profile in d = 100,
+    and from d = 129 on a factor overflows.  So where c, c-a, c-b and
+    c-a-b are all positive and one of them reaches _GAUSS_PRODUCT_MAX,
+    the value is the exponential of two lgamma ratios, each a step up
+    by delta, the smaller of |a| and |b| (F is symmetric in them):
+    Gamma(x + delta)/Gamma(x) over Gamma(x' + delta)/Gamma(x') with
+    (x, x') = (c - a, c - a - b) for a = delta >= 0, and
+    (c - b, c) for a = -delta < 0.  Its error grows with delta, not with
+    psi at the rounded arguments, and it stays finite where the Gamma
+    factors overflow.  Elsewhere it is the product: exactly 0.0 at a
+    pole of c-a or c-b, and inf or nan where a factor leaves the float
+    range.
+    """
+    m = c - a - b
+    if not min(c, c - a, c - b, m) > 0 or max(c, c - a, c - b, m) < _GAUSS_PRODUCT_MAX:
+        return _gamma_quotient(c, m, c - a, c - b)
+    step, other = sorted((a, b), key=abs)
+    if step >= 0:
+        low, high = c - step, m
+    else:
+        step, low, high = -step, c - other, c
+    y_low, rest_low = _lgamma_split(low, step)
+    y_high, rest_high = _lgamma_split(high, step)
+    return math.exp(rest_low - rest_high + step * math.log(y_low / y_high))
+
+
+def _horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[i, k] z^k for every row i at every node of z.
+
+    Horner's rule, node by node: a node's value does not depend on the
+    other nodes of the call.
+    """
+    sums = np.zeros((len(coefficients), z.size))
+    for column in coefficients.T[::-1]:
+        sums *= z
+        sums += column[:, None]
+    return sums
+
+
+def _terminating(a: float, b: float, c: float, n: int, z: np.ndarray) -> np.ndarray:
+    """F(a,b;c;z) at nodes 0 < z < 1 when a or b is -n, a non-positive integer.
+
+    The Gauss series then stops at z^n (DLMF 15.2.4):
+    sum_(k<=n) (a)_k (b)_k / ((c)_k k!) z^k.  nan at a node where the
+    sum of the terms' magnitudes exceeds _CONNECTION_CANCEL times the
+    value, or is not finite: there the sum is no better than its
+    cancellation allows (the polynomial of (300.5, -500; 100) at
+    z = 0.3 is 1e-97 from terms of 1e90).
+    """
+    coefficients, term = [], 1.0
+    for k in range(n + 1):
+        coefficients.append(term)
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1))
+    with np.errstate(all="ignore"):
+        value, magnitude = _horner(np.array([coefficients, np.abs(coefficients)]), z)
+        fine = np.isfinite(magnitude) & (magnitude <= _CONNECTION_CANCEL * np.abs(value))
+    return np.where(fine, value, np.nan)
 
 
 def _connection(a: float, b: float, c: float, w: np.ndarray):
@@ -173,7 +263,7 @@ def _connection(a: float, b: float, c: float, w: np.ndarray):
     eps = m - n
     if eps == 0.0 or not -0.5 <= m < _CONNECTION_M or not min(a + n, b + n, c - a, c - b) >= 0.25:
         return None
-    gauss = _gamma_quotient(c, m, c - a, c - b)
+    gauss = _gauss_value(a, b, c)
     scale = ((-1) ** n * math.pi / math.sin(math.pi * eps)
              * gamma_fn(c) * _rgamma(a) * _rgamma(b) * _rgamma(m + 1.0))
     if not (math.isfinite(gauss) and math.isfinite(scale)):
@@ -205,19 +295,25 @@ def _connection(a: float, b: float, c: float, w: np.ndarray):
     else:
         return None
     coefficients = np.array([regular + paired, [0.0] * n + plain])
-    coefficients = np.concatenate([coefficients, np.abs(coefficients)])
     with np.errstate(all="ignore"):
-        # Horner's rule, node by node, for the two series and for the
-        # same series with absolute coefficients: a node's value does not
-        # depend on the other nodes of the call.
-        sums = np.zeros((4, w.size))
-        for column in coefficients.T[::-1]:
-            sums *= w
-            sums += column[:, None]
+        sums = _horner(np.concatenate([coefficients, np.abs(coefficients)]), w)
         tail = np.expm1(eps * np.log(w))
         value = sums[0] - tail * sums[1]
         magnitude = sums[2] + np.abs(tail) * sums[3]
         return np.where(magnitude <= _CONNECTION_CANCEL * np.abs(value), value, np.nan)
+
+
+def _keep_finite(value: np.ndarray, pending, nodes, found):
+    """Store the finite entries of ``found``, a route's values at the
+    ``nodes`` of ``value`` (None: no values), and return ``pending``
+    without those nodes."""
+    if found is None:
+        return pending
+    fine = np.isfinite(found)
+    taken = np.zeros(value.shape, dtype=bool)
+    taken[nodes] = fine
+    value[taken] = found[fine]
+    return pending & ~taken
 
 
 def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
@@ -227,15 +323,18 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
     integers, every node must lie in [0, 1], and a node at z = 1 needs
     c - a - b > 0 for the series to converge.  A refusal raises
     DomainError naming the first bad node.
-    At z = 0 this is exactly 1.  At z = 1 it is
-    Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)), and zeros of 1/Gamma at
-    non-positive integer c-a or c-b are honored exactly.  A node inside
-    (0, 1) takes one of two routes.  Above z = 0.9, where scipy's ufunc
-    is slow unless c - a - b is large, ``_connection`` expands in
-    w = 1 - z when c - a - b is below 10, not an integer, and its other
-    conditions hold.  Every other node, and any node where that expansion
-    gives no finite value (its terms cancel, or its Gamma factors
-    overflow), is one call of scipy's ``hyp2f1`` ufunc at z.
+    At z = 0 this is exactly 1.  At z = 1 it is the Gauss value
+    Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)) (``_gauss_value``), and
+    zeros of 1/Gamma at non-positive integer c-a or c-b are honored
+    exactly.  A node inside (0, 1) takes the first of three routes that
+    gives it a finite value.  Where a or b is a non-positive integer,
+    ``_terminating`` sums the polynomial, unless its terms cancel by
+    more than 16.  Above z = 0.9, where scipy's ufunc is slow unless
+    c - a - b is large, ``_connection`` expands in w = 1 - z when
+    c - a - b is below 10, not an integer, and its other conditions
+    hold.  Every other node, and any node where those routes give no
+    finite value (their terms cancel, or the Gamma factors overflow), is
+    one call of scipy's ``hyp2f1`` ufunc at z.
     A value that overflows (c-a-b strongly negative close to z = 1)
     raises NonConvergence, naming the first such node.
     """
@@ -252,17 +351,15 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
         raise DomainError(f"z=1 requires c-a-b > 0, got c-a-b={c - a - b}")
     value = np.ones(z.shape)
     if at_one.any():
-        value[at_one] = _gamma_quotient(c, c - a - b, c - a, c - b)
+        value[at_one] = _gauss_value(a, b, c)
     inside = (z > 0.0) & ~at_one
+    degrees = [-int(x) for x in (a, b) if _is_nonpositive_integer(x)]
+    if degrees and inside.any():
+        terminating = _terminating(a, b, c, min(degrees), z[inside])
+        inside = _keep_finite(value, inside, inside, terminating)
     near = inside & (z > _CONNECTION_Z)
     if near.any():
-        joined = _connection(a, b, c, 1.0 - z[near])
-        if joined is not None:
-            fine = np.isfinite(joined)
-            taken = np.zeros(z.shape, dtype=bool)
-            taken[near] = fine
-            value[taken] = joined[fine]
-            inside &= ~taken
+        inside = _keep_finite(value, inside, near, _connection(a, b, c, 1.0 - z[near]))
     if inside.any():
         from scipy.special import hyp2f1 as ufunc
 

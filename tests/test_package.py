@@ -5,8 +5,9 @@ and their oracles need; a name that disappears from this list breaks
 callers outside the package.  scipy.integrate is loaded only when a
 quadrature oracle runs, and scipy.special only at the first 2F1 ufunc or
 digamma call off the integers and half-integers, so ``import aggremin``
-loads no scipy module, and the closed forms (power-law and logarithmic)
-and the particle flow never load scipy.special.
+loads no scipy module, and the closed forms (power-law and logarithmic),
+the particle flow and the audits of elementary profiles never load
+scipy.special.
 """
 
 import inspect
@@ -158,8 +159,11 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 def test_power_law_closed_forms_leave_scipy_special_unloaded(tmp_path):
     """The gamma- and digamma-function answers, the log kernel's included,
-    and the flow run without scipy.special; the Euler-Lagrange audit,
-    which evaluates 2F1 inside (0, 1), loads it."""
+    and the flow run without scipy.special.  So do the Euler-Lagrange
+    audit and the convexity report where every profile is elementary:
+    the d = 3 sphere profile (Archimedes' shell formula) and a
+    terminating 2F1 series, here alpha = 3 in d = 5.  The d = 2 audit,
+    whose 2F1 profiles are neither, loads it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(aggremin.__file__)))
     code = textwrap.dedent(
         f"""
@@ -183,13 +187,24 @@ def test_power_law_closed_forms_leave_scipy_special_unloaded(tmp_path):
                            "--beta-steps", "4", "--alpha-steps", "3", "--format", "json"],
             "simulate": ["simulate", "--d", "2", "--alpha", "3", "--beta", "1.75", "--n", "16",
                          "--max-iter", "3", "--allow-partial", "--out", {str(tmp_path / "sim")!r}],
+            "verify-el --force-sphere": ["verify-el", "--force-sphere", "--d", "3", "--alpha", "3",
+                                         "--beta", "0.5"],
+            "convexity --log-beta": ["convexity", "--d", "5", "--alpha", "3", "--log-beta"],
         }}
         for name, argv in commands.items():
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = cli.main(argv)
-            assert rc == 0, (name, rc)
+            # The forced sphere at (3, 3, 0.5) fails its audit: exit 3.
+            assert rc == (3 if "--force-sphere" in argv else 0), (name, rc)
             seen[name] = "scipy.special" in sys.modules
-        aggremin.verify_euler_lagrange(aggremin.KernelParams(2, 3.0, 1.7))
+        KernelParams = aggremin.KernelParams
+        aggremin.verify_euler_lagrange(KernelParams(3, 3.0, 0.5), force_sphere=True)
+        seen["verify_euler_lagrange d = 3 forced"] = "scipy.special" in sys.modules
+        aggremin.verify_euler_lagrange(KernelParams(3, 2.5, 1.5))
+        seen["verify_euler_lagrange d = 3"] = "scipy.special" in sys.modules
+        aggremin.convexity_report(KernelParams(5, 3.0, 0.0, beta_is_log=True))
+        seen["convexity_report terminating"] = "scipy.special" in sys.modules
+        aggremin.verify_euler_lagrange(KernelParams(2, 3.0, 1.7))
         seen["verify_euler_lagrange"] = "scipy.special" in sys.modules
         print(json.dumps(seen))
         """
@@ -201,4 +216,4 @@ def test_power_law_closed_forms_leave_scipy_special_unloaded(tmp_path):
     seen = json.loads(proc.stdout)
     assert seen.pop("verify_euler_lagrange") is True
     assert seen == dict.fromkeys(seen, False)
-    assert len(seen) == 10
+    assert len(seen) == 15

@@ -93,6 +93,28 @@ def test_psi_gamma_newton_shell_in_three_dimensions():
     assert abs(psi_gamma(3, -1.0, 25.0) - 0.2) < 1e-14
 
 
+_SHELL_RHO = (0.0, 1e-12, 0.5, 1.0 - 1e-14, 1.0 + 1e-14, 1.0 - 1e-9, 1.0 + 1e-9,
+              1.0 - 1e-4, 1.0 + 1e-4, 1.0, 2.0, 800.0, 1e12)
+
+
+def test_psi_gamma_in_three_dimensions_matches_mpmath():
+    """The d = 3 profile is Archimedes' shell formula; within 1e-14
+    relative of the 40-digit 2F1 on either side of rho = 1, at it, and
+    at both ends, where rho = inf reads inf^(gamma/2)."""
+    for g in (-1.5, -0.9, 0.3, 1.5, 3.0, 3.7, 4.0):
+        a, b, c = -g / 2.0, -(g + 1.0) / 2.0, 1.5
+        got = _psi_raw(3, g, np.array(_SHELL_RHO))
+        for rho, value in zip(_SHELL_RHO, got):
+            with mpmath.workdps(40):
+                if rho <= 1.0:
+                    want = mpmath.hyp2f1(a, b, c, rho)
+                else:
+                    rho_mp = mpmath.mpf(rho)
+                    want = rho_mp ** (mpmath.mpf(g) / 2) * mpmath.hyp2f1(a, b, c, 1 / rho_mp)
+                assert abs((value - want) / want) <= 1e-14, (g, rho)
+        assert psi_gamma(3, g, math.inf) == (math.inf if g > 0.0 else 0.0)
+
+
 def test_psi_gamma_branches_glue_at_the_seam():
     for d, g in [(3, 1.5), (4, -0.7), (2, 2.6), (5, -2.5), (3, 3.7), (2, 0.5)]:
         v = psi_gamma(d, g, 1.0)

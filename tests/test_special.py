@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aggremin import DomainError, NonConvergence, PoleError, digamma, gamma_fn
-from aggremin.special import _hyp2f1
+from aggremin.special import _hyp2f1, _terminating
 
 mpmath.mp.dps = 40
 
@@ -86,6 +86,59 @@ def test_gauss_value_on_the_sphere_profile(d, g):
     triples, against mpmath."""
     a, b, c = -g / 2.0, (2.0 - g - d) / 2.0, d / 2.0
     assert _rel(float(_hyp2f1(a, b, c, 1.0)), float(mpmath.hyp2f1(a, b, c, 1))) < 1e-14
+
+
+def test_gauss_value_from_lgamma_ratios_on_the_sphere_profile():
+    """d = 2..300: within 5e-15 relative of mpmath at the same float
+    parameters, and finite also from d = 129 on, where the product of
+    the four Gamma values overflows."""
+    for d in range(2, 301):
+        for g in (-0.5, 0.3, 1.5, 1.9, 3.3, 3.9):
+            a, b, c = -g / 2.0, (2.0 - g - d) / 2.0, d / 2.0
+            got = float(_hyp2f1(a, b, c, 1.0))
+            assert math.isfinite(got), (d, g)
+            assert _rel(got, float(mpmath.hyp2f1(a, b, c, 1))) <= 5e-15, (d, g)
+
+
+# Nodes in (0, 1) on either side of the connection route's z = 0.9.
+_TERMINATING_Z = (1e-300, 0.1, 0.3, 0.5, 0.7, 0.9, float(np.nextafter(0.9, 1.0)), 0.95,
+                  0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
+
+
+def test_terminating_route_on_both_profiles():
+    """Every g that makes a = -g/2 or b = (2-g-d)/2 a non-positive integer,
+    for the sphere (c = d/2) and the ball (c = 2 - g/2), d = 2..8: the
+    polynomial takes every node, within 1e-14 relative of mpmath."""
+    z = np.array(_TERMINATING_Z)
+    cases = 0
+    for d in range(2, 9):
+        for k in range(d + 3):
+            for g in (2.0 * k, 2.0 + 2.0 * k - d):
+                a, b = -g / 2.0, (2.0 - g - d) / 2.0
+                for c, inside in ((d / 2.0, 2.0 - d < g <= 4.0), (2.0 - g / 2.0, -d < g < 4.0 - d)):
+                    if not inside:
+                        continue
+                    cases += 1
+                    n = min(-int(x) for x in (a, b) if x <= 0.0 and x.is_integer())
+                    assert np.isfinite(_terminating(a, b, c, n, z)).all(), (a, b, c)
+                    for node, value in zip(_TERMINATING_Z, _hyp2f1(a, b, c, z)):
+                        want = float(mpmath.hyp2f1(a, b, c, node))
+                        assert _rel(float(value), want) <= 1e-14, (a, b, c, node)
+    assert cases == 52
+
+
+def test_terminating_route_declines_cancelling_sums():
+    """Where the polynomial's terms cancel, (300.5, -500; 100) by 10^187
+    at z = 0.3, the route declines every node and the value is no worse
+    than scipy's ufunc alone."""
+    from scipy.special import hyp2f1 as ufunc
+
+    z = np.array([0.3, 0.7, 0.95, 1.0 - 1e-6])
+    for a, b, c, n in ((300.5, -500.0, 100.0, 500), (-20.0, 30.5, 5.5, 20)):
+        assert np.isnan(_terminating(a, b, c, n, z)).all(), (a, b, c)
+        for node, value in zip(z, _hyp2f1(a, b, c, z)):
+            want = float(mpmath.hyp2f1(a, b, c, node))
+            assert _rel(float(value), want) <= _rel(float(ufunc(a, b, c, node)), want), (a, b, node)
 
 
 def test_digamma_values_and_oracle():

@@ -6,12 +6,12 @@ conditions), ``convexity`` (second differences of the convexity
 combination), ``simulate`` (particle descent with CSV/JSON artifacts),
 and ``phase-scan`` (regime map over an (alpha, beta) rectangle).
 
-Exit codes: 0 success, 2 for parameters outside a mathematical domain
-or supported regime, 3 when a verification or iteration fails, 64 for
-usage errors, among them an output path that cannot be written (one
-``aggremin: error:`` line on stderr, no traceback).  All JSON carries a
-top-level ``"schema": "aggremin/1"``; floats are serialized by ``repr``
-so they round-trip bit-exactly.
+Exit codes: 0 success, 2 for an error that refused the input (a
+``ValueError``), 3 for a failed computation (a ``RuntimeError``) or
+audit, 64 for usage errors, among them an output path that cannot be
+written (one ``aggremin: error:`` line on stderr, no traceback).  All
+JSON carries a top-level ``"schema": "aggremin/1"``; floats are
+serialized by ``repr`` so they round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ import numpy as np
 
 from . import flow
 from .closed_form import beta_star, candidate_for, classify, energy, eta, radius
-from .errors import (
-    DomainError,
-    IllConditioned,
-    NonConvergence,
-    QuadratureFailure,
-    RegimeError,
-    StallError,
-)
+from .errors import AggreminError, NonConvergence
 from .params import CandidateMinimizer, KernelParams
 from .verify import convexity_report, verify_euler_lagrange
 
@@ -143,18 +136,14 @@ def cmd_convexity(args) -> int:
     return 0 if report.passed else 3
 
 
-def _write_positions_csv(path: str, positions: np.ndarray) -> None:
-    lines = [",".join(f"x{k}" for k in range(positions.shape[1]))]
-    lines += [",".join(repr(float(v)) for v in row) for row in positions]
-    _write_text("\n".join(lines) + "\n", path)
+def _write_csv(path, header, rows) -> None:
+    # A float cell is its repr, so it round-trips; None is an empty cell.
+    def cell(v):
+        if v is None:
+            return ""
+        return repr(float(v)) if isinstance(v, float) else str(v)
 
-
-def _write_trace_csv(path: str, sys_state: flow.ParticleSystem) -> None:
-    lines = ["iteration,energy,step_size"]
-    lines += [
-        f"{k},{float(e)!r},{float(h)!r}"
-        for k, (e, h) in enumerate(zip(sys_state.energy_trace, sys_state.step_trace))
-    ]
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
     _write_text("\n".join(lines) + "\n", path)
 
 
@@ -187,8 +176,9 @@ def cmd_simulate(args) -> int:
         state, stats = exc.partial
         converged = False
 
-    _write_positions_csv(paths[0], state.positions)
-    _write_trace_csv(paths[1], state)
+    _write_csv(paths[0], [f"x{k}" for k in range(state.positions.shape[1])], state.positions)
+    trace = zip(range(len(state.energy_trace)), state.energy_trace, state.step_trace)
+    _write_csv(paths[1], ("iteration", "energy", "step_size"), trace)
 
     payload = {
         "schema": SCHEMA,
@@ -233,6 +223,7 @@ def cmd_phase_scan(args) -> int:
     # linspace misses an intended beta = 0 by rounding (1.1e-16, say);
     # such a grid point is the logarithmic kernel.
     zero_tol = 1e-12 * max(1.0, abs(args.beta_min), abs(args.beta_max))
+    columns = ("alpha", "beta", "regime", "beta_star", "R", "E")
     rows = []
     for a in alphas:
         a = float(a)
@@ -251,26 +242,11 @@ def cmd_phase_scan(args) -> int:
                 r_val, e_val = None, None
             else:
                 r_val, e_val = radius(params), energy(params)
-            rows.append(
-                {
-                    "alpha": a,
-                    "beta": b,
-                    "regime": label,
-                    "beta_star": bs,
-                    "R": r_val,
-                    "E": e_val,
-                }
-            )
+            rows.append(dict(zip(columns, (a, b, label, bs, r_val, e_val))))
     if args.format == "json":
         _emit({"schema": SCHEMA, "d": d, "rows": rows}, args.out)
         return 0
-    lines = ["alpha,beta,regime,beta_star,R,E"]
-    for row in rows:
-        cells = [repr(row["alpha"]), repr(row["beta"]), row["regime"]]
-        for key in ("beta_star", "R", "E"):
-            cells.append("" if row[key] is None else repr(row[key]))
-        lines.append(",".join(cells))
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write_csv(args.out, columns, (row.values() for row in rows))
     return 0
 
 
@@ -369,12 +345,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"aggremin: error: {exc}", file=sys.stderr)
         return 64
-    except (DomainError, RegimeError, IllConditioned) as exc:
+    except AggreminError as exc:
+        # A refused input is a ValueError, a failed computation a
+        # RuntimeError (see errors).
         _emit_error(exc)
-        return 2
-    except (NonConvergence, StallError, QuadratureFailure) as exc:
-        _emit_error(exc)
-        return 3
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

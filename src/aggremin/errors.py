@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is an ``AggreminError`` and also a ``ValueError`` or a
+``RuntimeError``, and that second base says what went wrong: a
+``ValueError`` means the input was refused (``DomainError``,
+``PoleError``, ``RegimeError``, ``IllConditioned``), a ``RuntimeError``
+that the computation failed (``NonConvergence``, ``StallError``,
+``QuadratureFailure``).  The command line maps the first to exit code 2
+and the second to exit code 3.
+"""
 
 
 class AggreminError(Exception):

@@ -375,6 +375,17 @@ def _lbfgs_direction(grad: np.ndarray, history: deque, scale: float) -> np.ndarr
     return -q
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int where it is a whole number, as KernelParams
+    takes ``d``; DomainError otherwise."""
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def run_to_convergence(
     params: KernelParams,
     n_particles: int,
@@ -398,8 +409,13 @@ def run_to_convergence(
     iteration budget runs out first, raises NonConvergence whose
     ``partial`` attribute carries the best-so-far pair.  Raises
     DomainError if the energy or a force is not finite on the starting
-    cloud.
+    cloud, or if ``n_particles``, ``seed`` or ``max_iter`` is not a
+    whole number (16.0 is taken as 16).
     """
+    n_particles, seed, max_iter = (
+        _whole(name, value)
+        for name, value in (("n_particles", n_particles), ("seed", seed), ("max_iter", max_iter))
+    )
     if n_particles < 16:
         raise DomainError(f"need at least 16 particles, got {n_particles}")
     if not tol > 0:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, RegimeError
 from .params import CandidateMinimizer, KernelParams
-from .special import _hyp2f1, gamma_fn
+from .special import _horner, _hyp2f1, gamma_fn
 
 __all__ = [
     "KernelParams",
@@ -188,8 +188,11 @@ def psi_values_at_one(d, gamma: float):
 
 
 def _seam_curvature(d: int, gamma: float) -> float:
-    """k = psi_gamma''(1) / psi_gamma'(1) for d + gamma > 3 (tilde_psi0's at 0)."""
-    return (2.0 - gamma) * (4.0 - d - gamma) / (4.0 * (d + gamma - 3.0))
+    """k = psi_gamma''(1) / psi_gamma'(1) for d + gamma > 3 (tilde_psi0's at 0).
+
+    Integer constants, so a ``Fraction`` gamma gives k exactly.
+    """
+    return (2 - gamma) * (4 - d - gamma) / (4 * (d + gamma - 3))
 
 
 def sphere_potential(d, gamma: float, x_norm):
@@ -352,11 +355,7 @@ def _log_series(d: int, c0: float, z) -> np.ndarray:
     out = np.empty_like(z)
     near = np.ones(z.shape, dtype=bool) if whole else z <= 0.5
     zs = z[near]
-    acc = np.full_like(zs, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= zs
-        acc += c
-    out[near] = acc * zs
+    out[near] = _horner(coef[None], zs)[0] * zs
     far = ~near
     if far.any():
         out[far] = (_ball_closed if c0 == 2.0 else _sphere_closed)(d, z[far])

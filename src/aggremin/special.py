@@ -5,7 +5,7 @@ all the radial potential formulas need.  ``_hyp2f1`` is the package's
 one 2F1 evaluator: it takes F(a,b;c;z) at one z or over an array of z in
 one call, behind one gate.  z = 0 is exactly 1.  z = 1 takes the first
 route below, and a node in (0, 1) the first of the other three that
-gives it a finite value:
+gives it a finite value; a route returns nan at a node it declines:
 
 * z = 1 is the Gauss summation formula (DLMF 15.4.20), the Gamma
   product while its arguments are below 10 and, where c, c-a, c-b and
@@ -131,13 +131,6 @@ def digamma(x: float) -> float:
     return float(psi(x))
 
 
-def _gamma_quotient(p: float, q: float, r: float, s: float) -> float:
-    """Gamma(p)Gamma(q)/(Gamma(r)Gamma(s)) as one product, rounded factor
-    by factor: exactly 0.0 at a pole of r or s, and inf or nan where a
-    factor or a partial product leaves the float range."""
-    return gamma_fn(p) * gamma_fn(q) * _rgamma(r) * _rgamma(s)
-
-
 def _lgamma_split(x: float, delta: float) -> tuple[float, float]:
     """(y, rest) with ln(Gamma(x + delta)/Gamma(x)) = rest + delta ln y,
     for x > 0 and x + delta > 0, and delta >= -1/2.
@@ -189,7 +182,7 @@ def _gauss_value(a: float, b: float, c: float) -> float:
     """
     m = c - a - b
     if not min(c, c - a, c - b, m) > 0 or max(c, c - a, c - b, m) < _GAUSS_PRODUCT_MAX:
-        return _gamma_quotient(c, m, c - a, c - b)
+        return gamma_fn(c) * gamma_fn(m) * _rgamma(c - a) * _rgamma(c - b)
     step, other = sorted((a, b), key=abs)
     if step >= 0:
         low, high = c - step, m
@@ -233,8 +226,8 @@ def _terminating(a: float, b: float, c: float, n: int, z: np.ndarray) -> np.ndar
     return np.where(fine, value, np.nan)
 
 
-def _connection(a: float, b: float, c: float, w: np.ndarray):
-    """F(a,b;c;1-w) at nodes 0 < w < 0.1 by DLMF 15.8.4, or None.
+def _connection(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
+    """F(a,b;c;1-w) at nodes 0 < w < 0.1 by DLMF 15.8.4, nan where it gives none.
 
     With m = c - a - b = n + eps, n = round(m), the formula reads
     F = A F(a,b;1-m;w) + B w^m F(c-a,c-b;1+m;w), A the Gauss value at
@@ -250,24 +243,26 @@ def _connection(a: float, b: float, c: float, w: np.ndarray):
     V_j = (c-a)_j (c-b)_j / ((m+1)_j j!), so that C V_j w^(n+j) e^(s_j) is
     the w^(n+j) term of the first series and -C V_j w^(m+j) that of the
     second.  s_j is O(eps), summed from lgamma ratios and log1p steps,
-    and every term is accurate to rounding at any eps.  None when m is an
-    integer or outside [-1/2, _CONNECTION_M), when any of a + n, b + n,
-    c - a, c - b is below 1/4 (the logarithms need ratios bounded away
-    from 0), when A or C leaves the float range, or when the series in w
-    do not settle within _CONNECTION_TERMS terms.  nan at a node where
-    the sum of the terms' magnitudes exceeds _CONNECTION_CANCEL times
-    the value (large a and b at w near 0.1 cancel by 10^6).
+    and every term is accurate to rounding at any eps.  nan at every node
+    when m is an integer or outside [-1/2, _CONNECTION_M), when any of
+    a + n, b + n, c - a, c - b is below 1/4 (the logarithms need ratios
+    bounded away from 0), when A or C leaves the float range, or when
+    the series in w do not settle within _CONNECTION_TERMS terms.  nan
+    at a node where the sum of the terms' magnitudes exceeds
+    _CONNECTION_CANCEL times the value (large a and b at w near 0.1
+    cancel by 10^6).
     """
+    declined = np.full(w.shape, np.nan)
     m = c - a - b
     n = round(m)
     eps = m - n
     if eps == 0.0 or not -0.5 <= m < _CONNECTION_M or not min(a + n, b + n, c - a, c - b) >= 0.25:
-        return None
+        return declined
     gauss = _gauss_value(a, b, c)
     scale = ((-1) ** n * math.pi / math.sin(math.pi * eps)
              * gamma_fn(c) * _rgamma(a) * _rgamma(b) * _rgamma(m + 1.0))
     if not (math.isfinite(gauss) and math.isfinite(scale)):
-        return None
+        return declined
     # Coefficients of the regular series (k < n) and of the paired series
     # (j >= 0), the latter until a term at w = 0.1 falls below 1e-18 of
     # the largest.  The w-independent part is scalar work.
@@ -283,7 +278,7 @@ def _connection(a: float, b: float, c: float, w: np.ndarray):
     for j in range(_CONNECTION_TERMS):
         bound = abs(v) * (1.0 - _CONNECTION_Z) ** j
         if not math.isfinite(bound):
-            return None
+            return declined
         largest = max(largest, bound)
         if bound <= 1e-18 * largest:
             break
@@ -293,7 +288,7 @@ def _connection(a: float, b: float, c: float, w: np.ndarray):
               - math.log1p(eps / (b + n + j)) - math.log1p(-eps / (1 + j)))
         v *= (c - a + j) * (c - b + j) / ((m + 1 + j) * (j + 1))
     else:
-        return None
+        return declined
     coefficients = np.array([regular + paired, [0.0] * n + plain])
     with np.errstate(all="ignore"):
         sums = _horner(np.concatenate([coefficients, np.abs(coefficients)]), w)
@@ -305,10 +300,8 @@ def _connection(a: float, b: float, c: float, w: np.ndarray):
 
 def _keep_finite(value: np.ndarray, pending, nodes, found):
     """Store the finite entries of ``found``, a route's values at the
-    ``nodes`` of ``value`` (None: no values), and return ``pending``
-    without those nodes."""
-    if found is None:
-        return pending
+    ``nodes`` of ``value`` (nan where it gives none), and return
+    ``pending`` without those nodes."""
     fine = np.isfinite(found)
     taken = np.zeros(value.shape, dtype=bool)
     taken[nodes] = fine
@@ -322,21 +315,11 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
     The gate: a, b and c must be finite, c must avoid the non-positive
     integers, every node must lie in [0, 1], and a node at z = 1 needs
     c - a - b > 0 for the series to converge.  A refusal raises
-    DomainError naming the first bad node.
-    At z = 0 this is exactly 1.  At z = 1 it is the Gauss value
-    Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)) (``_gauss_value``), and
-    zeros of 1/Gamma at non-positive integer c-a or c-b are honored
-    exactly.  A node inside (0, 1) takes the first of three routes that
-    gives it a finite value.  Where a or b is a non-positive integer,
-    ``_terminating`` sums the polynomial, unless its terms cancel by
-    more than 16.  Above z = 0.9, where scipy's ufunc is slow unless
-    c - a - b is large, ``_connection`` expands in w = 1 - z when
-    c - a - b is below 10, not an integer, and its other conditions
-    hold.  Every other node, and any node where those routes give no
-    finite value (their terms cancel, or the Gamma factors overflow), is
-    one call of scipy's ``hyp2f1`` ufunc at z.
-    A value that overflows (c-a-b strongly negative close to z = 1)
-    raises NonConvergence, naming the first such node.
+    DomainError naming the first bad node.  The routes are those of the
+    module docstring.  Each returns an array over the nodes it is
+    given, nan where it gives no value, and a node keeps the first
+    finite one.  A value that is not finite (c-a-b strongly negative
+    close to z = 1) raises NonConvergence, naming the first such node.
     """
     z = np.asarray(z, dtype=float)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):

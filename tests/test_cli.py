@@ -10,6 +10,7 @@ entry points actually resolve.
 import importlib
 import json
 import math
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,12 +21,18 @@ import pytest
 from aggremin import (
     ELReport,
     KernelParams,
+    beta_star,
     classify,
+    errors,
     flow,
+    psi_capital_dd_at_one,
     radius,
     verify_euler_lagrange,
 )
+from aggremin import cli
 from aggremin.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _reject_constant(name):
@@ -270,6 +277,26 @@ def test_verify_el_forced_sphere_exits_3(capsys):
     payload = _strict_json(out)
     assert payload["passed"] is False
     assert payload["exterior_min_margin"] < -1e-3
+
+
+@pytest.mark.parametrize(
+    "d, alpha, delta",
+    [(2, 3.0, 1e-2), (2, 3.0, 3e-3), (2, 3.0, 1e-3), (3, 3.0, 3e-3), (3, 3.0, 1e-3),
+     (4, 2.5, 3e-3), (4, 2.5, 1e-3)],
+)
+def test_forced_sphere_fails_on_a_negative_seam_curvature(d, alpha, delta, capsys):
+    """Just below beta_star the exterior dip is shallower than tol
+    (-4.3e-10 at (2, 3, 1.49)), but Psi''(1) < 0 proves the sphere is no
+    minimizer, so the forced audit fails and the command exits 3."""
+    beta = beta_star(d, alpha) - delta
+    params = KernelParams(d, alpha, beta)
+    assert psi_capital_dd_at_one(params) < 0
+    assert verify_euler_lagrange(params, force_sphere=True).passed is False
+    argv = ["verify-el", "--force-sphere", "--d", str(d), "--alpha", repr(alpha),
+            "--beta", repr(beta)]
+    rc, out, _ = _run(argv, capsys)
+    assert rc == 3
+    assert _strict_json(out)["passed"] is False
 
 
 def test_audit_payloads_hold_only_small_scalars(capsys):
@@ -594,3 +621,61 @@ def test_console_script_maps_to_main(capsys):
     assert entry is main
     assert entry(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+# Every error class of the package and the exit code its base class gives.
+_EXIT_CODES = {
+    "DomainError": 2, "PoleError": 2, "RegimeError": 2, "IllConditioned": 2,
+    "NonConvergence": 3, "StallError": 3, "QuadratureFailure": 3,
+}
+
+
+def test_every_error_class_is_a_refusal_or_a_failure():
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.AggreminError)
+    }
+    classes.pop("AggreminError")
+    assert set(classes) == set(_EXIT_CODES)
+    for cls in classes.values():
+        assert issubclass(cls, ValueError) != issubclass(cls, RuntimeError), cls
+
+
+@pytest.mark.parametrize("name, rc_want", sorted(_EXIT_CODES.items()))
+def test_exit_code_follows_the_error_base_class(name, rc_want, capsys, monkeypatch):
+    """A refused input (a ValueError) exits 2 and a failed computation (a
+    RuntimeError) exits 3, each with the JSON error payload."""
+
+    def fail(args):
+        raise getattr(errors, name)("made up")
+
+    monkeypatch.setattr(cli, "cmd_closed_form", fail)
+    rc, out, _ = _run(["closed-form", "--d", "3", "--alpha", "2", "--beta", "1"], capsys)
+    assert rc == rc_want
+    assert _strict_json(out)["error"] == {"type": name, "reason": "made up"}
+
+
+def _readme_block(heading: str, language: str) -> str:
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    """Every ``aggremin`` line of the README's Command line block exits 0;
+    ``simulate`` writes its artifacts under tmp_path."""
+    block = _readme_block("Command line", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("aggremin ")]
+    assert len(commands) == 5
+    for argv in commands:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        rc, _, err = _run(argv, capsys)
+        assert rc == 0, (argv, err)
+    assert (tmp_path / "run_stats.json").exists()
+
+
+def test_readme_library_use_runs(capsys):
+    exec(_readme_block("Library use", "python"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "SphereTheorem1"

@@ -344,6 +344,24 @@ def test_run_to_convergence_gates_and_partial_state():
     assert isinstance(stats, RadialStats)
 
 
+def test_run_to_convergence_takes_only_whole_counts():
+    """A count that is not a whole number is refused, where numpy raised
+    a TypeError for 16.5 particles and a budget of 2.5 iterations ran;
+    a whole float is taken as its int."""
+    params = KernelParams(2, 2.0, -1.0)
+    counts = dict(n_particles=16, seed=0, max_iter=3)
+    for name, bad in (("n_particles", 16.5), ("seed", 1.5), ("max_iter", 2.5),
+                      ("seed", None), ("max_iter", math.inf)):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            run_to_convergence(params, **dict(counts, **{name: bad}), tol=1e-12)
+    runs = []
+    for whole in (counts, {k: float(v) for k, v in counts.items()}):
+        with pytest.raises(NonConvergence, match="after 3 iterations$") as exc:
+            run_to_convergence(params, **whole, tol=1e-12)
+        runs.append(exc.value.partial[0])
+    assert runs[0].positions.tobytes() == runs[1].positions.tobytes()
+
+
 def _row_by_row(params, x):
     """Energy, forces and their magnitude scales by a plain O(N^2) loop.
 

@@ -39,7 +39,6 @@ from aggremin import (
     unit_sphere_area,
     verify_euler_lagrange,
 )
-from aggremin import verify
 from aggremin.closed_form import _radius_sphere
 from aggremin.special import _hyp2f1
 from aggremin.verify import _CONVEXITY_GRID, _EL_GRID, _el_grid
@@ -67,9 +66,57 @@ def test_sphere_quadrature_matches_closed_form():
 def test_quadrature_oracles_refuse_a_large_error_estimate(oracle, args, where, monkeypatch):
     """An integral whose error estimate is 1e-3 of a unit value is a
     QuadratureFailure, not a number."""
-    monkeypatch.setattr(verify, "_quiet_quad", lambda *a, **k: (1.0, 1e-3))
+    import scipy.integrate
+
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1.0, 1e-3))
     with pytest.raises(QuadratureFailure, match=f"^{where} quadrature error .* too large"):
         oracle(*args)
+
+
+def _sphere_mpmath(d: int, gamma: float, x: float) -> float:
+    """The sphere integral in 30-digit mpmath, the integrand scaled by
+    (1 + x)^gamma so that mpmath's absolute target is a relative one,
+    with the oracle's breakpoints at |x - 1| 100^k below pi."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+        gap, scale = abs(x - 1), (1 + x) ** gamma
+        cuts = [gap * mpmath.mpf(100) ** k for k in range(9) if gap * 100**k < mpmath.pi]
+
+        def f(t):
+            dist2 = (x - 1) ** 2 + 4 * x * mpmath.sin(t / 2) ** 2
+            return dist2 ** (mpmath.mpf(gamma) / 2) / scale * mpmath.sin(t) ** (d - 2)
+
+        raw = mpmath.quad(f, [0] + cuts + [mpmath.pi])
+        return float(unit_sphere_area(d - 1) * scale * raw)
+
+
+@pytest.mark.parametrize("d, gamma", [(3, -1.5), (2, -0.5), (4, -2.5), (5, -3.9), (3, 1.5)])
+def test_sphere_quadrature_next_to_the_sphere_matches_mpmath(d, gamma):
+    """For 0 < |x - 1| << 1 the integrand peaks where theta is of order
+    |x - 1|; without breakpoints there QUADPACK missed the peak, 2.0e-1
+    off at (5, -3.9), x = 1 +- 1e-8, with an error estimate that passed.
+    The closed form is no reference here: squaring x costs it 1.4e-10."""
+    for x in (0.5, 1 - 1e-4, 1 + 1e-4, 1 - 1e-8, 1 + 1e-8, 1 - 1e-12, 1 + 1e-12, 2.0, 1e8):
+        want = _sphere_mpmath(d, gamma, x)
+        got = sphere_potential_quad(d, gamma, x)
+        assert abs(got - want) <= 1e-10 * abs(want), (x, got, want)
+
+
+@pytest.mark.parametrize(
+    "d, gamma",
+    [(2, 1.0), (3, -1.0), (2, -1.0), (3, 0.5), (4, -2.5), (5, -3.5), (1, -0.5), (1, 0.5), (1, 2.5)],
+)
+def test_ball_quadrature_keeps_its_digits_far_from_the_ball(d, gamma):
+    """In delta = s - x and v = 1 + cos the cap's edge does not cancel, so
+    the oracle holds 1e-10 from x = 0.3 to 1e12 (1e30 on the line).  In
+    1 - x^2 - s^2 it returned 0.0 at (2, 1.0), x = 1e8, and 1.4e-19 for
+    3.5e-20 at (4, -2.5), and raised from x = 1e4 on at (3, 0.5); the
+    line was 3.6e-7 off at x = 1e20 under an absolute error target."""
+    xs = (0.3, 0.9, 1.0, 1.5, 2.0, 10.0, 1e2, 1e4, 1e6, 1e8, 1e12)
+    for x in xs + ((1e20, 1e30) if d == 1 else ()):
+        want = ball_potential(d, gamma, x)
+        got = ball_potential_quad(d, gamma, x)
+        assert got != 0.0 and abs(got - want) <= 1e-10 * abs(want), (x, got, want)
 
 
 def test_sphere_quadrature_log_shortcut_and_gates():
@@ -178,8 +225,8 @@ def test_forced_sphere_flag_is_a_no_op_in_the_sphere_regime():
 
 
 def test_euler_lagrange_memory_stays_small():
-    """The log-kernel audit sums its series in blocks of at most 2^16
-    elements, so its peak allocation stays a few megabytes."""
+    """The log-kernel audit sums its series node by node, one Horner pass
+    over the grid, so its peak allocation stays a few megabytes."""
     params = KernelParams(3, 2.0, 0.0, beta_is_log=True)
     tracemalloc.start()
     try:

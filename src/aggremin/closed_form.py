@@ -21,13 +21,11 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, IllConditioned, RegimeError
-from .params import CandidateMinimizer, KernelParams, RegimeTag
+from .params import CandidateMinimizer, KernelParams, RegimeTag, _whole
 from .potentials import quadratic_ball_moment, total_potential
 from .special import digamma, gamma_fn
 
 __all__ = [
-    "CandidateMinimizer",
-    "RegimeTag",
     "beta_star",
     "classify",
     "radius",
@@ -48,11 +46,9 @@ def beta_star(d, alpha: float) -> float:
     a decreasing function of alpha with beta_star(2) = -d + 4 and values
     pinned to the interval (-d + 3, -d + 4].
     """
-    if not float(d).is_integer() or d < 2:
-        raise DomainError(f"need integer d >= 2, got {d}")
+    d = _whole("d", d, 2)
     if not 2 <= alpha < math.inf:
         raise DomainError(f"need finite alpha >= 2, got {alpha}")
-    d = int(d)
     return (-10.0 + 3.0 * alpha + 7.0 * d - alpha * d - d * d) / (d + alpha - 3.0)
 
 

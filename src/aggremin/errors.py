@@ -6,8 +6,21 @@ Every error is an ``AggreminError`` and also a ``ValueError`` or a
 ``PoleError``, ``RegimeError``, ``IllConditioned``), a ``RuntimeError``
 that the computation failed (``NonConvergence``, ``StallError``,
 ``QuadratureFailure``).  The command line maps the first to exit code 2
-and the second to exit code 3.
+and the second to exit code 3.  ``__all__`` lists the eight classes; as
+in every module, it is the one list of the module's public names, and
+the package re-exports it whole.
 """
+
+__all__ = [
+    "AggreminError",
+    "DomainError",
+    "PoleError",
+    "RegimeError",
+    "NonConvergence",
+    "IllConditioned",
+    "QuadratureFailure",
+    "StallError",
+]
 
 
 class AggreminError(Exception):

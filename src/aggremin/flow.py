@@ -29,7 +29,7 @@ import numpy as np
 
 from .closed_form import radius
 from .errors import DomainError, NonConvergence, RegimeError, StallError
-from .params import KernelParams
+from .params import KernelParams, _whole
 
 __all__ = [
     "ParticleSystem",
@@ -353,9 +353,6 @@ def _initial_positions(
     d = params.d
     directions = rng.normal(size=(n_particles, d))
     norms = np.sqrt(np.sum(directions * directions, axis=1))
-    while np.any(norms == 0.0):
-        directions = rng.normal(size=(n_particles, d))
-        norms = np.sqrt(np.sum(directions * directions, axis=1))
     radii = scale * rng.random(n_particles) ** (1.0 / d)
     return directions * (radii / norms)[:, None]
 
@@ -373,17 +370,6 @@ def _lbfgs_direction(grad: np.ndarray, history: deque, scale: float) -> np.ndarr
     for (s, y, rho), a in zip(history, reversed(coeffs)):
         q += (a - rho * float(y @ q)) * s
     return -q
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int where it is a whole number, as KernelParams
-    takes ``d``; DomainError otherwise."""
-    try:
-        if float(value).is_integer():
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def run_to_convergence(
@@ -409,21 +395,15 @@ def run_to_convergence(
     iteration budget runs out first, raises NonConvergence whose
     ``partial`` attribute carries the best-so-far pair.  Raises
     DomainError if the energy or a force is not finite on the starting
-    cloud, or if ``n_particles``, ``seed`` or ``max_iter`` is not a
-    whole number (16.0 is taken as 16).
+    cloud, if ``tol`` is not positive, or if ``n_particles``, ``seed``
+    or ``max_iter`` is not a whole number of at least 16, 0 and 1 in
+    turn (16.0 is taken as 16).
     """
-    n_particles, seed, max_iter = (
-        _whole(name, value)
-        for name, value in (("n_particles", n_particles), ("seed", seed), ("max_iter", max_iter))
-    )
-    if n_particles < 16:
-        raise DomainError(f"need at least 16 particles, got {n_particles}")
+    n_particles = _whole("n_particles", n_particles, 16)
+    seed = _whole("seed", seed, 0)
+    max_iter = _whole("max_iter", max_iter, 1)
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
     x = _initial_positions(params, n_particles, np.random.default_rng(seed))
     sys = _descend(ParticleSystem(x, params), max_iter, tol)
     if _max_norm(sys.forces) <= tol:

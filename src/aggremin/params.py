@@ -6,6 +6,10 @@ convention r^gamma/gamma -> ln r as gamma -> 0 is selected explicitly
 through the ``*_is_log`` flags rather than by a magic exponent value, so
 that a caller who writes ``beta=0`` by accident gets an error instead of
 a silently different model.
+
+``_whole`` is the package's one test that a dimension or a count is a
+whole number: ``KernelParams``, ``beta_star``, the potentials, the
+quadrature oracles and ``run_to_convergence`` all go through it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,23 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+__all__ = ["CandidateMinimizer", "KernelParams", "RegimeTag"]
+
 _REGIME_TAGS = ("SphereTheorem1", "BallTheorem2", "Boundary", "OutOfScope")
 _CANDIDATE_KINDS = ("UniformSphere", "BallProfile")
+
+
+def _whole(name: str, value, minimum: int) -> int:
+    """``value`` as an int where it is a whole number >= ``minimum``
+    (16.0 is taken as 16); DomainError for anything else, None and
+    strings included."""
+    try:
+        # A string that float() reads fails the comparison with an int.
+        if float(value).is_integer() and value >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,9 +54,7 @@ class KernelParams:
     beta_is_log: bool = False
 
     def __post_init__(self):
-        if not float(self.d).is_integer() or self.d < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _whole("d", self.d, 1))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         # beta is held finite by -d < beta < alpha once alpha is.

@@ -35,11 +35,10 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergence, RegimeError
-from .params import CandidateMinimizer, KernelParams
+from .params import CandidateMinimizer, KernelParams, _whole
 from .special import _horner, _hyp2f1, gamma_fn
 
 __all__ = [
-    "KernelParams",
     "unit_sphere_area",
     "psi_gamma",
     "psi_values_at_one",
@@ -51,12 +50,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _check_dim(d, minimum: int) -> int:
-    if not float(d).is_integer() or d < minimum:
-        raise DomainError(f"dimension must be an integer >= {minimum}, got {d}")
-    return int(d)
 
 
 def _check_rho(values, name: str = "rho") -> np.ndarray:
@@ -89,7 +82,7 @@ def unit_sphere_area(d) -> float:
 
     Raises DomainError from d = 344, where Gamma(d/2) overflows.
     """
-    d = _check_dim(d, 1)
+    d = _whole("d", d, 1)
     g = gamma_fn(d / 2.0)
     if math.isinf(g):
         raise DomainError(f"Gamma({d / 2.0}) overflows in d={d}")
@@ -159,7 +152,7 @@ def psi_gamma(d, gamma: float, rho):
     A scalar rho gives a float, an array of nodes an array.
     """
     nodes = _check_rho(rho)
-    d = _check_dim(d, 2)
+    d = _whole("d", d, 2)
     return _shaped(rho, _psi_raw(d, gamma, nodes))
 
 
@@ -176,7 +169,7 @@ def psi_values_at_one(d, gamma: float):
     returned as nan so the value/derivative pair stays usable (callers
     needing psi'' must check their own precondition).
     """
-    d = _check_dim(d, 2)
+    d = _whole("d", d, 2)
     if gamma == 0.0:
         return (1.0, 0.0, 0.0)
     if not d + gamma > 2:
@@ -202,7 +195,7 @@ def sphere_potential(d, gamma: float, x_norm):
     holds for every exponent; on the sphere itself the integral only
     converges for gamma > 1 - d.
     """
-    d = _check_dim(d, 2)
+    d = _whole("d", d, 2)
     x = _check_rho(x_norm, "x_norm")
     return _shaped(x_norm, unit_sphere_area(d) * _psi_raw(d, gamma, x * x))
 
@@ -243,7 +236,7 @@ def quadratic_ball_moment(d, beta: float):
     the quadratic-kernel potential of the unnormalized profile equals
     C_beta (|x|^2 + d/(4-beta)) / 2.
     """
-    d = _check_dim(d, 1)
+    d = _whole("d", d, 1)
     if not -d < beta < -d + 4:
         raise DomainError(f"need -d < beta < -d+4, got beta={beta} in d={d}")
     c_beta = (
@@ -376,7 +369,7 @@ def tilde_psi0(d, rho):
     rho gives a float, an array of nodes an array.
     """
     nodes = _check_rho(rho)
-    d = _check_dim(d, 2)
+    d = _whole("d", d, 2)
     outer = nodes > 1.0
     z = np.where(outer, 1.0 / np.maximum(nodes, 1.0), nodes)
     value = -0.5 * _log_series(d, d / 2.0, z)

@@ -23,9 +23,8 @@ import numpy as np
 from .closed_form import candidate_for, classify, eta as closed_form_eta
 from .closed_form import _radius_sphere, _require_well_conditioned
 from .errors import DomainError, QuadratureFailure, RegimeError
-from .params import CandidateMinimizer, KernelParams
+from .params import CandidateMinimizer, KernelParams, _whole
 from .potentials import (
-    _check_dim,
     _seam_curvature,
     psi_gamma,
     psi_values_at_one,
@@ -81,7 +80,7 @@ def sphere_potential_quad(d, gamma: float, x_norm: float) -> float:
     handled by the weighted Clenshaw-Curtis rule.  The error estimate
     must be at most 1e-10 times the value.
     """
-    d = _check_dim(d, 2)
+    d = _whole("d", d, 2)
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise DomainError(f"gamma must be finite, got {gamma}")
@@ -142,7 +141,7 @@ def ball_potential_quad(d, gamma: float, x_norm: float) -> float:
     estimate must be at most 1e-9 times its value (1e-8 on the line,
     d = 1).
     """
-    d = _check_dim(d, 1)
+    d = _whole("d", d, 1)
     gamma = float(gamma)
     x = float(x_norm)
     if not -d < gamma < -d + 4:
@@ -245,7 +244,8 @@ class ConvexityReport:
     * ``rho_min_second_difference``: the centre node of that stencil; on
       a tie the first in grid order.
     * ``psi_dd_at_one``: the exact Psi''(1), nan where it does not exist.
-    * ``passed``: neither figure below -``tol``.
+    * ``passed``: neither figure below -``tol``; off the sphere regime,
+      Psi''(1) >= 0 with its sign decided exactly (``convexity_report``).
     """
 
     min_second_difference: float
@@ -299,7 +299,7 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     k(beta), a rational function of the inputs, evaluated exactly in
     ``Fraction`` from the floats.
     """
-    forced = force_sphere and classify(params).tag not in ("SphereTheorem1", "Boundary")
+    forced = force_sphere and _off_sphere(params)
     if forced:
         if not params.beta_is_log and not params.d + params.beta > 2:
             raise RegimeError("forced sphere candidate needs d + beta > 2")
@@ -327,16 +327,9 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     margin = float(exterior[lowest])
     passed = dev_support <= tol and margin >= -tol
     if forced and params.d + params.beta > 3:
-        # Psi''(1) has the sign of k(alpha) - k(beta), decided exactly
-        # from the float inputs: a negative seam curvature is no
-        # minimizer, however shallow the exterior dip it makes.  Imported
-        # here, so that only this branch pays for loading fractions.
-        from fractions import Fraction
-
-        k_alpha, k_beta = (
-            _seam_curvature(params.d, Fraction(g)) for g in (params.alpha, params.beta)
-        )
-        passed = passed and k_alpha >= k_beta
+        # A negative seam curvature is no minimizer, however shallow the
+        # exterior dip it makes.
+        passed = passed and not _concave_seam(params)
     return ELReport(
         eta=float(eta_val),
         support_max_abs_dev=dev_support,
@@ -346,6 +339,27 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
         passed=passed,
         tol=tol,
     )
+
+
+def _off_sphere(params: KernelParams) -> bool:
+    """Whether ``classify`` puts the point outside the sphere regime."""
+    return classify(params).tag not in ("SphereTheorem1", "Boundary")
+
+
+def _concave_seam(params: KernelParams) -> bool:
+    """Whether Psi''(1) < 0 (d + beta > 3), decided exactly.
+
+    Psi''(1) has the sign of k(alpha) - k(beta), evaluated in
+    ``Fraction`` from the float inputs.  Both audits apply it only off
+    the sphere regime: on the critical curve itself a float beta can sit
+    a rounding below the exact curve (Psi''(1) = -1.4e-16 at
+    (2, 4, 4/3)), where the sphere still minimizes.  Imported here, so
+    that only this test pays for loading fractions.
+    """
+    from fractions import Fraction
+
+    alpha, beta = (Fraction(g) for g in (params.alpha, params.beta))
+    return _seam_curvature(params.d, alpha) < _seam_curvature(params.d, beta)
 
 
 def _sphere_compatible(params: KernelParams) -> None:
@@ -403,7 +417,10 @@ def convexity_report(params: KernelParams) -> ConvexityReport:
     exists (d + beta > 3) and nan otherwise.  The report passes only if
     no second difference and no finite ``psi_dd_at_one`` falls below
     -tol: just under beta_star the negative curvature sits so close to
-    rho = 1 that the grid alone can miss it.
+    rho = 1 that the grid alone can miss it.  Where ``classify`` puts
+    the point outside the sphere regime, the sign of Psi''(1) is
+    decided exactly instead (``_concave_seam``): at beta_star - 1e-8 it
+    is about -3e-9, inside the tolerance.
     """
     second = np.diff(psi_capital(params, _CONVEXITY_GRID), n=2)
     # Entry k is the stencil centred on node k + 1; the one centred on
@@ -413,11 +430,14 @@ def convexity_report(params: KernelParams) -> ConvexityReport:
     min_sd = float(second[lowest])
     dd = psi_capital_dd_at_one(params) if params.d + params.beta > 3 else math.nan
     tol = 1e-7
+    seam = math.isnan(dd) or (
+        not _concave_seam(params) if _off_sphere(params) else dd >= -tol
+    )
     return ConvexityReport(
         min_second_difference=min_sd,
         rho_min_second_difference=float(_CONVEXITY_GRID[lowest + 1]),
         psi_dd_at_one=dd,
-        passed=min_sd >= -tol and (math.isnan(dd) or dd >= -tol),
+        passed=min_sd >= -tol and seam,
         tol=tol,
     )
 

@@ -22,11 +22,13 @@ from aggremin import (
     RegimeError,
     RegimeTag,
     ball_density,
+    ball_potential_quad,
     beta_star,
     candidate_for,
     classify,
     energy,
     eta,
+    psi_gamma,
     psi_values_at_one,
     quadratic_ball_moment,
     radius,
@@ -196,8 +198,8 @@ def test_energy_anchor_values():
 @pytest.mark.parametrize(
     "make, fragment",
     [
-        (lambda: KernelParams(2.5, 2.0, 1.0), "dimension must be a positive integer"),
-        (lambda: KernelParams(0, 2.0, -0.5), "dimension must be a positive integer"),
+        (lambda: KernelParams(2.5, 2.0, 1.0), "an integer >= 1, got 2.5"),
+        (lambda: KernelParams(0, 2.0, -0.5), "an integer >= 1, got 0"),
         (lambda: KernelParams(3, 2.0, 1.0, beta_is_log=True), "beta_is_log requires beta == 0"),
         (lambda: KernelParams(3, 0.0, -1.0), "set alpha_is_log=True"),
         (lambda: KernelParams(3, 1.5, 1.5), "need beta < alpha"),
@@ -210,6 +212,26 @@ def test_energy_anchor_values():
 def test_records_refuse_invalid_fields(make, fragment):
     with pytest.raises(DomainError, match=fragment):
         make()
+
+
+@pytest.mark.parametrize(
+    "call, minimum",
+    [
+        (lambda: KernelParams(None, 2.0, 1.0), 1),
+        (lambda: KernelParams("3", 2.0, 1.0), 1),
+        (lambda: beta_star("3", 3.0), 2),
+        (lambda: psi_gamma(None, 1.0, 0.5), 2),
+        (lambda: quadratic_ball_moment(None, 0.5), 1),
+        (lambda: ball_potential_quad("3", 0.5, 0.3), 1),
+    ],
+    ids=["KernelParams-None", "KernelParams-str", "beta_star-str", "psi_gamma-None",
+         "quadratic_ball_moment-None", "ball_potential_quad-str"],
+)
+def test_a_dimension_that_is_not_a_number_is_a_domain_error(call, minimum):
+    """None or a string as d is refused like 2.5, where float() or the
+    comparison with the minimum raised a bare TypeError or ValueError."""
+    with pytest.raises(DomainError, match=f"^d must be an integer >= {minimum}, got "):
+        call()
 
 
 @pytest.mark.parametrize("point", [(3, 3.0, 1.5), (3, 2.0, -1.0)])

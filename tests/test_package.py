@@ -18,6 +18,7 @@ import sys
 import textwrap
 
 import aggremin
+from aggremin import closed_form, errors, flow, params, potentials, special, verify
 
 PUBLIC = {
     "AggreminError",
@@ -123,6 +124,19 @@ def test_public_names_are_exactly_the_supported_surface():
     assert set(aggremin.__all__) == PUBLIC
     for name in aggremin.__all__:
         assert getattr(aggremin, name) is not None, name
+
+
+def test_each_public_name_is_declared_once_by_its_module():
+    """Each module's __all__ is the one list of its public names: every
+    name it lists is defined there, no two modules list one name, and
+    the package exports their union and __version__, nothing else."""
+    owner = {}
+    for module in (closed_form, errors, flow, params, potentials, special, verify):
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+            assert name not in owner, (name, owner.get(name), module.__name__)
+            owner[name] = module.__name__
+    assert sorted(aggremin.__all__) == sorted([*owner, "__version__"])
 
 
 def test_public_signatures_are_pinned():

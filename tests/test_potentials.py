@@ -20,6 +20,7 @@ from aggremin import (
     CandidateMinimizer,
     DomainError,
     KernelParams,
+    NonConvergence,
     RegimeError,
     ball_potential,
     ball_potential_quad,
@@ -35,9 +36,9 @@ from aggremin import (
     total_potential,
     unit_sphere_area,
 )
+from aggremin.params import _whole
 from aggremin.potentials import (
     _ball_raw,
-    _check_dim,
     _coefficients,
     _log_ball_lambda,
     _log_series,
@@ -113,6 +114,14 @@ def test_psi_gamma_in_three_dimensions_matches_mpmath():
                     want = rho_mp ** (mpmath.mpf(g) / 2) * mpmath.hyp2f1(a, b, c, 1 / rho_mp)
                 assert abs((value - want) / want) <= 1e-14, (g, rho)
         assert psi_gamma(3, g, math.inf) == (math.inf if g > 0.0 else 0.0)
+
+
+def test_shell_formula_refuses_a_value_beyond_the_float_range():
+    """From gamma of about 1000 the shell formula overflows before its
+    outer power: NonConvergence, as the 2F1 route raises, not inf."""
+    assert math.isfinite(psi_gamma(3, 1100.0, 0.5))
+    with pytest.raises(NonConvergence, match=r"^psi_gamma\(3, 2000\.0, 0\.5\) is not finite"):
+        psi_gamma(3, 2000.0, 0.5)
 
 
 def test_psi_gamma_branches_glue_at_the_seam():
@@ -286,7 +295,7 @@ def sphere_potential_alt(d, gamma: float, x_norm: float) -> float:
     so one series covers interior and exterior at once.  Kept as an
     independent route for cross-checking the two-branch formula.
     """
-    d = _check_dim(d, 2)
+    d = _whole("d", d, 2)
     if not x_norm >= 0:
         raise DomainError(f"x_norm must be >= 0, got {x_norm}")
     x = float(x_norm)

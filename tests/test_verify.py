@@ -27,6 +27,8 @@ from aggremin import (
     RegimeError,
     ball_potential,
     ball_potential_quad,
+    beta_star,
+    classify,
     convexity_report,
     eta,
     psi_capital,
@@ -429,6 +431,21 @@ def test_convexity_report_fails_when_only_the_curvature_at_one_is_negative():
     assert report.min_second_difference > 0.0
     assert report.psi_dd_at_one < -report.tol
     assert not report.passed
+
+
+@pytest.mark.parametrize("d, alpha", [(2, 3.0), (3, 3.0), (4, 2.5)])
+def test_convexity_report_decides_the_seam_sign_exactly_off_the_sphere_regime(d, alpha):
+    """At beta_star - 1e-8 Psi''(1) is about -3e-9, inside the tolerance,
+    and classify puts the point outside the sphere regime: the exact sign
+    fails the report, as it fails the forced Euler-Lagrange audit.  On
+    the curve the report passes."""
+    below = KernelParams(d, alpha, beta_star(d, alpha) - 1e-8)
+    assert classify(below).tag == "OutOfScope"
+    report = convexity_report(below)
+    assert -report.tol < report.psi_dd_at_one < 0.0
+    assert not report.passed
+    assert not verify_euler_lagrange(below, force_sphere=True).passed
+    assert convexity_report(KernelParams(d, alpha, beta_star(d, alpha))).passed
 
 
 def test_convexity_report_nan_curvature_in_the_low_strip():

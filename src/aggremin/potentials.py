@@ -11,32 +11,39 @@ Two families of candidate minimizers appear:
   hypergeometric remainder (ball_potential).
 
 Each measure has one normalized profile of rho = |x/R|^2 per kernel
-(power, log): sphere ``_psi_raw``, ``tilde_psi0``; ball ``_ball_raw``,
-``_log_ball_lambda``.  Each has a branch point at rho = 1 (the support
+(power, log): sphere ``_psi_fold``, ``_tilde_psi0_fold``; ball
+``_ball_raw``, ``_log_ball_lambda``.  Each has a branch point at rho = 1 (the support
 boundary), which the inner branch covers through the Gauss value of
 ``special._hyp2f1`` at z = 1; psi_gamma's first two derivatives there
 are rational multiples of that value (``_seam_curvature``).
 
-Every profile takes an array of rho and evaluates it in one pass: the
-power-law profiles through one ``special._hyp2f1`` call, except the d = 3
-sphere profile, Archimedes' elementary shell formula (``_shell_raw``);
-the logarithmic ones through ``_log_series``, a series scipy lacks.
-It takes one fixed-length power sum at z <= 1/2 and a closed form
-(logarithms and finite power sums) beyond, within 1.6e-15 relative of
-mpmath up to and at z = 1, so no profile needs a patch at its branch
-point.  The public functions gate their nodes once per call and give a
-float for a scalar argument, an array for an array.
+Every profile evaluates its nodes in one pass, as a ``_Fold``: the
+nodes mapped by rho -> 1/rho onto z = min(rho, 1/rho) in [0, 1], where
+each profile is one function of z, times a power of rho (or plus
+ln(rho)/2) outside.  A fold can hold each distinct z once, so that a
+grid closed under rho -> 1/rho pays once for a node and its reciprocal;
+and it can be taken from radii x, with the outer power x^gamma, so that
+no x^2 is formed.  The power-law profiles take one ``special._hyp2f1``
+call, except the d = 3 sphere profile, Archimedes' elementary shell
+formula (``_shell_raw``); the logarithmic ones take ``_log_series``, a
+series scipy lacks.  It takes a power sum, cut after its last nonzero
+term, at z <= 1/2 and a closed form (logarithms and finite power sums)
+beyond, within 1.6e-15 relative of mpmath up to and at z = 1, so no
+profile needs a patch at its branch point.  The public functions gate
+their nodes once per call and give a float for a scalar argument, an
+array for an array.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence, RegimeError
 from .params import CandidateMinimizer, KernelParams, _whole
-from .special import _horner, _hyp2f1, gamma_fn
+from .special import _gauss_value, _horner, _hyp2f1, digamma, gamma_fn
 
 __all__ = [
     "unit_sphere_area",
@@ -75,6 +82,48 @@ def _pow_or_inf(base: np.ndarray, p: float) -> np.ndarray:
     """base ** p for base >= 0, inf where that overflows, as at base = inf."""
     with np.errstate(over="ignore", divide="ignore"):
         return np.power(base, p)
+
+
+class _Fold(NamedTuple):
+    """Nodes rho >= 0 folded by rho -> 1/rho onto z = min(rho, 1/rho).
+
+    ``z`` holds the folded nodes, ``z[take]`` lines up with the nodes
+    (``take`` None: ``z`` itself does), and ``outer`` marks the nodes
+    with rho > 1.  There rho is ``base ** root``: root 1 for nodes given
+    as rho, 2 for radii x with rho = x^2.
+    """
+
+    z: np.ndarray
+    take: np.ndarray | None
+    outer: np.ndarray
+    base: np.ndarray
+    root: int
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Values at ``z``, one per node: ``values`` itself when ``take`` is None."""
+        return values if self.take is None else values[self.take]
+
+    def power(self, gamma: float) -> np.ndarray:
+        """rho^(gamma/2) at the outer nodes, inf where that overflows."""
+        return _pow_or_inf(self.base, 0.5 * gamma * self.root)
+
+    def half_log(self) -> np.ndarray:
+        """ln(rho)/2 at the outer nodes."""
+        return 0.5 * self.root * np.log(self.base)
+
+
+def _fold(nodes: np.ndarray, root: int = 1) -> _Fold:
+    """The fold of gated nodes, rho (root 1) or radii x with rho = x^2
+    (root 2), one z per node.
+
+    z is rho or 1/rho, squared for radii, so an x beyond 1e154 folds to
+    a finite z and keeps a finite outer power x^gamma.
+    """
+    outer = nodes > 1.0
+    z = np.where(outer, 1.0 / np.maximum(nodes, 1.0), nodes)
+    if root == 2:
+        z = z * z
+    return _Fold(z, None, outer, nodes[outer], root)
 
 
 def unit_sphere_area(d) -> float:
@@ -122,18 +171,29 @@ def _shell_raw(gamma: float, rho: np.ndarray) -> np.ndarray:
     return value
 
 
-def _psi_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:
-    """Two-branch hypergeometric profile at rho nodes, without the public
-    gate; in d = 3 with gamma > -2, Archimedes' closed form (_shell_raw)."""
+def _psi_fold(d: int, gamma: float, fold: _Fold) -> np.ndarray:
+    """Two-branch hypergeometric profile at the nodes of a fold, without
+    the public gate: F(z) once per folded node, times rho^(gamma/2)
+    outside; in d = 3 with gamma > -2, F is Archimedes' closed form
+    (_shell_raw)."""
     if gamma == 0.0:
-        return np.ones_like(rho)
+        return np.ones(fold.outer.shape)
     if d == 3 and -2.0 < gamma < math.inf:
-        return _shell_raw(gamma, rho)
-    z = np.where(rho <= 1.0, rho, 1.0 / np.maximum(rho, 1.0))
-    value = _hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0, z)
-    outer = rho > 1.0
-    value[outer] *= _pow_or_inf(rho[outer], gamma / 2.0)
+        value = _shell_raw(gamma, fold.z)
+    else:
+        value = _hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0, fold.z)
+    value = fold.spread(value)
+    value[fold.outer] *= fold.power(gamma)
     return value
+
+
+def _psi_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:
+    """psi_gamma at rho nodes, without the public gate.  The d = 3 shell
+    formula takes rho itself, so that an outer node keeps the exact
+    rho - 1 (``_shell_raw``)."""
+    if d == 3 and -2.0 < gamma < math.inf and gamma != 0.0:
+        return _shell_raw(gamma, rho)
+    return _psi_fold(d, gamma, _fold(rho))
 
 
 def psi_gamma(d, gamma: float, rho):
@@ -167,14 +227,22 @@ def psi_values_at_one(d, gamma: float):
     vanishes exactly at d + gamma = 4.  The second derivative only
     exists for d + gamma > 3; in the strip 2 < d + gamma <= 3 it is
     returned as nan so the value/derivative pair stays usable (callers
-    needing psi'' must check their own precondition).
+    needing psi'' must check their own precondition).  The value is
+    ``special._gauss_value`` itself, with the refusals of the 2F1 gate:
+    DomainError for a gamma that is not finite, NonConvergence for a
+    value that is not.
     """
     d = _whole("d", d, 2)
     if gamma == 0.0:
         return (1.0, 0.0, 0.0)
     if not d + gamma > 2:
         raise DomainError(f"need d + gamma > 2, got {d + gamma}")
-    value = float(_hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0, 1.0))
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma}")
+    a, b, c = -gamma / 2.0, (2.0 - gamma - d) / 2.0, d / 2.0
+    value = _gauss_value(a, b, c)
+    if not math.isfinite(value):
+        raise NonConvergence(f"hyp2f1({a!r}, {b!r}; {c!r}; 1.0) is not finite")
     first = 0.25 * gamma * value
     second = first * _seam_curvature(d, gamma) if d + gamma > 3 else math.nan
     return (value, first, second)
@@ -193,22 +261,23 @@ def sphere_potential(d, gamma: float, x_norm):
 
     Equals |S^(d-1)| psi_gamma(x_norm^2).  Off the sphere the formula
     holds for every exponent; on the sphere itself the integral only
-    converges for gamma > 1 - d.
+    converges for gamma > 1 - d.  Outside, the profile is taken at
+    1/x_norm^2 and scaled by x_norm^gamma, so no x_norm^2 overflows.
     """
     d = _whole("d", d, 2)
     x = _check_rho(x_norm, "x_norm")
-    return _shaped(x_norm, unit_sphere_area(d) * _psi_raw(d, gamma, x * x))
+    return _shaped(x_norm, unit_sphere_area(d) * _psi_fold(d, gamma, _fold(x, root=2)))
 
 
-def _ball_raw(d: int, gamma: float, rho: np.ndarray) -> np.ndarray:
-    """ball_potential / C_gamma at rho = x_norm^2 nodes, without the public gates."""
-    value = np.empty_like(rho)
-    inner = rho <= 1.0
+def _ball_raw(d: int, gamma: float, fold: _Fold) -> np.ndarray:
+    """ball_potential / C_gamma at the nodes of a fold, without the public gates."""
+    z = fold.spread(fold.z)
+    value = np.empty_like(z)
+    inner = ~fold.outer
     scale = gamma_fn(2.0 - gamma / 2.0) * gamma_fn((gamma + d) / 2.0)
-    value[inner] = scale / gamma_fn(d / 2.0) * (1.0 + gamma * rho[inner] / d)
-    r = rho[~inner]
-    f = _hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0, 1.0 / r)
-    value[~inner] = _pow_or_inf(r, gamma / 2.0) * f
+    value[inner] = scale / gamma_fn(d / 2.0) * (1.0 + gamma * z[inner] / d)
+    f = _hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0, z[fold.outer])
+    value[fold.outer] = fold.power(gamma) * f
     return value
 
 
@@ -220,12 +289,14 @@ def ball_potential(d, gamma: float, x_norm):
     :func:`quadratic_ball_moment`), just as :func:`sphere_potential` is
     |S^(d-1)| times psi_gamma.  Inside the ball the profile is exactly
     affine in rho; outside it is rho^(gamma/2) times a hypergeometric
-    factor in 1/rho.  At x_norm = 1 the two branches share a common
-    limit and the (affine) inner value is returned.
+    factor in 1/rho, taken as x_norm^gamma times the factor at
+    1/x_norm^2, so no x_norm^2 overflows.  At x_norm = 1 the two
+    branches share a common limit and the (affine) inner value is
+    returned.
     """
     c_gamma, _ = quadratic_ball_moment(d, gamma)
     x = _check_rho(x_norm, "x_norm")
-    return _shaped(x_norm, c_gamma * _ball_raw(int(d), gamma, x * x))
+    return _shaped(x_norm, c_gamma * _ball_raw(int(d), gamma, _fold(x, root=2)))
 
 
 def quadratic_ball_moment(d, beta: float):
@@ -250,13 +321,16 @@ def quadratic_ball_moment(d, beta: float):
 def _coefficients(d: int, c0: float):
     """The coefficients c_1..c_N of the log series, and whether they sum it.
 
-    c_n = (a0)_n / ((c0)_n n) with a0 = (2-d)/2, in floats.  N is 64 up
-    to d = 168 and 5 sqrt(d) beyond: the sphere's coefficients fall like
-    exp(-2 n^2 / d) before their power-law tail, so at large d the sum
-    needs about 4.4 sqrt(d) terms.  The flag is true where the N terms
-    give the series to double precision on all of [0, 1]: in d = 2,
-    where every term is 0, and for the sphere (c0 = d/2, where
-    |c_n| <= 1/n) once its last term times N, a bound on the tail at
+    c_n = (a0)_n / ((c0)_n n) with a0 = (2-d)/2, in floats, cut after the
+    last nonzero one.  They are taken to n = 64 up to d = 168 and to
+    5 sqrt(d) beyond: the sphere's coefficients fall like exp(-2 n^2 / d)
+    before their power-law tail, so at large d the sum needs about
+    4.4 sqrt(d) terms.  At even d, a0 is a non-positive integer and c_n
+    is 0 from n = d/2 on, so N is d/2 - 1 where that is shorter: none in
+    d = 2, one in d = 4.  The flag is true where the N terms give the
+    series to double precision on all of [0, 1]: in d = 2, where every
+    term is 0, and for the sphere (c0 = d/2, where |c_n| <= 1/n) once
+    the last computed term times their count, a bound on the tail at
     z = 1, is below eps/16: even d, where the series terminates, and odd
     d >= 13.  The ball's terms grow like binomials before they fall, so
     they cancel near z = 1 at large d.
@@ -264,7 +338,8 @@ def _coefficients(d: int, c0: float):
     n = np.arange(1.0, max(64, 5 * math.isqrt(d)) + 1.0)
     coef = np.cumprod(((2.0 - d) / 2.0 + n - 1.0) / (c0 + n - 1.0)) / n
     sphere_tail = abs(coef[-1]) * n.size if c0 == d / 2.0 else math.inf
-    return coef, bool(sphere_tail < _EPS / 16.0 or not coef.any())
+    coef = np.trim_zeros(coef, "b")
+    return coef, bool(sphere_tail < _EPS / 16.0 or not coef.size)
 
 
 def _ball_closed(d: int, z: np.ndarray) -> np.ndarray:
@@ -334,10 +409,12 @@ def _log_series(d: int, c0: float, z) -> np.ndarray:
     is S(z) of the ball profile.  At z = 1 the sum is
     digamma(c0) - digamma(c0 - (2-d)/2).
 
-    Nodes z <= 1/2 take one fixed-length power sum by Horner's rule (64
-    terms up to d = 168), which converges at least like 2^-n there; so
-    do all nodes where that sum is exact on [0, 1]: the sphere's series
-    at even d, where it terminates, and from d = 13 (see _coefficients).
+    Nodes z <= 1/2 take one power sum by Horner's rule, over the
+    coefficients of _coefficients (at most 64 up to d = 168, and only
+    the nonzero ones where the series terminates), which converges at
+    least like 2^-n there; so do all nodes where that sum is exact on
+    [0, 1]: the sphere's series at even d, where it terminates, and from
+    d = 13.
     The other nodes take a closed form: _ball_closed for c0 = 2 and
     _sphere_closed for odd d.  Each node's value depends on that node
     alone.  Against 30-digit mpmath over z in [1e-300, 1], the largest
@@ -370,25 +447,31 @@ def tilde_psi0(d, rho):
     """
     nodes = _check_rho(rho)
     d = _whole("d", d, 2)
-    outer = nodes > 1.0
-    z = np.where(outer, 1.0 / np.maximum(nodes, 1.0), nodes)
-    value = -0.5 * _log_series(d, d / 2.0, z)
-    value[outer] += 0.5 * np.log(nodes[outer])
-    return _shaped(rho, value)
+    return _shaped(rho, _tilde_psi0_fold(d, _fold(nodes)))
 
 
-def _log_ball_lambda(d: int, rho: np.ndarray) -> np.ndarray:
-    """Normalized log-kernel potential piece of the unit ball profile.
+def _tilde_psi0_fold(d: int, fold: _Fold) -> np.ndarray:
+    """tilde_psi0 at the nodes of a fold, without the public gate:
+    -T(z)/2 once per folded node, plus ln(rho)/2 outside."""
+    value = fold.spread(-0.5 * _log_series(d, d / 2.0, fold.z))
+    value[fold.outer] += fold.half_log()
+    return value
+
+
+def _log_ball_lambda(d: int, fold: _Fold) -> np.ndarray:
+    """Normalized log-kernel potential piece of the unit ball profile,
+    at the nodes of a fold.
 
     Interior: -S(1)/2 - 1/d + rho/d, exactly affine, where
-    -S(1)/2 - 1/d = (digamma(d/2) - digamma(2))/2.
+    -S(1)/2 - 1/d = (digamma(d/2) - digamma(2))/2, a finite sum at
+    these arguments (``special.digamma``).
     Exterior: ln(rho)/2 - S(1/rho)/2.  Continuous at rho = 1.
     """
-    value = np.empty_like(rho)
-    inner = rho <= 1.0
-    value[inner] = (-0.5 * float(_log_series(d, 2.0, 1.0)) - 1.0 / d) + rho[inner] / d
-    r = rho[~inner]
-    value[~inner] = 0.5 * np.log(r) - 0.5 * _log_series(d, 2.0, 1.0 / r)
+    z = fold.spread(fold.z)
+    value = np.empty_like(z)
+    inner = ~fold.outer
+    value[inner] = 0.5 * (digamma(d / 2.0) - digamma(2.0)) + z[inner] / d
+    value[fold.outer] = fold.half_log() - 0.5 * _log_series(d, 2.0, z[fold.outer])
     return value
 
 
@@ -402,7 +485,8 @@ def total_potential(params: KernelParams, candidate: CandidateMinimizer, x_norm)
     and its beta profile is ball_potential/C_beta.  A scalar x_norm gives
     a float, an array of radii an array.  An x_norm so large (or
     infinite) that the value is not a finite float raises DomainError,
-    naming the first such node.
+    naming the first such node.  The gates are checked here; the value
+    is ``_potential`` at rho.
     """
     x = _check_rho(x_norm, "x_norm")
     if params.alpha_is_log:
@@ -423,22 +507,39 @@ def total_potential(params: KernelParams, candidate: CandidateMinimizer, x_norm)
             raise RegimeError(
                 f"ball profile needs beta < min(2, -d+4), got beta={beta}"
             )
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         rho = np.square(x / r_cand)
-        if candidate.kind == "UniformSphere":
-            attract = r_cand**alpha / alpha * _psi_raw(d, alpha, rho)
-            log_profile, profile = tilde_psi0, _psi_raw
-        else:
-            attract = 0.5 * x * x + r_cand * r_cand * d / (2.0 * (4.0 - beta))
-            log_profile, profile = _log_ball_lambda, _ball_raw
-        if params.beta_is_log:
-            value = attract - math.log(r_cand) - log_profile(d, rho)
-        else:
-            value = attract - r_cand**beta / beta * profile(d, beta, rho)
+    value = _require_finite(_potential(params, candidate, rho, _fold(rho)), x, "x_norm")
+    return _shaped(x_norm, value)
+
+
+def _require_finite(value: np.ndarray, nodes: np.ndarray, name: str) -> np.ndarray:
+    """``value``, or DomainError naming the first node where it is not finite."""
     finite = np.isfinite(value)
     if not finite.all():
         i = int(np.argmin(finite))
         raise DomainError(
-            f"potential at x_norm={float(x[i])!r} is not finite: {float(value[i])!r}"
+            f"potential at {name}={float(nodes[i])!r} is not finite: {float(value[i])!r}"
         )
-    return _shaped(x_norm, value)
+    return value
+
+
+def _potential(
+    params: KernelParams, candidate: CandidateMinimizer, rho: np.ndarray, fold: _Fold
+) -> np.ndarray:
+    """total_potential at the nodes rho = (x_norm/R)^2, given with their
+    fold, without the gates: inf or nan where the value leaves the float
+    range.  A sphere profile pays once for each distinct folded node."""
+    d, alpha, beta = params.d, params.alpha, params.beta
+    r_cand = candidate.radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        if candidate.kind == "UniformSphere":
+            attract = r_cand**alpha / alpha * _psi_fold(d, alpha, fold)
+            log_profile, profile = _tilde_psi0_fold, _psi_fold
+        else:
+            r2 = r_cand * r_cand
+            attract = 0.5 * r2 * rho + r2 * d / (2.0 * (4.0 - beta))
+            log_profile, profile = _log_ball_lambda, _ball_raw
+        if params.beta_is_log:
+            return attract - math.log(r_cand) - log_profile(d, fold)
+        return attract - r_cand**beta / beta * profile(d, beta, fold)

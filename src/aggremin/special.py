@@ -197,9 +197,11 @@ def _horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k coefficients[i, k] z^k for every row i at every node of z.
 
     Horner's rule, node by node: a node's value does not depend on the
-    other nodes of the call.
+    other nodes of the call.  No nodes cost no columns.
     """
     sums = np.zeros((len(coefficients), z.size))
+    if not z.size:
+        return sums
     for column in coefficients.T[::-1]:
         sums *= z
         sums += column[:, None]

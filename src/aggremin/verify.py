@@ -25,6 +25,9 @@ from .closed_form import _radius_sphere, _require_well_conditioned
 from .errors import DomainError, QuadratureFailure, RegimeError
 from .params import CandidateMinimizer, KernelParams, _whole
 from .potentials import (
+    _Fold,
+    _potential,
+    _require_finite,
     _seam_curvature,
     psi_gamma,
     psi_values_at_one,
@@ -260,27 +263,42 @@ def _el_grid(n_grid: int) -> np.ndarray:
     # exterior is [0, 1] again in 1/rho.  The half-grid on [0, 1] is a
     # low block, the lower half of the cubic warp 2^(u^3), u in [-1, 1],
     # that clusters nodes at the tight support boundary, and rho = 1
-    # exactly; its positive nodes are mirrored.
+    # exactly; its positive nodes are mirrored.  The inner nodes are
+    # then taken as the reciprocals of the outer ones, so that 1/rho of
+    # every outer node is an inner node bit for bit.
     n_low = int(round(0.2 * n_grid))
     n_warp = n_grid // 2 - n_low
     u = np.linspace(-1.0, 1.0, 2 * n_warp)[:n_warp]
     low = np.linspace(0.0, 0.5, n_low, endpoint=False)
-    half = np.concatenate([low, 2.0 ** (u**3), [1.0]])
-    return np.concatenate([half, 1.0 / half[-2:0:-1]])
+    outer = 1.0 / np.concatenate([low[1:], 2.0 ** (u**3)])[::-1]
+    return np.concatenate([[0.0], 1.0 / outer[::-1], [1.0], outer])
+
+
+def _el_fold(grid: np.ndarray) -> _Fold:
+    # The grid's fold, its index read off the grid's layout: 0, the inner
+    # nodes and 1 are the distinct z, and the outer nodes follow, the
+    # reciprocals of the inner ones in reverse order.  No sort.
+    n_half = np.count_nonzero(grid <= 1.0)
+    take = np.concatenate([np.arange(n_half), np.arange(n_half - 2, 0, -1)])
+    return _Fold(grid[:n_half], take, grid > 1.0, grid[n_half:], 1)
 
 
 # Each audit has one grid, built here once.  Euler-Lagrange: 2000 nodes
-# up to rho = 800.  Convexity: [0, 1] and [1, 10] uniform with 40 and
+# up to rho = 800, folded once onto its 1001 distinct z = min(rho, 1/rho)
+# (_EL_FOLD), so that a sphere profile pays once for a node and its
+# reciprocal.  Convexity: [0, 1] and [1, 10] uniform with 40 and
 # 360 nodes, meeting at rho = 1 (index _SEAM) so that no second-difference
 # stencil straddles the branch point.  Single-zero scan: 41 on [0, 1].
 _EL_GRID = _el_grid(2000)
+_EL_FOLD = _el_fold(_EL_GRID)
 _SEAM = 39
 _CONVEXITY_GRID = np.concatenate(
     [np.linspace(0.0, 1.0, _SEAM + 1), np.linspace(1.0, 10.0, 360)[1:]]
 )
 _SCAN_GRID = np.linspace(0.0, 1.0, 41)
-_EL_GRID.flags.writeable = _CONVEXITY_GRID.flags.writeable = False
-_SCAN_GRID.flags.writeable = False
+for _frozen in (_EL_GRID, _CONVEXITY_GRID, _SCAN_GRID, *_EL_FOLD[:4]):  # the fold's arrays
+    _frozen.flags.writeable = False
+del _frozen
 
 
 def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -> ELReport:
@@ -289,7 +307,10 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     Evaluates the candidate's potential on a fixed grid of squared
     scaled radii: it must equal eta on the support (the sphere rho = 1,
     or the ball rho <= 1) and exceed eta - tol outside.  The grid has
-    2000 nodes, is closed under rho -> 1/rho and reaches rho = 800.
+    2000 nodes, is closed under rho -> 1/rho and reaches rho = 800.  The
+    potential is taken at rho itself, and a sphere profile in one pass
+    over the grid's 1001 distinct folded nodes; a value that is not
+    finite raises DomainError, naming the first such node.
     With ``force_sphere`` a sphere candidate is tested even where the
     classification picks the ball or nothing; below the critical curve
     this makes the report fail, which is the point of the flag.  Just
@@ -315,7 +336,7 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
         cand = candidate_for(params)
         eta_val = closed_form_eta(params)
 
-    values = total_potential(params, cand, cand.radius * np.sqrt(_EL_GRID))
+    values = _require_finite(_potential(params, cand, _EL_GRID, _EL_FOLD), _EL_GRID, "rho")
     deviation = values - eta_val
     support = _EL_GRID == 1.0 if cand.kind == "UniformSphere" else _EL_GRID <= 1.0
     tol = 1e-9 * max(1.0, abs(eta_val))

@@ -10,6 +10,7 @@ entry points actually resolve.
 import importlib
 import json
 import math
+import os
 import shlex
 import shutil
 import subprocess
@@ -593,10 +594,14 @@ def test_phase_scan_out_file(tmp_path, capsys):
 
 
 def test_module_invocation_help():
-    """python -m aggremin resolves and prints usage."""
+    """python -m aggremin resolves and prints usage.  The child finds the
+    package where this test imported it, so a checkout needs no install."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "aggremin", "--help"],
         capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "usage" in proc.stdout.lower()

@@ -8,6 +8,7 @@ at least one route that shares no code with it.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -40,11 +41,12 @@ from aggremin.params import _whole
 from aggremin.potentials import (
     _ball_raw,
     _coefficients,
+    _fold,
     _log_ball_lambda,
     _log_series,
     _psi_raw,
 )
-from aggremin.special import _hyp2f1
+from aggremin.special import _horner, _hyp2f1
 
 
 def _rel(got: float, want: float) -> float:
@@ -288,6 +290,26 @@ def test_sphere_potential_surface_gates():
     assert sphere_potential(3, 3.0, 1e120) == math.inf
 
 
+def test_potentials_stay_finite_where_x_squared_overflows():
+    """Beyond x of about 1.3e154 the square of x overflows; the outer
+    branch is formed from 1/x and x^gamma instead, so the value is finite,
+    warns of nothing and is its leading term C x^gamma to 1e-14."""
+    cases = [
+        (sphere_potential, 3, 1.0, 1.4e154, unit_sphere_area(3)),
+        (sphere_potential, 2, 1.5, 1e200, unit_sphere_area(2)),
+        (sphere_potential, 4, -1.0, 1e300, unit_sphere_area(4)),
+        (ball_potential, 2, 1.0, 1e200, quadratic_ball_moment(2, 1.0)[0]),
+        (ball_potential, 3, -1.5, 1e250, quadratic_ball_moment(3, -1.5)[0]),
+    ]
+    for potential, d, g, x, scale in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = potential(d, g, x)
+        lead = scale * x**g
+        assert math.isfinite(value), (potential.__name__, d, g, x)
+        assert abs(value - lead) <= 1e-14 * lead, (potential.__name__, d, g, x)
+
+
 def sphere_potential_alt(d, gamma: float, x_norm: float) -> float:
     """Alternative single-branch form of :func:`sphere_potential`.
 
@@ -529,7 +551,24 @@ def test_log_series_at_one_in_high_dimension(d):
         assert abs(_log_series(d, c0, 1.0) - want) <= 1e-14 * abs(want), c0
     coef, whole = _coefficients(d, d / 2.0)
     assert whole == (d % 2 == 0 or d >= 13)
-    assert coef.size == (64 if d <= 168 else 5 * math.isqrt(d))
+    length = 64 if d <= 168 else 5 * math.isqrt(d)
+    assert coef.size == (min(length, d // 2 - 1) if d % 2 == 0 else length)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 12, 50])
+def test_terminating_log_series_ends_at_its_last_nonzero_term(d):
+    """At even d the series stops at n = d/2 - 1; the coefficients end
+    there, and Horner's rule over them equals the sum over all 64 bit for
+    bit.  No nodes cost no Horner columns."""
+    for c0 in (d / 2.0, 2.0):
+        coef, _ = _coefficients(d, c0)
+        assert coef.size == d // 2 - 1, c0
+        assert coef.size == 0 or coef[-1] != 0.0, c0
+        n = np.arange(1.0, 65.0)
+        full = np.cumprod(((2.0 - d) / 2.0 + n - 1.0) / (c0 + n - 1.0)) / n
+        z = np.array([0.0, 1e-300, 0.1, 0.37, 0.5, 0.9, 1.0])
+        assert np.array_equal(_horner(coef[None], z), _horner(full[None], z)), c0
+    assert _horner(np.ones((3, 64)), np.empty(0)).shape == (3, 0)
 
 
 def test_d1_ball_log_series_matches_mpmath():
@@ -559,12 +598,18 @@ def test_array_nodes_equal_the_same_nodes_one_at_a_time(d):
     def one_at_a_time(f, *args, nodes=_RHO_NODES):
         return np.array([f(*args, np.array([r]))[0] for r in nodes])
 
+    def log_ball(rho):
+        return _log_ball_lambda(d, _fold(rho))
+
+    def ball(g, rho):
+        return _ball_raw(d, g, _fold(rho))
+
     for c0 in (d / 2.0, 2.0):
         got = _log_series(d, c0, _Z_NODES).tolist()
         assert got == [float(_log_series(d, c0, float(z))) for z in _Z_NODES], c0
-    assert np.array_equal(_log_ball_lambda(d, _RHO_NODES), one_at_a_time(_log_ball_lambda, d))
+    assert np.array_equal(log_ball(_RHO_NODES), one_at_a_time(log_ball))
     for g in (-d + 0.3, 4.0 - d - 0.3):
-        assert np.array_equal(_ball_raw(d, g, _RHO_NODES), one_at_a_time(_ball_raw, d, g))
+        assert np.array_equal(ball(g, _RHO_NODES), one_at_a_time(ball, g))
     if d >= 2:
         want = np.array([tilde_psi0(d, float(r)) for r in _RHO_NODES])
         assert np.array_equal(tilde_psi0(d, _RHO_NODES), want)

@@ -28,6 +28,7 @@ from aggremin import (
     ball_potential,
     ball_potential_quad,
     beta_star,
+    candidate_for,
     classify,
     convexity_report,
     eta,
@@ -43,7 +44,7 @@ from aggremin import (
 )
 from aggremin.closed_form import _radius_sphere
 from aggremin.special import _hyp2f1
-from aggremin.verify import _CONVEXITY_GRID, _EL_GRID, _el_grid
+from aggremin.verify import _CONVEXITY_GRID, _EL_FOLD, _EL_GRID, _el_grid
 
 
 def test_sphere_quadrature_matches_closed_form():
@@ -179,6 +180,40 @@ def test_euler_lagrange_passes_in_supported_regimes():
     assert np.array_equal(_EL_GRID, np.sort(_EL_GRID))
     assert len(_EL_GRID) == 2000
     assert max(_EL_GRID) == 800.0
+
+
+def test_the_audit_grid_folds_onto_its_inner_nodes():
+    """1/rho of every outer node is an inner node bit for bit, so the
+    fold keeps 1001 distinct nodes, each node's z among them."""
+    outer = _EL_GRID[_EL_GRID > 1.0]
+    assert np.isin(1.0 / outer, _EL_GRID[_EL_GRID < 1.0]).all()
+    assert _EL_FOLD.z.size == np.count_nonzero(_EL_GRID <= 1.0) == 1001
+    folded = np.where(_EL_GRID > 1.0, 1.0 / np.maximum(_EL_GRID, 1.0), _EL_GRID)
+    assert np.array_equal(_EL_FOLD.spread(_EL_FOLD.z), folded)
+    assert np.array_equal(_EL_FOLD.base, outer)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        KernelParams(2, 3.0, 1.7),
+        KernelParams(4, 3.0, 0.0, beta_is_log=True),
+        KernelParams(2, 2.0, -1.0),
+    ],
+    ids=["sphere", "log-sphere", "ball"],
+)
+def test_folded_audit_equals_a_direct_evaluation(params):
+    """The audit's folded pass over rho gives the figures of one
+    total_potential call on the same radii, within 1e-14 max(1, |eta|)."""
+    report = verify_euler_lagrange(params)
+    cand = candidate_for(params)
+    level = eta(params)
+    bound = 1e-14 * max(1.0, abs(level))
+    dev = total_potential(params, cand, cand.radius * np.sqrt(_EL_GRID)) - level
+    support = _EL_GRID == 1.0 if cand.kind == "UniformSphere" else _EL_GRID <= 1.0
+    assert abs(report.eta - level) <= bound
+    assert abs(report.support_max_abs_dev - np.abs(dev[support]).max()) <= bound
+    assert abs(report.exterior_min_margin - dev[~support].min()) <= bound
 
 
 def test_euler_lagrange_report_round_trips_through_dict():

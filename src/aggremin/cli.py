@@ -21,13 +21,14 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 
 import numpy as np
 
 from . import flow
 from .closed_form import beta_star, candidate_for, classify, energy, eta, radius
-from .errors import AggreminError, NonConvergence
+from .errors import AggreminError, IllConditioned, NonConvergence, RegimeError
 from .params import CandidateMinimizer, KernelParams
 from .verify import convexity_report, verify_euler_lagrange
 
@@ -196,9 +197,10 @@ def cmd_simulate(args) -> int:
         **asdict(stats),
     }
     payload["regime"] = classify(params).tag
-    if payload["regime"] != "OutOfScope":
-        cand = candidate_for(params)
-        e_ref = energy(params)
+    # Out of regime, or with a power-law beta next to 0, the closed form
+    # gives no R or E to compare with; the descent ran all the same.
+    with suppress(RegimeError, IllConditioned):
+        cand, e_ref = candidate_for(params), energy(params)
         measured = stats.mean_radius if cand.kind == "UniformSphere" else stats.max_radius
         payload["R"] = cand.radius
         payload["E"] = e_ref

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import radius
-from .errors import DomainError, NonConvergence, RegimeError, StallError
+from .errors import DomainError, IllConditioned, NonConvergence, RegimeError, StallError
 from .params import KernelParams, _whole
 
 __all__ = [
@@ -348,7 +348,7 @@ def _initial_positions(
 ) -> np.ndarray:
     try:
         scale = 2.0 * radius(params)
-    except RegimeError:
+    except (RegimeError, IllConditioned):
         scale = 1.0
     d = params.d
     directions = rng.normal(size=(n_particles, d))
@@ -382,7 +382,8 @@ def run_to_convergence(
     """Descend from a random cloud until the forces are negligible.
 
     Particles start uniformly distributed in a ball of twice the
-    predicted radius (unit ball when no prediction applies) and move by
+    predicted radius (the unit ball where the closed form gives none: out
+    of regime, or a power-law beta too close to 0) and move by
     limited-memory BFGS on the energy (see ``_descend``); its first
     iteration is ``step``.  The descent stops when the largest
     per-particle force drops to ``tol``; ``energy_evals`` counts all its

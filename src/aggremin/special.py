@@ -18,8 +18,10 @@ gives it a finite value; a route returns nan at a node it declines:
 * above z = 0.9, with c-a-b below 10 and not an integer, the z -> 1 - z
   connection formula (DLMF 15.8.4) as two short series in w = 1 - z,
   its cancelling terms paired so that c-a-b next to an integer costs
-  no digits (``_connection``); a node whose terms still cancel, as for
-  large a and b at w near 0.1, stays with the ufunc;
+  no digits (``_connection``); w is the caller's gap where it passes
+  one, so that a z rounded from 1/rho costs w nothing; a node whose
+  terms still cancel, as for large a and b at w near 0.1, stays with
+  the ufunc;
 * every other node is one call of scipy's ``hyp2f1`` ufunc at z, where
   its direct Gauss series is fast.  Above 0.9 with c-a-b below 10 the
   ufunc takes up to 54 us a node (one core of a 2-core Xeon) and errs
@@ -28,7 +30,9 @@ gives it a finite value; a route returns nan at a node it declines:
 On the parameters the potentials use (a = -gamma/2, b = (2-gamma-d)/2,
 c in {d/2, 2-gamma/2}, d = 2..12, z up to 1 - 1e-12) the value agrees
 with mpmath within 4.6e-15 relative, and the Gauss value of the sphere
-profile within 2.1e-15 up to d = 300.  A non-finite result raises
+profile within 2.1e-15 up to d = 300.  The outer branch of a profile
+meets that bound only with w from the exact rho - 1: 1 - fl(1/rho) put
+psi_gamma 2e-11 off next to the sphere.  A non-finite result raises
 NonConvergence.
 
 The gamma function is ``math.gamma``, and ``digamma`` is a finite sum at
@@ -311,7 +315,7 @@ def _keep_finite(value: np.ndarray, pending, nodes, found):
     return pending & ~taken
 
 
-def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
+def _hyp2f1(a: float, b: float, c: float, z, gap=None) -> np.ndarray:
     """F(a,b;c;z) at every node of z in [0, 1], as an array of z's shape.
 
     The gate: a, b and c must be finite, c must avoid the non-positive
@@ -320,8 +324,12 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
     DomainError naming the first bad node.  The routes are those of the
     module docstring.  Each returns an array over the nodes it is
     given, nan where it gives no value, and a node keeps the first
-    finite one.  A value that is not finite (c-a-b strongly negative
-    close to z = 1) raises NonConvergence, naming the first such node.
+    finite one.  ``gap``, an array of z's shape, is 1 - z as the caller
+    knows it, and the connection route takes it as its w: a profile
+    whose z is a rounded 1/rho passes (rho - 1)/rho, so that the
+    rounding of z costs w no digits next to z = 1.  None is 1 - z.  A
+    value that is not finite (c-a-b strongly negative close to z = 1)
+    raises NonConvergence, naming the first such node.
     """
     z = np.asarray(z, dtype=float)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
@@ -344,7 +352,8 @@ def _hyp2f1(a: float, b: float, c: float, z) -> np.ndarray:
         inside = _keep_finite(value, inside, inside, terminating)
     near = inside & (z > _CONNECTION_Z)
     if near.any():
-        inside = _keep_finite(value, inside, near, _connection(a, b, c, 1.0 - z[near]))
+        w = 1.0 - z[near] if gap is None else gap[near]
+        inside = _keep_finite(value, inside, near, _connection(a, b, c, w))
     if inside.any():
         from scipy.special import hyp2f1 as ufunc
 

@@ -277,10 +277,11 @@ def _el_grid(n_grid: int) -> np.ndarray:
 def _el_fold(grid: np.ndarray) -> _Fold:
     # The grid's fold, its index read off the grid's layout: 0, the inner
     # nodes and 1 are the distinct z, and the outer nodes follow, the
-    # reciprocals of the inner ones in reverse order.  No sort.
+    # reciprocals of the inner ones in reverse order.  No sort.  Each
+    # outer node's z is an inner node bit for bit, so its gap is 1 - z.
     n_half = np.count_nonzero(grid <= 1.0)
     take = np.concatenate([np.arange(n_half), np.arange(n_half - 2, 0, -1)])
-    return _Fold(grid[:n_half], take, grid > 1.0, grid[n_half:], 1)
+    return _Fold(grid[:n_half], 1.0 - grid[:n_half], take, grid > 1.0, grid[n_half:], 1)
 
 
 # Each audit has one grid, built here once.  Euler-Lagrange: 2000 nodes
@@ -296,7 +297,7 @@ _CONVEXITY_GRID = np.concatenate(
     [np.linspace(0.0, 1.0, _SEAM + 1), np.linspace(1.0, 10.0, 360)[1:]]
 )
 _SCAN_GRID = np.linspace(0.0, 1.0, 41)
-for _frozen in (_EL_GRID, _CONVEXITY_GRID, _SCAN_GRID, *_EL_FOLD[:4]):  # the fold's arrays
+for _frozen in (_EL_GRID, _CONVEXITY_GRID, _SCAN_GRID, *_EL_FOLD[:5]):  # the fold's arrays
     _frozen.flags.writeable = False
 del _frozen
 
@@ -322,8 +323,6 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     """
     forced = force_sphere and _off_sphere(params)
     if forced:
-        if not params.beta_is_log and not params.d + params.beta > 2:
-            raise RegimeError("forced sphere candidate needs d + beta > 2")
         _sphere_compatible(params)
         cand = CandidateMinimizer(
             "UniformSphere", _radius_sphere(params.d, params.alpha, params.beta)
@@ -384,10 +383,17 @@ def _concave_seam(params: KernelParams) -> bool:
 
 
 def _sphere_compatible(params: KernelParams) -> None:
+    """The one gate of the sphere instruments: Psi, Psi''(1), the
+    convexity report and the forced Euler-Lagrange audit refuse a point
+    here, with RegimeError, or with IllConditioned for a power-law beta
+    next to 0."""
+    d, beta = params.d, params.beta
     if params.alpha_is_log or not 2.0 <= params.alpha <= 4.0:
         raise RegimeError("alpha out of supported range")
-    if params.d < 2:
+    if d < 2:
         raise RegimeError("the sphere combination needs d >= 2")
+    if not params.beta_is_log and not d + beta > 2:
+        raise RegimeError(f"the sphere combination needs d + beta > 2, got {d + beta}")
     _require_well_conditioned(params)
 
 

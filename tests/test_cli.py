@@ -436,6 +436,24 @@ def test_simulate_takes_a_log_attraction(tmp_path, capsys):
     assert "R" not in stats
 
 
+def test_simulate_runs_where_the_closed_form_refuses_beta(tmp_path, capsys):
+    """A power-law beta within 1e-6 of 0 has no closed form (R, E and
+    the audits raise IllConditioned), but the descent needs none: exit
+    0, all three artifacts, and stats without a prediction."""
+    rc, _, _ = _run(
+        ["simulate", "--d", "2", "--alpha", "2", "--beta", "1e-7", "--n", "32",
+         "--seed", "0", "--out", str(tmp_path / "near")],
+        capsys,
+    )
+    assert rc == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["near_positions.csv", "near_stats.json", "near_trace.csv"]
+    stats = _strict_json((tmp_path / "near_stats.json").read_text())
+    assert stats["converged"] is True
+    assert stats["regime"] == "BallTheorem2"
+    assert not {"R", "E", "radius_rel_err", "energy_rel_err"} & set(stats)
+
+
 def test_simulate_seed_reproducibility(tmp_path, capsys):
     """Identical seeds write byte-identical artifacts, even for a run
     that stops at the iteration cap."""

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from aggremin import (
     DomainError,
+    IllConditioned,
     KernelParams,
     NonConvergence,
     ParticleSystem,
@@ -325,6 +326,20 @@ def test_initial_positions_fill_twice_the_predicted_radius():
     pos = _initial_positions(unsupported, 200, rng)
     norms = np.sqrt(np.sum(pos * pos, axis=1))
     assert np.max(norms) <= 1.0 + 1e-12
+
+
+def test_descent_starts_from_the_unit_ball_where_the_closed_form_refuses():
+    """A power-law beta within 1e-6 of 0 has no closed-form radius
+    (IllConditioned), but the particles need none: the descent starts
+    from the unit ball, converges, and lands next to the log kernel's
+    cloud, since r^beta/beta is 1/beta + ln r + O(beta)."""
+    near = KernelParams(2, 2.0, 1e-7)
+    with pytest.raises(IllConditioned):
+        radius(near)
+    state, stats = run_to_convergence(near, 32, 0)
+    assert max_force(state) <= 1e-6
+    _, log_stats = run_to_convergence(KernelParams(2, 2.0, 0.0, beta_is_log=True), 32, 0)
+    assert abs(stats.mean_radius - log_stats.mean_radius) <= 0.02 * log_stats.mean_radius
 
 
 def test_run_to_convergence_gates_and_partial_state():

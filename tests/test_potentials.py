@@ -44,7 +44,7 @@ from aggremin.potentials import (
     _fold,
     _log_ball_lambda,
     _log_series,
-    _psi_raw,
+    _psi_fold,
 )
 from aggremin.special import _horner, _hyp2f1
 
@@ -106,7 +106,7 @@ def test_psi_gamma_in_three_dimensions_matches_mpmath():
     at both ends, where rho = inf reads inf^(gamma/2)."""
     for g in (-1.5, -0.9, 0.3, 1.5, 3.0, 3.7, 4.0):
         a, b, c = -g / 2.0, -(g + 1.0) / 2.0, 1.5
-        got = _psi_raw(3, g, np.array(_SHELL_RHO))
+        got = psi_gamma(3, g, np.array(_SHELL_RHO))
         for rho, value in zip(_SHELL_RHO, got):
             with mpmath.workdps(40):
                 if rho <= 1.0:
@@ -604,6 +604,9 @@ def test_array_nodes_equal_the_same_nodes_one_at_a_time(d):
     def ball(g, rho):
         return _ball_raw(d, g, _fold(rho))
 
+    def sphere(g, rho):
+        return _psi_fold(d, g, _fold(rho))
+
     for c0 in (d / 2.0, 2.0):
         got = _log_series(d, c0, _Z_NODES).tolist()
         assert got == [float(_log_series(d, c0, float(z))) for z in _Z_NODES], c0
@@ -614,7 +617,7 @@ def test_array_nodes_equal_the_same_nodes_one_at_a_time(d):
         want = np.array([tilde_psi0(d, float(r)) for r in _RHO_NODES])
         assert np.array_equal(tilde_psi0(d, _RHO_NODES), want)
         for g in (2.0 - d + 0.3, 1.0, 3.5):
-            assert np.array_equal(_psi_raw(d, g, _RHO_NODES), one_at_a_time(_psi_raw, d, g))
+            assert np.array_equal(sphere(g, _RHO_NODES), one_at_a_time(sphere, g))
 
 
 _PARAMS = KernelParams(3, 2.5, 1.0)

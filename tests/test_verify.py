@@ -34,6 +34,7 @@ from aggremin import (
     eta,
     psi_capital,
     psi_capital_dd_at_one,
+    psi_gamma,
     radius,
     single_zero_scan,
     sphere_potential,
@@ -98,11 +99,30 @@ def test_sphere_quadrature_next_to_the_sphere_matches_mpmath(d, gamma):
     """For 0 < |x - 1| << 1 the integrand peaks where theta is of order
     |x - 1|; without breakpoints there QUADPACK missed the peak, 2.0e-1
     off at (5, -3.9), x = 1 +- 1e-8, with an error estimate that passed.
-    The closed form is no reference here: squaring x costs it 1.4e-10."""
+    The closed form holds 1e-14 relative there too, against the integral
+    and, at rho and at x = 1 +- 10^-k for k = 4..12, against the 40-digit
+    2F1: it takes 1 - z from the exact rho - 1, where 1 - fl(1/rho) cost
+    psi_gamma 2.0e-11 and sphere_potential 3.2e-11 at (5, -3.9)."""
     for x in (0.5, 1 - 1e-4, 1 + 1e-4, 1 - 1e-8, 1 + 1e-8, 1 - 1e-12, 1 + 1e-12, 2.0, 1e8):
         want = _sphere_mpmath(d, gamma, x)
         got = sphere_potential_quad(d, gamma, x)
         assert abs(got - want) <= 1e-10 * abs(want), (x, got, want)
+        assert abs(sphere_potential(d, gamma, x) - want) <= 1e-14 * abs(want), x
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        a, b, c = -g / 2, (2 - g - d) / 2, mpmath.mpf(d) / 2
+        area = 2 * mpmath.pi**c / mpmath.gamma(c)
+
+        def psi(rho):
+            if rho < 1:
+                return mpmath.hyp2f1(a, b, c, rho)
+            return rho ** (g / 2) * mpmath.hyp2f1(a, b, c, 1 / rho)
+
+        for r in [1 + side * 10.0**-k for k in range(4, 13) for side in (-1, 1)]:
+            want = psi(mpmath.mpf(r))
+            assert abs(psi_gamma(d, gamma, r) - want) <= 1e-14 * abs(want), ("psi", r)
+            want = area * psi(mpmath.mpf(r) ** 2)
+            assert abs(sphere_potential(d, gamma, r) - want) <= 1e-14 * abs(want), ("x", r)
 
 
 @pytest.mark.parametrize(
@@ -301,6 +321,8 @@ def test_euler_lagrange_gates():
         verify_euler_lagrange(KernelParams(3, 5.0, 1.0), force_sphere=True)
     with pytest.raises(RegimeError):
         verify_euler_lagrange(KernelParams(3, 2.0, -1.5), force_sphere=True)
+    with pytest.raises(RegimeError, match=r"^the sphere combination needs d \+ beta > 2, got 2\.0$"):
+        verify_euler_lagrange(KernelParams(3, 2.0, -1.0), force_sphere=True)
 
 
 def test_psi_capital_is_stationary_at_the_seam():
@@ -349,6 +371,12 @@ def test_psi_capital_condition_gates():
         psi_capital(KernelParams(3, 5.0, 1.0), 0.5)
     with pytest.raises(RegimeError):
         psi_capital(KernelParams(1, 2.0, -0.5), 0.5)
+    # d + beta <= 2: every sphere instrument refuses it at one gate.
+    ball = KernelParams(3, 2.0, -1.0)
+    for instrument in (lambda: psi_capital(ball, 0.5), lambda: psi_capital_dd_at_one(ball),
+                       lambda: convexity_report(ball)):
+        with pytest.raises(RegimeError, match=r"^the sphere combination needs d \+ beta > 2, got 2\.0$"):
+            instrument()
     with pytest.raises(DomainError):
         psi_capital(KernelParams(3, 2.0, 1.5), -0.1)
     with pytest.raises(IllConditioned):

@@ -23,7 +23,7 @@ import math
 from .errors import DomainError, IllConditioned, RegimeError
 from .params import CandidateMinimizer, KernelParams, RegimeTag, _whole
 from .potentials import quadratic_ball_moment, total_potential
-from .special import digamma, gamma_fn
+from .special import _gamma_quotient, digamma, gamma_fn
 
 __all__ = [
     "beta_star",
@@ -101,18 +101,11 @@ def _require_well_conditioned(params: KernelParams) -> None:
         )
 
 
-def _require_supported(params: KernelParams) -> RegimeTag:
-    tag = classify(params)
-    if tag.tag not in _SUPPORTED:
-        raise RegimeError(tag.detail)
-    _require_well_conditioned(params)
-    return tag
-
-
 def _radius_sphere(d: int, alpha: float, beta: float) -> float:
-    num = gamma_fn((d + beta - 1.0) / 2.0) * gamma_fn((2.0 * d + alpha - 2.0) / 2.0)
-    den = gamma_fn((d + alpha - 1.0) / 2.0) * gamma_fn((2.0 * d + beta - 2.0) / 2.0)
-    return 0.5 * (num / den) ** (1.0 / (alpha - beta))
+    # (2R)^(alpha-beta) is a Gamma quotient, finite at any d.
+    return 0.5 * _gamma_quotient(
+        d - 1.0 + beta / 2.0, (d + beta - 1.0) / 2.0, (alpha - beta) / 2.0, 1.0 / (alpha - beta)
+    )
 
 
 def _radius_ball(d: int, beta: float) -> float:
@@ -126,58 +119,55 @@ def radius(params: KernelParams) -> float:
     return candidate_for(params).radius
 
 
-def _energy_sphere(d: int, alpha: float, beta: float, beta_is_log: bool) -> float:
+def _energy_sphere(d: int, alpha: float, beta: float, beta_is_log: bool, r: float) -> float:
     if beta_is_log:
-        bracket = (
-            gamma_fn((d - 1.0) / 2.0)
-            * gamma_fn((2.0 * d + alpha - 2.0) / 2.0)
-            / (gamma_fn(d - 1.0) * gamma_fn((d + alpha - 1.0) / 2.0))
-        )
-        return (1.0 - math.log(bracket)) / (2.0 * alpha) + 0.25 * (
+        return 0.5 / alpha - 0.5 * math.log(2.0 * r) + 0.25 * (
             digamma(d - 1.0) - digamma((d - 1.0) / 2.0)
         )
-    r = _radius_sphere(d, alpha, beta)
-    coef = (
-        -(math.pi**-0.5)
-        * 2.0 ** (d + alpha - 3.0)
-        * gamma_fn(d / 2.0)
-        * gamma_fn((d + alpha - 1.0) / 2.0)
-        / gamma_fn((2.0 * d + alpha - 2.0) / 2.0)
-    )
+    # -pi^(-1/2) 2^(d+alpha-3) Gamma(d/2)Gamma((d+alpha-1)/2) / Gamma(d-1+alpha/2),
+    # a Gamma quotient by the duplication formula for Gamma(d-1).
+    coef = -(2.0 ** (alpha - 1.0)) * _gamma_quotient((d - 1.0) / 2.0, d - 1.0, alpha / 2.0)
     return coef * (1.0 / beta - 1.0 / alpha) * r**alpha
 
 
-def _energy_ball(d: int, beta: float, beta_is_log: bool) -> float:
+def _energy_ball(d: int, beta: float, beta_is_log: bool, r: float) -> float:
     if beta_is_log:
         return 0.25 * (0.5 + math.log(d / 2.0) + digamma(2.0) - digamma(d / 2.0))
-    r = _radius_ball(d, beta)
     return -d * (2.0 - beta) / (2.0 * beta * (4.0 - beta)) * r * r
 
 
-def energy(params: KernelParams) -> float:
-    """Minimum interaction energy in a supported regime.
-
-    Raises DomainError where the gamma functions leave the float range
-    and the value is not finite (the sphere from about d = 130, the ball
-    from about d = 340).
-    """
-    tag = _require_supported(params)
-    if tag.tag == "BallTheorem2":
-        value = _energy_ball(params.d, params.beta, params.beta_is_log)
+def _energy(params: KernelParams, cand: CandidateMinimizer) -> float:
+    d, beta, log = params.d, params.beta, params.beta_is_log
+    if cand.kind == "BallProfile":
+        value = _energy_ball(d, beta, log, cand.radius)
     else:
-        value = _energy_sphere(params.d, params.alpha, params.beta, params.beta_is_log)
+        value = _energy_sphere(d, params.alpha, beta, log, cand.radius)
     if not math.isfinite(value):
-        raise DomainError(f"energy is not finite in d={params.d}, got {value}")
+        raise DomainError(f"energy is not finite in d={d}, got {value}")
     return value
+
+
+def energy(params: KernelParams) -> float:
+    """Minimum interaction energy in a supported regime, from the radius
+    of ``candidate_for``.
+
+    Only the ball leaves the float range: from d = 341 its radius is
+    inf, and the candidate refuses it with DomainError.
+    """
+    return _energy(params, candidate_for(params))
 
 
 def candidate_for(params: KernelParams) -> CandidateMinimizer:
     """The minimizing measure: the package's one sphere-or-ball decision.
 
     BallTheorem2 gives the ball profile; SphereTheorem1 and Boundary give
-    the uniform sphere.  Raises RegimeError out of scope.
+    the uniform sphere.  Raises RegimeError out of scope, and
+    IllConditioned for a power-law beta next to 0.
     """
-    tag = _require_supported(params)
+    tag = classify(params)
+    if tag.tag not in _SUPPORTED:
+        raise RegimeError(tag.detail)
+    _require_well_conditioned(params)
     if tag.tag == "BallTheorem2":
         return CandidateMinimizer("BallProfile", _radius_ball(params.d, params.beta))
     return CandidateMinimizer(
@@ -191,17 +181,29 @@ def ball_density(params: KernelParams, r: float) -> float:
     Zero outside the support radius.  Total mass is 1 by the choice of
     the C_beta normalization.
     """
-    tag = classify(params)
-    if tag.tag != "BallTheorem2":
-        raise RegimeError(f"ball density needs the alpha=2 ball regime: {tag.detail}")
+    cand = candidate_for(params)
+    if cand.kind != "BallProfile":
+        raise RegimeError("ball density needs the alpha=2 ball regime, not the sphere")
     if not r >= 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    big_r = candidate_for(params).radius
+    big_r = cand.radius
     if r >= big_r:
         return 0.0
     c_beta, _ = quadratic_ball_moment(params.d, params.beta)
     exponent = (2.0 - params.beta - params.d) / 2.0
     return big_r ** (params.beta - 2.0) / c_beta * (big_r * big_r - r * r) ** exponent
+
+
+def _checked_eta(params: KernelParams, cand: CandidateMinimizer, at_probe: float) -> float:
+    """2E, held within 1e-12 max(1, |2E|) of ``at_probe``, the candidate's
+    potential at its probe (the sphere's surface, or the ball's center);
+    IllConditioned where the two routes disagree."""
+    value = 2.0 * _energy(params, cand)
+    if not abs(value - at_probe) <= 1e-12 * max(1.0, abs(value)):
+        raise IllConditioned(
+            f"eta routes disagree: 2E={value!r} vs potential={at_probe!r}"
+        )
+    return value
 
 
 def eta(params: KernelParams) -> float:
@@ -210,15 +212,12 @@ def eta(params: KernelParams) -> float:
     Always exactly twice the energy; computed that way, then cross-checked
     against an independent evaluation of the candidate's total potential
     at a support point (sphere surface, or ball center).  The two routes
-    share no code beyond the gamma function, so their agreement is a real
-    consistency test of the formulas.
+    share the candidate's radius and ``special._gamma_quotient``, which
+    the sphere's energy and the Gauss value of its profile at rho = 1
+    both take, and nothing else, so their agreement is a real
+    consistency test of the formulas.  ``verify_euler_lagrange`` holds
+    2E to its own grid by the same rule.
     """
-    value = 2.0 * energy(params)
     cand = candidate_for(params)
     probe = 0.0 if cand.kind == "BallProfile" else cand.radius
-    other = total_potential(params, cand, probe)
-    if not abs(value - other) <= 1e-12 * max(1.0, abs(value)):
-        raise IllConditioned(
-            f"eta routes disagree: 2E={value!r} vs potential={other!r}"
-        )
-    return value
+    return _checked_eta(params, cand, total_potential(params, cand, probe))

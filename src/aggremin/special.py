@@ -11,7 +11,8 @@ gives it a finite value; a route returns nan at a node it declines:
   product while its arguments are below 10 and, where c, c-a, c-b and
   c-a-b are all positive and one of them is larger, two lgamma ratios
   that stay exact to rounding and finite where the Gamma values
-  overflow (``_gauss_value``);
+  overflow (``_gauss_value``, by ``_gamma_quotient``, which the
+  sphere's closed forms share);
 * a node in (0, 1) where a or b is a non-positive integer sums the
   series as the polynomial it is, by Horner's rule, unless its terms
   cancel (``_terminating``);
@@ -38,6 +39,9 @@ NonConvergence.
 The gamma function is ``math.gamma``, and ``digamma`` is a finite sum at
 the integer and half-integer arguments the closed forms use, so the
 closed forms of the power-law and logarithmic kernels need no scipy.
+``_gamma_quotient`` is the ratio Gamma(x + delta)Gamma(y) /
+(Gamma(x)Gamma(y + delta)) that the Gauss value and the sphere's radius
+and energy take, finite at any d.
 ``scipy.special`` is imported at the first call that needs it: the 2F1
 ufunc on a node inside (0, 1), or ``digamma`` at any other argument.
 ``import aggremin`` loads no scipy module.
@@ -70,9 +74,9 @@ _CONNECTION_TERMS = 64
 # A node whose connection terms cancel by more than this factor takes the
 # ufunc instead: the error of the sum grows with the cancellation.
 _CONNECTION_CANCEL = 16.0
-# The Gauss value at z = 1 is the Gamma product while all of its
-# arguments are below this: there the product is as accurate as the
-# lgamma ratios that take over above it, in under half their time.
+# A Gamma quotient is the Gamma product while all of its arguments are
+# below this: there the product is as accurate as the lgamma ratios that
+# take over above it, in under half their time.
 _GAUSS_PRODUCT_MAX = 10.0
 # (B_2k / (2k (2k - 1)), 1 - 2k), k = 1..8: the Stirling series of
 # ln Gamma, sum_k B_2k / (2k (2k - 1)) x^(1 - 2k).
@@ -165,36 +169,48 @@ def _lgamma_ratio(x: float, delta: float) -> float:
     return rest + delta * math.log(y)
 
 
+def _gamma_quotient(x: float, y: float, delta: float, power: float = 1.0) -> float:
+    """(Gamma(x + delta)Gamma(y) / (Gamma(x)Gamma(y + delta)))^power for
+    x, y > 0, x + delta, y + delta > 0 and delta >= -1/2.
+
+    The Gamma product, rounded factor by factor, errs by about
+    eps x psi(x) at each rounded argument: within 2.4e-15 of mpmath on
+    the potentials' parameters while all four arguments are below
+    _GAUSS_PRODUCT_MAX, but 3.3e-14 at the sphere profile in d = 100,
+    and from d = 129 on a factor overflows.  From _GAUSS_PRODUCT_MAX on
+    it is the exponential of two lgamma ratios, each a step up by delta
+    (``_lgamma_split``): its error grows with delta, not with psi at the
+    rounded arguments, and it stays finite where the Gamma factors
+    overflow.  ``power`` is applied to the logarithm there, so that the
+    sphere's radius, the quotient to the power 1/(alpha - beta), stays
+    finite where the quotient itself overflows (at beta_star from d of
+    about 1035).
+    """
+    if max(x, y, x + delta, y + delta) < _GAUSS_PRODUCT_MAX:
+        return (gamma_fn(x + delta) * gamma_fn(y) * _rgamma(x) * _rgamma(y + delta)) ** power
+    y_x, rest_x = _lgamma_split(x, delta)
+    y_y, rest_y = _lgamma_split(y, delta)
+    return math.exp(power * (rest_x - rest_y + delta * math.log(y_x / y_y)))
+
+
 def _gauss_value(a: float, b: float, c: float) -> float:
     """F(a,b;c;1) = Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)), DLMF 15.4.20.
 
-    The Gamma product, rounded factor by factor, errs by about
-    eps x psi(x) at each rounded argument x: on the potentials'
-    parameters within 2.4e-15 of mpmath while every argument is below
-    _GAUSS_PRODUCT_MAX, but 3.3e-14 at the sphere profile in d = 100,
-    and from d = 129 on a factor overflows.  So where c, c-a, c-b and
-    c-a-b are all positive and one of them reaches _GAUSS_PRODUCT_MAX,
-    the value is the exponential of two lgamma ratios, each a step up
-    by delta, the smaller of |a| and |b| (F is symmetric in them):
-    Gamma(x + delta)/Gamma(x) over Gamma(x' + delta)/Gamma(x') with
-    (x, x') = (c - a, c - a - b) for a = delta >= 0, and
-    (c - b, c) for a = -delta < 0.  Its error grows with delta, not with
-    psi at the rounded arguments, and it stays finite where the Gamma
-    factors overflow.  Elsewhere it is the product: exactly 0.0 at a
+    Where c, c-a, c-b and c-a-b are all positive it is a
+    ``_gamma_quotient``, a step up by delta, the smaller of |a| and |b|
+    (F is symmetric in them): x = c - a, y = c - a - b for
+    a = delta >= 0, and x = c - b, y = c for a = -delta < 0.  Elsewhere
+    it is the Gamma product with its poles and signs: exactly 0.0 at a
     pole of c-a or c-b, and inf or nan where a factor leaves the float
     range.
     """
     m = c - a - b
-    if not min(c, c - a, c - b, m) > 0 or max(c, c - a, c - b, m) < _GAUSS_PRODUCT_MAX:
+    if not min(c, c - a, c - b, m) > 0:
         return gamma_fn(c) * gamma_fn(m) * _rgamma(c - a) * _rgamma(c - b)
     step, other = sorted((a, b), key=abs)
     if step >= 0:
-        low, high = c - step, m
-    else:
-        step, low, high = -step, c - other, c
-    y_low, rest_low = _lgamma_split(low, step)
-    y_high, rest_high = _lgamma_split(high, step)
-    return math.exp(rest_low - rest_high + step * math.log(y_low / y_high))
+        return _gamma_quotient(c - step, m, step)
+    return _gamma_quotient(c - other, c, -step)
 
 
 def _horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import candidate_for, classify, eta as closed_form_eta
-from .closed_form import _radius_sphere, _require_well_conditioned
+from .closed_form import candidate_for, classify
+from .closed_form import _checked_eta, _radius_sphere, _require_well_conditioned
 from .errors import DomainError, QuadratureFailure, RegimeError
 from .params import CandidateMinimizer, KernelParams, _whole
 from .potentials import (
@@ -32,7 +32,6 @@ from .potentials import (
     psi_gamma,
     psi_values_at_one,
     tilde_psi0,
-    total_potential,
     unit_sphere_area,
 )
 from .special import _hyp2f1
@@ -287,11 +286,13 @@ def _el_fold(grid: np.ndarray) -> _Fold:
 # Each audit has one grid, built here once.  Euler-Lagrange: 2000 nodes
 # up to rho = 800, folded once onto its 1001 distinct z = min(rho, 1/rho)
 # (_EL_FOLD), so that a sphere profile pays once for a node and its
-# reciprocal.  Convexity: [0, 1] and [1, 10] uniform with 40 and
-# 360 nodes, meeting at rho = 1 (index _SEAM) so that no second-difference
-# stencil straddles the branch point.  Single-zero scan: 41 on [0, 1].
+# reciprocal; rho = 1 is node _EL_ONE and rho = 0 node 0, the probes of
+# eta.  Convexity: [0, 1] and [1, 10] uniform with 40 and 360 nodes,
+# meeting at rho = 1 (index _SEAM) so that no second-difference stencil
+# straddles the branch point.  Single-zero scan: 41 on [0, 1].
 _EL_GRID = _el_grid(2000)
 _EL_FOLD = _el_fold(_EL_GRID)
+_EL_ONE = int(np.flatnonzero(_EL_GRID == 1.0)[0])
 _SEAM = 39
 _CONVEXITY_GRID = np.concatenate(
     [np.linspace(0.0, 1.0, _SEAM + 1), np.linspace(1.0, 10.0, 360)[1:]]
@@ -311,7 +312,11 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     2000 nodes, is closed under rho -> 1/rho and reaches rho = 800.  The
     potential is taken at rho itself, and a sphere profile in one pass
     over the grid's 1001 distinct folded nodes; a value that is not
-    finite raises DomainError, naming the first such node.
+    finite raises DomainError, naming the first such node.  That one
+    pass also gives eta at its probe node, rho = 1 on the sphere and
+    rho = 0 in the ball: eta is twice the closed-form energy, held to
+    the probe's value within 1e-12 (IllConditioned "eta routes
+    disagree" otherwise), as ``eta`` holds it to ``total_potential``.
     With ``force_sphere`` a sphere candidate is tested even where the
     classification picks the ball or nothing; below the critical curve
     this makes the report fail, which is the point of the flag.  Just
@@ -327,17 +332,17 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
         cand = CandidateMinimizer(
             "UniformSphere", _radius_sphere(params.d, params.alpha, params.beta)
         )
-        # Off-regime there is no energy formula; anchor eta at the
-        # candidate's own surface value so the support condition is
-        # exact and any failure shows up as an exterior dip.
-        eta_val = total_potential(params, cand, cand.radius)
     else:
         cand = candidate_for(params)
-        eta_val = closed_form_eta(params)
-
     values = _require_finite(_potential(params, cand, _EL_GRID, _EL_FOLD), _EL_GRID, "rho")
+    sphere = cand.kind == "UniformSphere"
+    at_probe = float(values[_EL_ONE if sphere else 0])
+    # Off-regime there is no energy formula; anchor eta at the
+    # candidate's own surface value so the support condition is exact
+    # and any failure shows up as an exterior dip.
+    eta_val = at_probe if forced else _checked_eta(params, cand, at_probe)
     deviation = values - eta_val
-    support = _EL_GRID == 1.0 if cand.kind == "UniformSphere" else _EL_GRID <= 1.0
+    support = _EL_GRID == 1.0 if sphere else _EL_GRID <= 1.0
     tol = 1e-9 * max(1.0, abs(eta_val))
     abs_dev = np.abs(deviation[support])
     worst = int(np.argmax(abs_dev))

@@ -16,7 +16,11 @@ repository root:
 
     PYTHONPATH=src python tests/make_reference.py
 
-and the diff of the file is the record of what moved.
+and the diff of the file is the record of what moved.  It prints a
+summary against the file it overwrites: how many floats moved, the
+largest relative move on a value (R, E, eta, Psi''(1)) and where, and
+every other entry that changed (a tag, a verdict, a refusal, or a
+value that became a refusal).
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ FLOW_CASES = [
 ]
 FLOW_TOL = 1e-6
 FLOW_MAX_ITER = 20000
+# The record fields that are answers, not audit figures.
+VALUES = ("R", "E", "eta", "psi_dd_at_one")
 
 
 def kernel(point: dict) -> ag.KernelParams:
@@ -87,6 +93,38 @@ def _null_for_nan(value):
     return value
 
 
+def _leaves(old, new, path=""):
+    """(path, old, new) at every leaf of two records, or where their
+    shapes first differ."""
+    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
+        for key in old:
+            yield from _leaves(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, (o, n) in enumerate(zip(old, new)):
+            yield from _leaves(o, n, f"{path}[{k}]")
+    else:
+        yield path, old, new
+
+
+def summary(old, new) -> list[str]:
+    """What moved from the ``old`` reference payload to the ``new`` one."""
+    moved, worst, where, changed = 0, 0.0, None, []
+    for path, o, n in _leaves(old, new):
+        if o == n and type(o) is type(n):
+            continue
+        if type(o) is float and type(n) is float:
+            moved += 1
+            rel = abs(n - o) / (abs(o) or 1.0)
+            if path.rsplit(".", 1)[-1] in VALUES and rel > worst:
+                worst, where = rel, path
+        else:
+            changed.append(f"changed {path.lstrip('.')}: {o!r} -> {n!r}")
+    lines = [f"{moved} floats moved"]
+    if where is not None:
+        lines.append(f"largest move on a value: {worst:.2g} relative at {where.lstrip('.')}")
+    return lines + (changed or ["no tag, verdict or refusal changed"])
+
+
 def main() -> None:
     sys.path.insert(0, str(BENCH))
     from inputs import certify_points
@@ -100,6 +138,8 @@ def main() -> None:
     }
     # allow_nan=False: an infinity left in a record fails here, not in the file.
     text = json.dumps(_null_for_nan(payload), indent=1, allow_nan=False)
+    if REFERENCE.exists():
+        print("\n".join(summary(json.loads(REFERENCE.read_text()), json.loads(text))))
     REFERENCE.write_text(text + "\n")
 
 

@@ -191,8 +191,8 @@ def test_criterion_3(capsys):
         failures.append(f"R log = {r_log!r}")
 
     r_s, r_b = _radius_sphere(3, 2.0, 1.0), _radius_ball(3, 1.0)
-    e_s = _energy_sphere(3, 2.0, 1.0, False)
-    e_b = _energy_ball(3, 1.0, False)
+    e_s = _energy_sphere(3, 2.0, 1.0, False, r_s)
+    e_b = _energy_ball(3, 1.0, False, r_b)
     for name, got, want in (
         ("R sphere route", r_s, 2.0 / 3.0),
         ("R ball route", r_b, 2.0 / 3.0),
@@ -205,8 +205,8 @@ def test_criterion_3(capsys):
         failures.append("route disagreement at (3, 2, 1)")
 
     want_log = 0.25 * (0.5 + math.log(2.0))
-    e_ls = _energy_sphere(4, 2.0, 0.0, True)
-    e_lb = _energy_ball(4, 0.0, True)
+    e_ls = _energy_sphere(4, 2.0, 0.0, True, _radius_sphere(4, 2.0, 0.0))
+    e_lb = _energy_ball(4, 0.0, True, _radius_ball(4, 0.0))
     if abs(e_ls - want_log) > 1e-12 or abs(e_lb - want_log) > 1e-12:
         failures.append(f"log junction: {e_ls!r} vs {e_lb!r}")
 

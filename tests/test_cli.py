@@ -111,17 +111,27 @@ def test_closed_form_out_file(tmp_path, capsys):
     assert payload["R"] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("command", ["closed-form", "verify-el"])
-def test_large_dimension_is_a_domain_error(command, capsys):
-    """At d = 400 the gamma functions leave the float range; the radius is
-    nan, and that is one JSON refusal, not a traceback."""
-    rc, out, err = _run([command, "--d", "400", "--alpha", "3", "--beta", "1.9"], capsys)
-    assert rc == 2
+def test_closed_form_in_a_large_dimension(capsys):
+    """At d = 400 the Gamma products of the sphere overflow, but its
+    closed forms are Gamma quotients: R, E and eta are finite, exit 0."""
+    rc, out, err = _run(["closed-form", "--d", "400", "--alpha", "3", "--beta", "1.9"], capsys)
+    assert rc == 0
     assert err == ""
-    assert _strict_json(out)["error"] == {
-        "type": "DomainError",
-        "reason": "radius must be positive, got nan",
-    }
+    payload = _strict_json(out)
+    assert 0 < payload["R"] < 1
+    assert payload["eta"] == 2.0 * payload["E"] < 0
+
+
+def test_verify_el_in_a_large_dimension_is_a_nonconvergence(capsys):
+    """At d = 400 the audit's profile has c - a - b above the connection
+    route's limit, and scipy's 2F1 reads inf next to z = 0.9: one JSON
+    refusal, exit 3."""
+    rc, out, err = _run(["verify-el", "--d", "400", "--alpha", "3", "--beta", "1.9"], capsys)
+    assert rc == 3
+    assert err == ""
+    error = _strict_json(out)["error"]
+    assert error["type"] == "NonConvergence"
+    assert error["reason"].startswith("hyp2f1(") and error["reason"].endswith("is not finite")
 
 
 def test_infinite_ball_radius_is_a_domain_error(capsys):

@@ -8,6 +8,7 @@ mass, potential levels) through quadrature or finite differences.
 import math
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,9 +34,10 @@ from aggremin import (
     quadratic_ball_moment,
     radius,
     unit_sphere_area,
+    verify_euler_lagrange,
 )
 from aggremin import closed_form
-from aggremin.closed_form import _energy_ball, _energy_sphere
+from aggremin.closed_form import _energy_ball, _energy_sphere, _radius_ball, _radius_sphere
 
 
 def test_beta_star_anchor_values():
@@ -237,12 +239,34 @@ def test_a_dimension_that_is_not_a_number_is_a_domain_error(call, minimum):
 @pytest.mark.parametrize("point", [(3, 3.0, 1.5), (3, 2.0, -1.0)])
 def test_eta_refuses_an_energy_one_percent_off(point, monkeypatch):
     """The two eta routes catch a closed-form energy 1% too high, at a
-    sphere point and at a ball point."""
+    sphere point and at a ball point, in ``eta`` and in the audit, which
+    holds 2E to its own grid."""
     monkeypatch.setattr(closed_form, "_energy_sphere", lambda *a: 1.01 * _energy_sphere(*a))
     monkeypatch.setattr(closed_form, "_energy_ball", lambda *a: 1.01 * _energy_ball(*a))
     params = KernelParams(*point)
     with pytest.raises(IllConditioned, match="eta routes disagree"):
         eta(params)
+    with pytest.raises(IllConditioned, match="eta routes disagree"):
+        verify_euler_lagrange(params)
+
+
+@pytest.mark.parametrize("point", [(3, 3.0, 1.5), (3, 2.0, -1.0)], ids=["sphere", "ball"])
+@pytest.mark.parametrize(
+    "fn", [radius, energy, eta, candidate_for, verify_euler_lagrange],
+    ids=lambda fn: fn.__name__,
+)
+def test_each_answer_classifies_once(point, fn, monkeypatch):
+    """``candidate_for`` is the one closed-form gate: every answer at a
+    point, the unforced audit included, decides the regime once."""
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return classify(params)
+
+    monkeypatch.setattr(closed_form, "classify", counted)
+    fn(KernelParams(*point))
+    assert len(calls) == 1
 
 
 def test_beta_next_to_zero_is_refused_not_extrapolated():
@@ -258,26 +282,51 @@ def test_beta_next_to_zero_is_refused_not_extrapolated():
     assert math.isfinite(energy(KernelParams(3, 2.0, 2e-6)))
 
 
-def test_sphere_energy_past_the_float_range_is_a_domain_error():
-    """From d = 130 the gamma ratio of the sphere radius is inf/inf; the
-    energy refuses it, and the radius keeps its own refusal."""
-    assert math.isfinite(energy(KernelParams(129, 3.0, 1.999)))
-    params = KernelParams(130, 3.0, 1.999)
-    with pytest.raises(DomainError, match="d=130"):
-        energy(params)
-    with pytest.raises(DomainError, match="radius must be positive, got nan"):
-        radius(params)
+def _sphere_closed_forms_mp(d, alpha, beta, log):
+    """R and E of the sphere in 40-digit mpmath, from the paper's Gamma
+    products: (2R)^(alpha-beta) = Gamma((d+beta-1)/2)Gamma(d-1+alpha/2) /
+    (Gamma((d+alpha-1)/2)Gamma(d-1+beta/2)), and E its own product (the
+    log kernel's from the same ratio at beta = 0, not from R)."""
+    g = mpmath.gamma
+    with mpmath.workdps(40):
+        d, a = mpmath.mpf(d), mpmath.mpf(alpha)
+        b = mpmath.mpf(0 if log else beta)
+        ratio = g((d + b - 1) / 2) * g(d - 1 + a / 2) / (g((d + a - 1) / 2) * g(d - 1 + b / 2))
+        r = ratio ** (1 / (a - b)) / 2
+        if log:
+            e = (1 - mpmath.log(ratio)) / (2 * a) + (
+                mpmath.digamma(d - 1) - mpmath.digamma((d - 1) / 2)
+            ) / 4
+        else:
+            coef = -(2 ** (d + a - 3)) * g(d / 2) * g((d + a - 1) / 2) / (
+                mpmath.sqrt(mpmath.pi) * g(d - 1 + a / 2)
+            )
+            e = coef * (1 / b - 1 / a) * r**a
+        return float(r), float(e)
 
 
-def test_log_sphere_energy_past_the_float_range_is_a_domain_error():
-    assert math.isfinite(energy(KernelParams(130, 3.0, 0.0, beta_is_log=True)))
-    with pytest.raises(DomainError, match="d=131"):
-        energy(KernelParams(131, 3.0, 0.0, beta_is_log=True))
+@pytest.mark.parametrize("d", [130, 200, 1000, 5000])
+def test_sphere_closed_forms_match_mpmath_where_gamma_overflows(d):
+    """From d = 129 the Gamma products of R and E overflow; the closed
+    forms take Gamma quotients, so R and E stay within 1e-14 relative of
+    40-digit mpmath at any d.  From d of about 1035 at beta_star the
+    quotient (2R)^(alpha-beta) itself overflows, and R is taken from its
+    logarithm."""
+    failures = []
+    for alpha in (2.5, 3.0, 4.0):
+        for beta in (beta_star(d, alpha), 1.5, "log"):
+            log = beta == "log"
+            params = KernelParams(d, alpha, 0.0 if log else beta, beta_is_log=log)
+            want_r, want_e = _sphere_closed_forms_mp(d, alpha, params.beta, log)
+            for name, got, want in (("R", radius(params), want_r), ("E", energy(params), want_e)):
+                if not abs(got - want) <= 1e-14 * abs(want):
+                    failures.append((name, alpha, beta, got, want))
+    assert failures == []
 
 
 def test_ball_energy_past_the_float_range_is_a_domain_error():
     assert math.isfinite(energy(KernelParams(340, 2.0, 1.5 - 340)))
-    with pytest.raises(DomainError, match="d=341"):
+    with pytest.raises(DomainError, match="radius must be finite, got inf"):
         energy(KernelParams(341, 2.0, 1.5 - 341))
 
 
@@ -302,12 +351,11 @@ def test_unit_sphere_area_past_the_float_range_is_a_domain_error():
 def test_energy_formulas_agree_at_the_regime_junction():
     # At alpha = 2, beta = 4 - d both families degenerate to the same
     # sphere, so the two unrelated energy expressions must coincide.
-    assert abs(_energy_sphere(3, 2.0, 1.0, False) - _energy_ball(3, 1.0, False)) < (
-        1e-15
-    )
-    assert abs(_energy_sphere(3, 2.0, 1.0, False) + 2.0 / 9.0) < 1e-15
-    log_sphere = _energy_sphere(4, 2.0, 0.0, True)
-    log_ball = _energy_ball(4, 0.0, True)
+    sphere = _energy_sphere(3, 2.0, 1.0, False, _radius_sphere(3, 2.0, 1.0))
+    assert abs(sphere - _energy_ball(3, 1.0, False, _radius_ball(3, 1.0))) < 1e-15
+    assert abs(sphere + 2.0 / 9.0) < 1e-15
+    log_sphere = _energy_sphere(4, 2.0, 0.0, True, _radius_sphere(4, 2.0, 0.0))
+    log_ball = _energy_ball(4, 0.0, True, _radius_ball(4, 0.0))
     want = 0.25 * (0.5 + math.log(2.0))
     assert abs(log_sphere - log_ball) < 1e-12
     assert abs(log_sphere - want) < 1e-12

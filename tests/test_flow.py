@@ -342,6 +342,17 @@ def test_descent_starts_from_the_unit_ball_where_the_closed_form_refuses():
     assert abs(stats.mean_radius - log_stats.mean_radius) <= 0.02 * log_stats.mean_radius
 
 
+def test_descent_in_a_large_dimension_starts_from_the_sphere_radius():
+    """At d = 200 the sphere radius is a finite Gamma quotient, so the
+    descent starts from it.  16 points fit a regular simplex there with
+    every pair at W's minimum r = 1, whose radius is sqrt(15/32)."""
+    params = KernelParams(200, 3.0, 1.9)
+    assert 0.7 < radius(params) < 0.71
+    state, stats = run_to_convergence(params, 16, 0)
+    assert max_force(state) <= 1e-6
+    assert abs(stats.mean_radius - math.sqrt(15 / 32)) <= 1e-5
+
+
 def test_run_to_convergence_gates_and_partial_state():
     params = KernelParams(2, 2.0, -1.0)
     with pytest.raises(DomainError):

@@ -44,8 +44,9 @@ from aggremin import (
     verify_euler_lagrange,
 )
 from aggremin.closed_form import _radius_sphere
+from aggremin.potentials import _potential
 from aggremin.special import _hyp2f1
-from aggremin.verify import _CONVEXITY_GRID, _EL_FOLD, _EL_GRID, _el_grid
+from aggremin.verify import _CONVEXITY_GRID, _EL_FOLD, _EL_GRID, _EL_ONE, _el_grid
 
 
 def test_sphere_quadrature_matches_closed_form():
@@ -234,6 +235,30 @@ def test_folded_audit_equals_a_direct_evaluation(params):
     assert abs(report.eta - level) <= bound
     assert abs(report.support_max_abs_dev - np.abs(dev[support]).max()) <= bound
     assert abs(report.exterior_min_margin - dev[~support].min()) <= bound
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        KernelParams(3, 3.0, 1.5),
+        KernelParams(2, 3.0, 1.75),
+        KernelParams(4, 3.0, 0.0, beta_is_log=True),
+        KernelParams(3, 2.0, -1.0),
+        KernelParams(3, 2.0, 0.0, beta_is_log=True),
+    ],
+    ids=["shell", "2F1", "log-sphere", "ball", "log-ball"],
+)
+def test_the_audit_reads_eta_off_its_own_grid(params):
+    """The audit's one pass holds its probe node, rho = 1 on the sphere
+    and 0 in the ball, to 2E, as ``eta`` holds total_potential at R or 0:
+    the two values and the two etas are equal bit for bit."""
+    cand = candidate_for(params)
+    sphere = cand.kind == "UniformSphere"
+    grid = _potential(params, cand, _EL_GRID, _EL_FOLD)
+    at_probe = grid[_EL_ONE] if sphere else grid[0]
+    assert _EL_GRID[_EL_ONE] == 1.0
+    assert at_probe == total_potential(params, cand, cand.radius if sphere else 0.0)
+    assert verify_euler_lagrange(params).eta == eta(params)
 
 
 def test_euler_lagrange_report_round_trips_through_dict():

@@ -13,9 +13,10 @@ gives it a finite value; a route returns nan at a node it declines:
   that stay exact to rounding and finite where the Gamma values
   overflow (``_gauss_value``, by ``_gamma_quotient``, which the
   sphere's closed forms share);
-* a node in (0, 1) where a or b is a non-positive integer sums the
-  series as the polynomial it is, by Horner's rule, unless its terms
-  cancel (``_terminating``);
+* the Gauss series by Horner's rule, unless its terms cancel
+  (``_series``): at a node in (0, 1) where a or b is a non-positive
+  integer, as the polynomial the series is, and above z = 0.9 where
+  c-a-b >= 10, where its terms fall like k^(a+b-c-1) up to z = 1;
 * above z = 0.9, with c-a-b below 10 and not an integer, the z -> 1 - z
   connection formula (DLMF 15.8.4) as two short series in w = 1 - z,
   its cancelling terms paired so that c-a-b next to an integer costs
@@ -24,17 +25,20 @@ gives it a finite value; a route returns nan at a node it declines:
   terms still cancel, as for large a and b at w near 0.1, stays with
   the ufunc;
 * every other node is one call of scipy's ``hyp2f1`` ufunc at z, where
-  its direct Gauss series is fast.  Above 0.9 with c-a-b below 10 the
-  ufunc takes up to 54 us a node (one core of a 2-core Xeon) and errs
-  by up to 3.7e-13 relative.
+  its direct Gauss series is fast.  Above 0.9 where c-a-b >= 10 it
+  gets only the nodes that ``_series`` declines: there it read inf
+  just above 0.9 on the sphere profile in d = 400.  Above 0.9 with
+  c-a-b below 10 the ufunc takes up to 54 us a node (one core of a
+  2-core Xeon) and errs by up to 3.7e-13 relative.
 
 On the parameters the potentials use (a = -gamma/2, b = (2-gamma-d)/2,
 c in {d/2, 2-gamma/2}, d = 2..12, z up to 1 - 1e-12) the value agrees
 with mpmath within 4.6e-15 relative, and the Gauss value of the sphere
-profile within 2.1e-15 up to d = 300.  The outer branch of a profile
-meets that bound only with w from the exact rho - 1: 1 - fl(1/rho) put
-psi_gamma 2e-11 off next to the sphere.  A non-finite result raises
-NonConvergence.
+profile within 2.1e-15 up to d = 300; above z = 0.9 the sphere
+profile is within 1e-15 of 50-digit mpmath from d = 130 to 1000.  The
+outer branch of a profile meets that bound only with w from the exact
+rho - 1: 1 - fl(1/rho) put psi_gamma 2e-11 off next to the sphere.
+A non-finite result raises NonConvergence.
 
 The gamma function is ``math.gamma``, and ``digamma`` is a finite sum at
 the integer and half-integer arguments the closed forms use, so the
@@ -65,12 +69,14 @@ _EULER_GAMMA_2LN2 = 1.9635100260214235  # euler_gamma + 2 ln 2, rounded once
 _EXACT_DIGAMMA_MAX = 1000.0
 # The 2F1 nodes above _CONNECTION_Z take the z -> 1 - z connection formula
 # when c - a - b < _CONNECTION_M; its series in w = 1 - z get at most
-# _CONNECTION_TERMS terms.  From c - a - b of about 10 on, scipy's direct
-# series is fast and accurate there, while the formula's Gamma factors
-# amplify the rounding of c - a - b.
+# _CONNECTION_TERMS terms.  From c - a - b of about 10 on, the Gauss
+# series (``_series``) is fast and accurate there, while the formula's
+# Gamma factors amplify the rounding of c - a - b.
 _CONNECTION_Z = 0.9
 _CONNECTION_M = 10.0
 _CONNECTION_TERMS = 64
+# The Gauss series (``_series``) gets at most _SERIES_TERMS terms.
+_SERIES_TERMS = 4096
 # A node whose connection terms cancel by more than this factor takes the
 # ufunc instead: the error of the sum grows with the cancellation.
 _CONNECTION_CANCEL = 16.0
@@ -228,20 +234,33 @@ def _horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _terminating(a: float, b: float, c: float, n: int, z: np.ndarray) -> np.ndarray:
-    """F(a,b;c;z) at nodes 0 < z < 1 when a or b is -n, a non-positive integer.
+def _series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """F(a,b;c;z) at nodes 0 < z < 1 by its Gauss series (DLMF 15.2.1),
+    sum_k (a)_k (b)_k / ((c)_k k!) z^k, by Horner's rule.
 
-    The Gauss series then stops at z^n (DLMF 15.2.4):
-    sum_(k<=n) (a)_k (b)_k / ((c)_k k!) z^k.  nan at a node where the
-    sum of the terms' magnitudes exceeds _CONNECTION_CANCEL times the
-    value, or is not finite: there the sum is no better than its
-    cancellation allows (the polynomial of (300.5, -500; 100) at
-    z = 0.3 is 1e-97 from terms of 1e90).
+    The sum ends at the first term whose bound at the largest node falls
+    to 1e-17 of the largest term there, or at a zero term: a polynomial
+    (a or b a non-positive integer -n, DLMF 15.2.4) ends after z^n.  The
+    bound leaves out each factor a + k or b + k below 1 in magnitude, so
+    that a term that dips because a + k sits next to 0 (a = -2 + 5e-16)
+    does not end the sum.  nan at every node where it does not end
+    within _SERIES_TERMS terms, and at a node where the sum of the
+    terms' magnitudes exceeds _CONNECTION_CANCEL times the value, or is
+    not finite: there the sum is no better than its cancellation allows
+    (the polynomial of (300.5, -500; 100) at z = 0.3 is 1e-97 from terms
+    of 1e90).  No nodes give an empty array.
     """
-    coefficients, term = [], 1.0
-    for k in range(n + 1):
+    top = float(np.max(z, initial=0.0))
+    coefficients, term, bound, largest = [], 1.0, 1.0, 0.0
+    for k in range(_SERIES_TERMS):
+        if term == 0.0 or bound * top**k <= 1e-17 * largest:
+            break
         coefficients.append(term)
+        largest = max(largest, abs(term) * top**k)
         term *= (a + k) * (b + k) / ((c + k) * (k + 1))
+        bound *= max(abs(a + k), 1.0) * max(abs(b + k), 1.0) / abs((c + k) * (k + 1))
+    else:
+        return np.full(z.shape, np.nan)
     with np.errstate(all="ignore"):
         value, magnitude = _horner(np.array([coefficients, np.abs(coefficients)]), z)
         fine = np.isfinite(magnitude) & (magnitude <= _CONNECTION_CANCEL * np.abs(value))
@@ -338,14 +357,17 @@ def _hyp2f1(a: float, b: float, c: float, z, gap=None) -> np.ndarray:
     integers, every node must lie in [0, 1], and a node at z = 1 needs
     c - a - b > 0 for the series to converge.  A refusal raises
     DomainError naming the first bad node.  The routes are those of the
-    module docstring.  Each returns an array over the nodes it is
-    given, nan where it gives no value, and a node keeps the first
-    finite one.  ``gap``, an array of z's shape, is 1 - z as the caller
-    knows it, and the connection route takes it as its w: a profile
-    whose z is a rounded 1/rho passes (rho - 1)/rho, so that the
-    rounding of z costs w no digits next to z = 1.  None is 1 - z.  A
-    value that is not finite (c-a-b strongly negative close to z = 1)
-    raises NonConvergence, naming the first such node.
+    module docstring: a polynomial takes ``_series`` at every node, and a
+    node above 0.9 takes ``_series`` where c - a - b >= _CONNECTION_M,
+    then ``_connection`` (which declines there), before the ufunc.  Each
+    returns an array over the nodes it is given, nan where it gives no
+    value, and a node keeps the first finite one.  ``gap``, an array of
+    z's shape, is 1 - z as the caller knows it, and the connection route
+    takes it as its w: a profile whose z is a rounded 1/rho passes
+    (rho - 1)/rho, so that the rounding of z costs w no digits next to
+    z = 1.  None is 1 - z.  A value that is not finite (c-a-b strongly
+    negative close to z = 1) raises NonConvergence, naming the first
+    such node.
     """
     z = np.asarray(z, dtype=float)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
@@ -362,10 +384,10 @@ def _hyp2f1(a: float, b: float, c: float, z, gap=None) -> np.ndarray:
     if at_one.any():
         value[at_one] = _gauss_value(a, b, c)
     inside = (z > 0.0) & ~at_one
-    degrees = [-int(x) for x in (a, b) if _is_nonpositive_integer(x)]
-    if degrees and inside.any():
-        terminating = _terminating(a, b, c, min(degrees), z[inside])
-        inside = _keep_finite(value, inside, inside, terminating)
+    polynomial = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
+    if (polynomial or c - a - b >= _CONNECTION_M) and inside.any():
+        series = inside if polynomial else inside & (z > _CONNECTION_Z)
+        inside = _keep_finite(value, inside, series, _series(a, b, c, z[series]))
     near = inside & (z > _CONNECTION_Z)
     if near.any():
         w = 1.0 - z[near] if gap is None else gap[near]

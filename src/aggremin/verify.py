@@ -26,12 +26,13 @@ from .errors import DomainError, QuadratureFailure, RegimeError
 from .params import CandidateMinimizer, KernelParams, _whole
 from .potentials import (
     _Fold,
+    _check_rho,
+    _fold,
     _potential,
     _require_finite,
     _seam_curvature,
-    psi_gamma,
+    _shaped,
     psi_values_at_one,
-    tilde_psi0,
     unit_sphere_area,
 )
 from .special import _hyp2f1
@@ -327,13 +328,7 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     ``Fraction`` from the floats.
     """
     forced = force_sphere and _off_sphere(params)
-    if forced:
-        _sphere_compatible(params)
-        cand = CandidateMinimizer(
-            "UniformSphere", _radius_sphere(params.d, params.alpha, params.beta)
-        )
-    else:
-        cand = candidate_for(params)
+    cand = _sphere_candidate(params) if forced else candidate_for(params)
     values = _require_finite(_potential(params, cand, _EL_GRID, _EL_FOLD), _EL_GRID, "rho")
     sphere = cand.kind == "UniformSphere"
     at_probe = float(values[_EL_ONE if sphere else 0])
@@ -351,7 +346,7 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     dev_support = float(abs_dev[worst])
     margin = float(exterior[lowest])
     passed = dev_support <= tol and margin >= -tol
-    if forced and params.d + params.beta > 3:
+    if forced:
         # A negative seam curvature is no minimizer, however shallow the
         # exterior dip it makes.
         passed = passed and not _concave_seam(params)
@@ -372,26 +367,30 @@ def _off_sphere(params: KernelParams) -> bool:
 
 
 def _concave_seam(params: KernelParams) -> bool:
-    """Whether Psi''(1) < 0 (d + beta > 3), decided exactly.
+    """Whether Psi''(1) exists (d + beta > 3) and is negative, decided exactly.
 
     Psi''(1) has the sign of k(alpha) - k(beta), evaluated in
-    ``Fraction`` from the float inputs.  Both audits apply it only off
-    the sphere regime: on the critical curve itself a float beta can sit
-    a rounding below the exact curve (Psi''(1) = -1.4e-16 at
-    (2, 4, 4/3)), where the sphere still minimizes.  Imported here, so
-    that only this test pays for loading fractions.
+    ``Fraction`` from the float inputs; False where d + beta <= 3.
+    Both audits apply it only off the sphere regime: on the critical
+    curve itself a float beta can sit a rounding below the exact curve
+    (Psi''(1) = -1.4e-16 at (2, 4, 4/3)), where the sphere still
+    minimizes.  Imported here, so that only this test pays for loading
+    fractions.
     """
+    if not params.d + params.beta > 3:
+        return False
     from fractions import Fraction
 
     alpha, beta = (Fraction(g) for g in (params.alpha, params.beta))
     return _seam_curvature(params.d, alpha) < _seam_curvature(params.d, beta)
 
 
-def _sphere_compatible(params: KernelParams) -> None:
-    """The one gate of the sphere instruments: Psi, Psi''(1), the
-    convexity report and the forced Euler-Lagrange audit refuse a point
-    here, with RegimeError, or with IllConditioned for a power-law beta
-    next to 0."""
+def _sphere_candidate(params: KernelParams) -> CandidateMinimizer:
+    """The sphere of radius R = ``_radius_sphere`` that the sphere
+    instruments test: Psi, Psi''(1), the convexity report and the forced
+    Euler-Lagrange audit.  Their one gate: a point is refused here, with
+    RegimeError, or with IllConditioned for a power-law beta next to 0.
+    R is finite at every point the gate accepts."""
     d, beta = params.d, params.beta
     if params.alpha_is_log or not 2.0 <= params.alpha <= 4.0:
         raise RegimeError("alpha out of supported range")
@@ -400,24 +399,24 @@ def _sphere_compatible(params: KernelParams) -> None:
     if not params.beta_is_log and not d + beta > 2:
         raise RegimeError(f"the sphere combination needs d + beta > 2, got {d + beta}")
     _require_well_conditioned(params)
+    return CandidateMinimizer("UniformSphere", _radius_sphere(d, params.alpha, beta))
 
 
 def psi_capital(params: KernelParams, rho):
     """The convexity combination Psi at squared scaled radius rho.
 
-    Psi = v_beta psi_alpha / (4 psi_alpha'(1)) - psi_beta/beta with
-    v_beta = psi_beta(1), so that its derivative vanishes at rho = 1
-    (psi_beta'(1) = beta v_beta / 4).  The log kernel is beta = 0:
-    v_beta = 1 and psi_beta/beta becomes tilde_psi0.  A scalar rho gives
-    a float, an array of nodes an array; the two seam values are
-    computed once per call, and each profile is one call over the nodes.
+    Psi = v_beta psi_alpha / (alpha v_alpha) - psi_beta/beta with
+    v_gamma = psi_gamma(1), so that its derivative vanishes at rho = 1.
+    At the sphere's own radius R^(alpha-beta) = v_beta/v_alpha, so Psi is
+    the potential V of ``_sphere_candidate``'s sphere at rho, divided by
+    R^beta; for the log kernel (beta = 0, v_beta = 1, psi_beta/beta
+    becomes tilde_psi0) it is V + ln R.  A scalar rho gives a float, an
+    array of nodes an array; the nodes take one ``_potential`` pass.
     """
-    _sphere_compatible(params)
-    d, alpha, beta = params.d, params.alpha, params.beta
-    _, pa1, _ = psi_values_at_one(d, alpha)
-    scale = 0.25 * psi_values_at_one(d, beta)[0]
-    repel = tilde_psi0(d, rho) if params.beta_is_log else psi_gamma(d, beta, rho) / beta
-    return scale * psi_gamma(d, alpha, rho) / pa1 - repel
+    cand = _sphere_candidate(params)
+    nodes = _check_rho(rho)
+    value, r = _potential(params, cand, nodes, _fold(nodes)), cand.radius
+    return _shaped(rho, value + math.log(r) if params.beta_is_log else value / r**params.beta)
 
 
 def psi_capital_dd_at_one(params: KernelParams) -> float:
@@ -431,7 +430,7 @@ def psi_capital_dd_at_one(params: KernelParams) -> float:
     beta_star(alpha).  Requires d + beta > 3 for the second derivative
     of psi_beta to exist.
     """
-    _sphere_compatible(params)
+    _sphere_candidate(params)
     d, beta = params.d, params.beta
     if not d + beta > 3:
         raise DomainError(f"need d + beta > 3, got {d + beta}")
@@ -462,9 +461,7 @@ def convexity_report(params: KernelParams) -> ConvexityReport:
     min_sd = float(second[lowest])
     dd = psi_capital_dd_at_one(params) if params.d + params.beta > 3 else math.nan
     tol = 1e-7
-    seam = math.isnan(dd) or (
-        not _concave_seam(params) if _off_sphere(params) else dd >= -tol
-    )
+    seam = not _concave_seam(params) if _off_sphere(params) else not dd < -tol
     return ConvexityReport(
         min_second_difference=min_sd,
         rho_min_second_difference=float(_CONVEXITY_GRID[lowest + 1]),

@@ -18,9 +18,12 @@ repository root:
 
 and the diff of the file is the record of what moved.  It prints a
 summary against the file it overwrites: how many floats moved, the
-largest relative move on a value (R, E, eta, Psi''(1)) and where, and
+largest move of each field in ``test_reference``'s own metric,
+|new - old| / max(1, |old|), next to FLOAT_RTOL, and where; how many
+location moves that test skips, their figure at rounding level; and
 every other entry that changed (a tag, a verdict, a refusal, or a
-value that became a refusal).
+value that became a refusal).  The tolerances and the skip rule are
+defined here and imported by the test.
 """
 
 from __future__ import annotations
@@ -43,8 +46,16 @@ FLOW_CASES = [
 ]
 FLOW_TOL = 1e-6
 FLOW_MAX_ITER = 20000
-# The record fields that are answers, not audit figures.
-VALUES = ("R", "E", "eta", "psi_dd_at_one")
+# test_reference holds every float within FLOAT_RTOL max(1, |want|), and
+# a location only where its figure is above LOCATION_FLOOR max(1, |eta|).
+FLOAT_RTOL = 1e-13
+LOCATION_FLOOR = 1e-12
+# Each location field and the figure it locates.
+LOCATIONS = {
+    "rho_worst_support": "support_max_abs_dev",
+    "rho_worst_exterior": "exterior_min_margin",
+    "rho_min_second_difference": "min_second_difference",
+}
 
 
 def kernel(point: dict) -> ag.KernelParams:
@@ -93,35 +104,57 @@ def _null_for_nan(value):
     return value
 
 
-def _leaves(old, new, path=""):
-    """(path, old, new) at every leaf of two records, or where their
-    shapes first differ."""
+def sphere_eta(record: dict) -> float:
+    """The level of the sphere's Psi that the convexity report describes:
+    the forced-sphere audit's eta, 0 where that audit is refused."""
+    return record["el_forced"].get("eta", 0.0)
+
+
+def compared(report: dict, key: str, eta) -> bool:
+    """Whether test_reference compares ``report[key]``: every field but a
+    location whose figure is at rounding level, where the node is
+    arbitrary."""
+    figure = report.get(LOCATIONS.get(key))
+    return figure is None or abs(figure) > LOCATION_FLOOR * max(1.0, abs(eta))
+
+
+def _leaves(old, new, path="", eta=0.0, checked=True):
+    """(path, old, new, checked) at every leaf of two records, or where
+    their shapes first differ; ``checked`` is ``compared`` of the leaf."""
     if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
+        eta = old.get("eta", eta)
         for key in old:
-            yield from _leaves(old[key], new[key], f"{path}.{key}")
+            inner = sphere_eta(old) if key == "convexity" else eta
+            yield from _leaves(old[key], new[key], f"{path}.{key}", inner,
+                               compared(old, key, eta))
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for k, (o, n) in enumerate(zip(old, new)):
-            yield from _leaves(o, n, f"{path}[{k}]")
+            yield from _leaves(o, n, f"{path}[{k}]", eta, checked)
     else:
-        yield path, old, new
+        yield path, old, new, checked
 
 
 def summary(old, new) -> list[str]:
     """What moved from the ``old`` reference payload to the ``new`` one."""
-    moved, worst, where, changed = 0, 0.0, None, []
-    for path, o, n in _leaves(old, new):
+    moved, skipped, worst, changed = 0, 0, {}, []
+    for path, o, n, checked in _leaves(old, new):
         if o == n and type(o) is type(n):
             continue
         if type(o) is float and type(n) is float:
+            if not checked:
+                skipped += 1
+                continue
             moved += 1
-            rel = abs(n - o) / (abs(o) or 1.0)
-            if path.rsplit(".", 1)[-1] in VALUES and rel > worst:
-                worst, where = rel, path
+            field = path.rsplit(".", 1)[-1].split("[")[0]
+            move = abs(n - o) / max(1.0, abs(o))
+            if move > worst.get(field, (-1.0,))[0]:
+                worst[field] = (move, path.lstrip("."))
         else:
             changed.append(f"changed {path.lstrip('.')}: {o!r} -> {n!r}")
-    lines = [f"{moved} floats moved"]
-    if where is not None:
-        lines.append(f"largest move on a value: {worst:.2g} relative at {where.lstrip('.')}")
+    lines = [f"{moved} floats moved; {skipped} locations moved at rounding level, "
+             "which test_reference skips"]
+    lines += [f"largest move of {field}: {move:.2g} (FLOAT_RTOL {FLOAT_RTOL:g}) at {where}"
+              for field, (move, where) in sorted(worst.items(), key=lambda kv: -kv[1][0])]
     return lines + (changed or ["no tag, verdict or refusal changed"])
 
 

@@ -324,6 +324,21 @@ def test_sphere_closed_forms_match_mpmath_where_gamma_overflows(d):
     assert failures == []
 
 
+@pytest.mark.parametrize("d", [1000, 10_000, 100_000])
+def test_sphere_closed_forms_follow_their_large_d_expansion(d):
+    """An oracle with no Gamma function: as d grows, the sphere's
+    R sqrt(2) = 1 - (alpha + beta - 2)/(8d) + O(d^-2) and
+    E/e0 = 1 - alpha beta/(8d) + O(d^-2), e0 = (1/alpha - 1/beta)/2,
+    each residual at most 2/d^2 (from -0.13 to +1.0 times 1/d^2 here)."""
+    for alpha, beta in ((3.0, 1.9), (2.5, 1.5), (4.0, 2.0), (3.0, 0.5)):
+        params = KernelParams(d, alpha, beta)
+        e0 = 0.5 * (1.0 / alpha - 1.0 / beta)
+        r_residual = radius(params) * math.sqrt(2.0) - (1.0 - (alpha + beta - 2.0) / (8.0 * d))
+        e_residual = energy(params) / e0 - (1.0 - alpha * beta / (8.0 * d))
+        assert abs(r_residual) * d * d <= 2.0, (alpha, beta, r_residual)
+        assert abs(e_residual) * d * d <= 2.0, (alpha, beta, e_residual)
+
+
 def test_ball_energy_past_the_float_range_is_a_domain_error():
     assert math.isfinite(energy(KernelParams(340, 2.0, 1.5 - 340)))
     with pytest.raises(DomainError, match="radius must be finite, got inf"):

@@ -25,19 +25,19 @@ import math
 import pytest
 
 import aggremin as ag
-from make_reference import FLOW_CASES, REFERENCE, certify_record, flow_record, kernel
+from make_reference import (
+    FLOAT_RTOL,
+    FLOW_CASES,
+    REFERENCE,
+    certify_record,
+    compared,
+    flow_record,
+    kernel,
+    sphere_eta,
+)
 
-FLOAT_RTOL = 1e-13
-LOCATION_FLOOR = 1e-12
 FLOW_ENERGY_RTOL = 1e-10
 FLOW_RADIAL_TOL = 1e-8
-
-# Each location field and the figure it locates.
-LOCATIONS = {
-    "rho_worst_support": "support_max_abs_dev",
-    "rho_worst_exterior": "exterior_min_margin",
-    "rho_min_second_difference": "min_second_difference",
-}
 
 
 def _reject_constant(name):
@@ -72,17 +72,10 @@ def _mismatches(got, want, path, rtol=FLOAT_RTOL, eta=0.0):
     eta = want.get("eta", eta)
     out = []
     for key, w in want.items():
-        figure = want.get(LOCATIONS.get(key))
-        if figure is not None and not abs(figure) > LOCATION_FLOOR * max(1.0, abs(eta)):
+        if not compared(want, key, eta):
             continue
         out += _mismatches(got[key], w, f"{path}.{key}", rtol, eta)
     return out
-
-
-def _sphere_eta(record):
-    # The convexity report describes the sphere's Psi, whose level is the
-    # forced-sphere audit's eta; 0 where that audit is refused.
-    return record["el_forced"].get("eta", 0.0)
 
 
 def test_reference_file_covers_the_certify_points():
@@ -95,7 +88,7 @@ def test_certify_points_match_the_reference():
     for k, want in enumerate(REF["certify"]):
         got = dict(point=want["point"], **certify_record(want["point"]))
         for key in want:
-            eta = _sphere_eta(want) if key == "convexity" else 0.0
+            eta = sphere_eta(want) if key == "convexity" else 0.0
             moved += _mismatches(got[key], want[key], f"certify[{k}].{key}", eta=eta)
     assert moved == []
 

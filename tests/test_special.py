@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aggremin import DomainError, NonConvergence, PoleError, digamma, gamma_fn
-from aggremin.special import _hyp2f1, _terminating
+from aggremin.special import _hyp2f1, _series
 
 mpmath.mp.dps = 40
 
@@ -119,8 +119,7 @@ def test_terminating_route_on_both_profiles():
                     if not inside:
                         continue
                     cases += 1
-                    n = min(-int(x) for x in (a, b) if x <= 0.0 and x.is_integer())
-                    assert np.isfinite(_terminating(a, b, c, n, z)).all(), (a, b, c)
+                    assert np.isfinite(_series(a, b, c, z)).all(), (a, b, c)
                     for node, value in zip(_TERMINATING_Z, _hyp2f1(a, b, c, z)):
                         want = float(mpmath.hyp2f1(a, b, c, node))
                         assert _rel(float(value), want) <= 1e-14, (a, b, c, node)
@@ -134,8 +133,8 @@ def test_terminating_route_declines_cancelling_sums():
     from scipy.special import hyp2f1 as ufunc
 
     z = np.array([0.3, 0.7, 0.95, 1.0 - 1e-6])
-    for a, b, c, n in ((300.5, -500.0, 100.0, 500), (-20.0, 30.5, 5.5, 20)):
-        assert np.isnan(_terminating(a, b, c, n, z)).all(), (a, b, c)
+    for a, b, c in ((300.5, -500.0, 100.0), (-20.0, 30.5, 5.5)):
+        assert np.isnan(_series(a, b, c, z)).all(), (a, b, c)
         for node, value in zip(z, _hyp2f1(a, b, c, z)):
             want = float(mpmath.hyp2f1(a, b, c, node))
             assert _rel(float(value), want) <= _rel(float(ufunc(a, b, c, node)), want), (a, b, node)
@@ -320,9 +319,11 @@ def test_hyp2f1_matches_mpmath_near_the_branch_point_on_both_profiles():
 
 @pytest.mark.parametrize("d", [150, 200, 300])
 def test_sphere_profile_at_large_d_stays_finite(d):
-    """At large d, c - a - b = d + g - 1 is far above 10 and the Gamma
-    factors of the connection formula overflow: every node keeps scipy's
-    value at z, and none raises NonConvergence."""
+    """At large d, c - a - b = d + g - 1 is far above 10, where the
+    Gamma factors of the connection formula overflow: every node above
+    z = 0.9 takes the Gauss series instead of scipy's ufunc, stays within
+    1e-13 of the ufunc's value at these nodes, and none raises
+    NonConvergence."""
     from scipy.special import hyp2f1 as ufunc
 
     for g in (1.5, 3.3):
@@ -331,6 +332,34 @@ def test_sphere_profile_at_large_d_stays_finite(d):
             got = float(_hyp2f1(a, b, c, z))
             assert math.isfinite(got)
             assert _rel(got, float(ufunc(a, b, c, z))) <= 1e-13, (d, g, z)
+
+
+# Nodes above the 0.9 at which the Gauss series takes over for c - a - b >= 10.
+_SERIES_Z = (float(np.nextafter(0.9, 1.0)), 0.95, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9,
+             1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("d", [130, 200, 400, 1000])
+def test_series_route_at_large_d_matches_mpmath(d):
+    """The sphere profile above z = 0.9 in d = 130..1000, where scipy's
+    ufunc reads inf (d = 400, g = 1.9, z just above 0.9): within 1e-15
+    relative of 50-digit mpmath up to z = 1 - 1e-12, also where a + k
+    sits next to 0 (g = 4 - 1e-15 and 2 + 1e-15), a dip in the terms
+    that must not end the sum."""
+    z = np.array(_SERIES_Z)
+    for g in (1.9, 3.0, 0.5 + 1e-14, 4.0 - 1e-15, 4.0 - 1e-12, 2.0 + 1e-15, 2.0 - 1e-13):
+        a, b, c = -g / 2.0, (2.0 - g - d) / 2.0, d / 2.0
+        got = _hyp2f1(a, b, c, z)
+        with mpmath.workdps(50):
+            for node, value in zip(_SERIES_Z, got):
+                want = mpmath.hyp2f1(a, b, c, node)
+                assert abs(float((value - want) / want)) <= 1e-15, (d, g, node)
+
+
+def test_series_route_declines_past_its_budget():
+    """A series that has not settled within _SERIES_TERMS terms at the
+    largest node gives nan at every node."""
+    assert np.isnan(_series(0.5, 0.5, 3.5, np.array([0.5, 1.0 - 1e-15]))).all()
 
 
 def test_hyp2f1_overflow_raises_nonconvergence():

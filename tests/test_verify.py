@@ -35,10 +35,12 @@ from aggremin import (
     psi_capital,
     psi_capital_dd_at_one,
     psi_gamma,
+    psi_values_at_one,
     radius,
     single_zero_scan,
     sphere_potential,
     sphere_potential_quad,
+    tilde_psi0,
     total_potential,
     unit_sphere_area,
     verify_euler_lagrange,
@@ -350,18 +352,61 @@ def test_euler_lagrange_gates():
         verify_euler_lagrange(KernelParams(3, 2.0, -1.0), force_sphere=True)
 
 
+_SEAM_CASES = [
+    KernelParams(3, 2.0, 1.5),
+    KernelParams(2, 4.0, 1.7),
+    KernelParams(4, 2.0, 0.0, beta_is_log=True),
+]
+
+
+def _seam_slope(params, h=1e-5):
+    return (psi_capital(params, 1.0 + h) - psi_capital(params, 1.0 - h)) / (2.0 * h)
+
+
 def test_psi_capital_is_stationary_at_the_seam():
-    h = 1e-5
-    cases = [
-        KernelParams(3, 2.0, 1.5),
-        KernelParams(2, 4.0, 1.7),
-        KernelParams(4, 2.0, 0.0, beta_is_log=True),
-    ]
-    for params in cases:
-        slope = (psi_capital(params, 1.0 + h) - psi_capital(params, 1.0 - h)) / (
-            2.0 * h
-        )
-        assert abs(slope) < 1e-9, params
+    for params in _SEAM_CASES:
+        assert abs(_seam_slope(params)) < 1e-9, params
+
+
+def test_psi_capital_reads_the_sphere_radius(monkeypatch):
+    """Psi is the sphere's potential scaled by its own radius: with that
+    radius 1e-6 high, the seam slope tilts above 1e-8."""
+    monkeypatch.setattr(
+        "aggremin.verify._radius_sphere", lambda *args: (1.0 + 1e-6) * _radius_sphere(*args)
+    )
+    for params in _SEAM_CASES:
+        assert abs(_seam_slope(params)) > 1e-8, params
+
+
+def _psi_composition(params, rho):
+    """Psi assembled from its profiles: v_beta psi_alpha / (alpha v_alpha)
+    - psi_beta/beta with v_gamma = psi_gamma(1), and for the log kernel
+    psi_alpha / (alpha v_alpha) - tilde_psi0."""
+    d, alpha, beta = params.d, params.alpha, params.beta
+    attract = psi_gamma(d, alpha, rho) / (alpha * psi_values_at_one(d, alpha)[0])
+    if params.beta_is_log:
+        return attract - tilde_psi0(d, rho)
+    return psi_values_at_one(d, beta)[0] * attract - psi_gamma(d, beta, rho) / beta
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        KernelParams(3, 2.0, 1.5),  # d = 3: the shell formula
+        KernelParams(2, 4.0, 1.7),  # d = 2: the 2F1
+        KernelParams(4, 3.0, 0.0, beta_is_log=True),
+        KernelParams(3, 4.0, 2.0),  # Boundary
+        KernelParams(3, 3.0, 0.5),  # below beta_star(3, 3) = 2/3
+    ],
+    ids=["shell", "hyp2f1", "log", "boundary", "forced"],
+)
+def test_psi_capital_matches_its_profile_composition(params):
+    """The sphere's potential over R^beta (plus ln R for the log kernel)
+    is the composition of the profiles, within 2e-14 max(1, |Psi|) on
+    the convexity grid."""
+    got = psi_capital(params, _CONVEXITY_GRID)
+    want = _psi_composition(params, _CONVEXITY_GRID)
+    assert np.all(np.abs(got - want) <= 2e-14 * np.maximum(1.0, np.abs(want))), params
 
 
 def test_psi_capital_minimum_sits_at_the_seam_when_convex():

@@ -23,7 +23,7 @@ import math
 from .errors import DomainError, IllConditioned, RegimeError
 from .params import CandidateMinimizer, KernelParams, RegimeTag, _whole
 from .potentials import quadratic_ball_moment, total_potential
-from .special import _gamma_quotient, digamma, gamma_fn
+from .special import _GAUSS_PRODUCT_MAX, _gamma_quotient, _lgamma_ratio, digamma, gamma_fn
 
 __all__ = [
     "beta_star",
@@ -109,9 +109,20 @@ def _radius_sphere(d: int, alpha: float, beta: float) -> float:
 
 
 def _radius_ball(d: int, beta: float) -> float:
-    num = gamma_fn((4.0 - beta) / 2.0) * gamma_fn((beta + d) / 2.0)
-    den = gamma_fn(1.0 + d / 2.0)
-    return (num / den) ** (1.0 / (2.0 - beta))
+    # R^(2-beta) = [Gamma(top)/Gamma(x)] Gamma(y), x = 1 + d/2,
+    # top = (4 - beta)/2, and y = (beta + d)/2 in (0, 2) in the regime.
+    # From _GAUSS_PRODUCT_MAX on the step from x to top, of size
+    # (2 - beta - d)/2 in (-1, 1), is taken through logarithms, since
+    # the Gamma factors overflow from d = 341; below -1/2, where
+    # _lgamma_ratio does not reach, as the reciprocal of the step up.
+    x, top, y = 1.0 + d / 2.0, (4.0 - beta) / 2.0, (beta + d) / 2.0
+    if max(x, top) < _GAUSS_PRODUCT_MAX:
+        return (gamma_fn(top) * gamma_fn(y) / gamma_fn(x)) ** (1.0 / (2.0 - beta))
+    if top - x >= -0.5:
+        step = _lgamma_ratio(x, top - x)
+    else:
+        step = -_lgamma_ratio(top, x - top)
+    return math.exp((step + math.lgamma(y)) / (2.0 - beta))
 
 
 def radius(params: KernelParams) -> float:
@@ -149,11 +160,7 @@ def _energy(params: KernelParams, cand: CandidateMinimizer) -> float:
 
 def energy(params: KernelParams) -> float:
     """Minimum interaction energy in a supported regime, from the radius
-    of ``candidate_for``.
-
-    Only the ball leaves the float range: from d = 341 its radius is
-    inf, and the candidate refuses it with DomainError.
-    """
+    of ``candidate_for``; finite at any d."""
     return _energy(params, candidate_for(params))
 
 
@@ -179,7 +186,8 @@ def ball_density(params: KernelParams, r: float) -> float:
     """Radial density of the ball-regime minimizer at distance r from its center.
 
     Zero outside the support radius.  Total mass is 1 by the choice of
-    the C_beta normalization.
+    the C_beta normalization.  From d = 341, where the radius is finite
+    but C_beta is not a float, raises DomainError.
     """
     cand = candidate_for(params)
     if cand.kind != "BallProfile":
@@ -189,9 +197,14 @@ def ball_density(params: KernelParams, r: float) -> float:
     big_r = cand.radius
     if r >= big_r:
         return 0.0
-    c_beta, _ = quadratic_ball_moment(params.d, params.beta)
     exponent = (2.0 - params.beta - params.d) / 2.0
-    return big_r ** (params.beta - 2.0) / c_beta * (big_r * big_r - r * r) ** exponent
+    try:
+        c_beta, _ = quadratic_ball_moment(params.d, params.beta)
+        return big_r ** (params.beta - 2.0) / c_beta * (big_r * big_r - r * r) ** exponent
+    except (OverflowError, ZeroDivisionError):
+        # From d = 341 the Gamma((4 - beta)/2) of C_beta overflows, so
+        # C_beta reads 0; from d = 1240 its pi^(d/2) overflows as well.
+        raise DomainError(f"the ball's C_beta leaves the float range in d={params.d}") from None
 
 
 def _checked_eta(params: KernelParams, cand: CandidateMinimizer, at_probe: float) -> float:

@@ -6,12 +6,15 @@ per-particle forces together, from a single pass over the N(N-1)/2
 particle pairs i < j; when alpha = 2 the attraction goes through the
 centroid in O(N) instead.  The pass walks the pairs in blocks of whole
 rows (all partners j of one i), so the share of the forces that falls
-on each row's own particle is one contiguous sum.  Each
-``ParticleSystem`` keeps the energy and forces of the one pass that
-made it.  ``run_to_convergence`` drives a random cloud to a critical
-point with limited-memory BFGS (Liu & Nocedal 1989) and an Armijo
-backtracking line search, and ``step`` is the first iteration of that
-descent, a steepest-descent step, so the recorded energies never
+on each row's own particle is one contiguous sum.  It sums the energy
+from the force coefficients r^(p-2), one dot product with r^2 a term,
+so it builds no array of W: the energy differs from a sum of W by
+rounding alone, the forces by no bit, and reruns are bit-identical.
+Each ``ParticleSystem`` keeps the energy and forces of the one pass
+that made it.  ``run_to_convergence`` drives a random cloud to a
+critical point with limited-memory BFGS (Liu & Nocedal 1989) and an
+Armijo backtracking line search, and ``step`` is the first iteration
+of that descent, a steepest-descent step, so the recorded energies never
 increase.  Converged configurations act as an empirical cross-check on
 the closed-form minimizers: in the sphere regime the particles should
 ring up at the predicted radius, in the ball regime they should fill
@@ -82,13 +85,17 @@ def _plan(n: int) -> tuple:
     return tuple(blocks)
 
 
-def _power_terms(r2: np.ndarray, p: float, is_log: bool):
-    """(r^p / p, r^(p-2)) from r^2, or (ln r, r^-2) for the log kernel:
-    one term of W and its gradient coefficient, grad = coef * z."""
-    if is_log:
-        return 0.5 * np.log(r2), 1.0 / r2
-    coef = r2 ** (0.5 * p - 1.0)
-    return coef * r2 / p, coef
+def _coefficient(r2: np.ndarray, p: float, is_log: bool) -> np.ndarray:
+    """r^(p-2) from r^2, or r^-2 for the log kernel: the gradient
+    coefficient of one term of W, grad = coef * z."""
+    return 1.0 / r2 if is_log else r2 ** (0.5 * p - 1.0)
+
+
+def _term_sum(r2: np.ndarray, coef: np.ndarray, p: float, is_log: bool) -> float:
+    """The sum of one term of W over the pairs: of r^p / p, which is
+    r^2 . r^(p-2) / p, one dot product with the coefficient, or of
+    ln r = ln(r^2) / 2 for the log kernel."""
+    return 0.5 * float(np.sum(np.log(r2))) if is_log else float(r2 @ coef) / p
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -99,18 +106,26 @@ def _energy_and_forces(params: KernelParams, x: np.ndarray):
     The pairs are taken in the blocks of whole rows of ``_plan``.  In a
     block the row side x_i is each row's particle repeated along its
     row, the partner side x_j one ``take`` for all d coordinates, and
-    r^2 comes from their (d, pairs) difference, once per pair; both the
-    energy terms and the force coefficients come from it.  Each pair's
-    pull coef (x_i - x_j) goes to its partner per coordinate with
-    ``np.bincount``, and from its row's particle by one
-    ``np.add.reduceat`` over the block's contiguous rows: a bincount
-    there would add runs of up to N - 1 values into one bin, each add
-    waiting on the one before.  The blocks and both summation orders
-    depend on N alone, so reruns with the same inputs are
-    bit-identical.  For alpha = 2 the attraction is
-    sum_i |x_i - c|^2 / (2N) in energy and -(x_i - c) in force, with c
-    the centroid, and stays out of the pair pass.  Raises DomainError if
-    two particles coincide or the energy or a force is not finite.
+    r^2 comes from their (d, pairs) difference, once per pair.  The
+    force coefficient of each term, r^(p-2), comes from it, and the
+    term's energy is summed from that coefficient as r^2 . r^(p-2) / p
+    (the log term as sum ln(r^2) / 2), so no array of W is built; the
+    energy differs from a sum of W by rounding alone.  The pair
+    coefficient is repulsion minus attraction, so the alpha = 2 case
+    needs no negation pass.  Each pair's push coef (x_i - x_j) is taken
+    from its partner per coordinate with ``np.bincount``, and goes to
+    its row's particle by one ``np.add.reduceat`` over the block's
+    contiguous rows: a bincount there would add runs of up to N - 1
+    values into one bin, each add waiting on the one before.  The
+    blocks and all summation orders depend on N alone, so reruns with
+    the same inputs are bit-identical.  (The dot products are BLAS
+    calls, which split a sum of more than 10^4 terms over the BLAS
+    threads, so from N = 10^4 on, where one row is such a block, the
+    energy's last bits also follow the BLAS thread count.)  For
+    alpha = 2 the attraction is sum_i |x_i - c|^2 / (2N) in energy and
+    -(x_i - c) in force, with c the centroid, and stays out of the pair
+    pass.  Raises DomainError if two particles coincide or the energy or
+    a force is not finite.
     """
     n, d = x.shape
     cols = np.ascontiguousarray(x.T)
@@ -123,19 +138,20 @@ def _energy_and_forces(params: KernelParams, x: np.ndarray):
         r2 = diff[0] * diff[0]
         for dk in diff[1:]:
             r2 += dk * dk
-        if not np.all(r2 > 0.0):
+        # The minimum is nan, and fails the test, where any r^2 is nan.
+        if not r2.min() > 0.0:
             raise DomainError("coincident particles")
-        w_repel, c_repel = _power_terms(r2, params.beta, params.beta_is_log)
-        if centroid:
-            w, coef = -w_repel, -c_repel
-        else:
-            w_attract, c_attract = _power_terms(r2, params.alpha, params.alpha_is_log)
-            w, coef = w_attract - w_repel, c_attract - c_repel
-        pair_sum += float(np.sum(w))
-        diff *= coef
+        push = _coefficient(r2, params.beta, params.beta_is_log)
+        block = -_term_sum(r2, push, params.beta, params.beta_is_log)
+        if not centroid:
+            pull = _coefficient(r2, params.alpha, params.alpha_is_log)
+            block += _term_sum(r2, pull, params.alpha, params.alpha_is_log)
+            push -= pull
+        pair_sum += block
+        diff *= push
         for k in range(d):
-            acc[k, a + 1:] += np.bincount(j, diff[k], n - a - 1)
-        acc[:, a:b] -= np.add.reduceat(diff, starts, axis=1)
+            acc[k, a + 1:] -= np.bincount(j, diff[k], n - a - 1)
+        acc[:, a:b] += np.add.reduceat(diff, starts, axis=1)
     energy = pair_sum / n**2
     forces = np.ascontiguousarray(acc.T)
     forces /= n

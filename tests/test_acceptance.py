@@ -1,4 +1,5 @@
-"""Acceptance gate: nine end-to-end checks, one per numbered criterion.
+"""Acceptance gate: nine end-to-end checks, one per numbered criterion,
+and the particle energy as an upper bound on the closed-form energy.
 
 Each test does its full workload, prints a single ``criterion N: PASS/FAIL``
 line with the relevant numbers and its runtime, and then asserts.  The
@@ -489,3 +490,23 @@ def test_criterion_9(tmp_path, capsys):
                     f"{'exit codes, round-trip, reruns clean' if not failures else '; '.join(failures)}, "
                     f"{elapsed:.1f}s")
     assert ok, line
+
+
+def test_particle_energy_bounds_the_closed_form_energy_from_above():
+    """For alpha, beta > 0, W(0) = 0, so the excluded self-interaction is
+    zero and the discrete energy E_N is exactly the energy of the
+    admissible measure (1/N) sum delta_{x_i}: E_N >= E at every N and
+    every configuration, with no extrapolation.  The descent shares no
+    gamma function, 2F1 or potential with the closed form, so a closed
+    form that reads too high shows as E_N < E.  Held at the acceptance
+    triples with beta > 0, N = 64, to within 1e-12 |E|."""
+    failures = []
+    for d, a, b in SPHERE_TRIPLES + BALL_TRIPLES:
+        if not b > 0.0:
+            continue
+        params = KernelParams(d, a, b)
+        system, _ = run_to_convergence(params, 64, seed=0, tol=1e-6)
+        e_n, e = discrete_energy(system), energy(params)
+        if not e_n >= e - 1e-12 * abs(e):
+            failures.append(((d, a, b), e_n, e))
+    assert failures == []

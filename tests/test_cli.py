@@ -136,14 +136,15 @@ def test_verify_el_in_a_large_dimension_passes(d, capsys):
     assert payload["exterior_min_margin"] >= -1e-14 * max(1.0, abs(payload["eta"]))
 
 
-def test_infinite_ball_radius_is_a_domain_error(capsys):
-    """At d = 341 the ball radius overflows to inf: one JSON refusal, exit 2."""
+def test_ball_potential_past_d_340_is_a_domain_error(capsys):
+    """At d = 341 the ball's radius and energy are finite, but its
+    potential at the center overflows: one JSON refusal, exit 2."""
     rc, out, err = _run(["closed-form", "--d", "341", "--alpha", "2", "--beta", "-339.5"], capsys)
     assert rc == 2
     assert err == ""
     assert _strict_json(out)["error"] == {
         "type": "DomainError",
-        "reason": "radius must be finite, got inf",
+        "reason": "potential at x_norm=0.0 is not finite: inf",
     }
 
 

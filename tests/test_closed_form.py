@@ -339,18 +339,46 @@ def test_sphere_closed_forms_follow_their_large_d_expansion(d):
         assert abs(e_residual) * d * d <= 2.0, (alpha, beta, e_residual)
 
 
-def test_ball_energy_past_the_float_range_is_a_domain_error():
-    assert math.isfinite(energy(KernelParams(340, 2.0, 1.5 - 340)))
-    with pytest.raises(DomainError, match="radius must be finite, got inf"):
-        energy(KernelParams(341, 2.0, 1.5 - 341))
+def _ball_closed_forms_mp(d, beta):
+    """R and E of the ball in 40-digit mpmath, from the paper's Gamma
+    product R^(2-beta) = Gamma((4-beta)/2)Gamma((beta+d)/2)/Gamma(1+d/2)
+    and E = -d (2-beta)/(2 beta (4-beta)) R^2."""
+    g = mpmath.gamma
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        r = (g((4 - b) / 2) * g((b + d) / 2) / g(1 + mpmath.mpf(d) / 2)) ** (1 / (2 - b))
+        return float(r), float(-d * (2 - b) / (2 * b * (4 - b)) * r * r)
 
 
-def test_infinite_ball_radius_is_a_domain_error():
-    """At d = 341 Gamma((4 - beta)/2) overflows and the ball radius reads
-    inf; the candidate refuses it, so radius() raises."""
-    params = KernelParams(341, 2.0, 1.5 - 341)
-    with pytest.raises(DomainError, match="radius must be finite, got inf"):
-        radius(params)
+@pytest.mark.parametrize("d", [341, 500, 1000])
+def test_ball_closed_forms_match_mpmath_where_gamma_overflows(d):
+    """From d = 341 Gamma((4 - beta)/2) and Gamma(1 + d/2) overflow; the
+    ball's R^(2-beta) is then taken through its logarithm, so R and E
+    stay within 1e-14 relative of 40-digit mpmath.  The offsets put the
+    Gamma step delta = (2 - beta - d)/2 at -0.75 (its reciprocal form),
+    0.25, 0.75 and next to both ends of the regime."""
+    failures = []
+    for offset in (3.99, 3.5, 1.5, 0.5, 0.01):
+        params = KernelParams(d, 2.0, offset - d)
+        want_r, want_e = _ball_closed_forms_mp(d, params.beta)
+        for name, got, want in (("R", radius(params), want_r), ("E", energy(params), want_e)):
+            if not abs(got - want) <= 1e-14 * abs(want):
+                failures.append((name, offset, got, want))
+    assert failures == []
+
+
+@pytest.mark.parametrize("d", [341, 1300])
+def test_ball_density_past_d_340_is_a_domain_error(d):
+    """R is finite there, but C_beta is not a float: Gamma((4 - beta)/2)
+    overflows from d = 341, and pi^(d/2) from d = 1240."""
+    params = KernelParams(d, 2.0, 1.5 - d)
+    assert math.isfinite(radius(params))
+    with pytest.raises(DomainError, match=f"C_beta leaves the float range in d={d}"):
+        ball_density(params, 0.5)
+    assert ball_density(params, 2.0) == 0.0
+
+
+def test_candidate_refuses_an_infinite_radius():
     with pytest.raises(DomainError, match="radius must be finite"):
         CandidateMinimizer("BallProfile", math.inf)
 

@@ -23,7 +23,7 @@ import math
 from .errors import DomainError, IllConditioned, RegimeError
 from .params import CandidateMinimizer, KernelParams, RegimeTag, _whole
 from .potentials import quadratic_ball_moment, total_potential
-from .special import _GAUSS_PRODUCT_MAX, _gamma_quotient, _lgamma_ratio, digamma, gamma_fn
+from .special import _gamma_quotient, digamma
 
 __all__ = [
     "beta_star",
@@ -109,20 +109,10 @@ def _radius_sphere(d: int, alpha: float, beta: float) -> float:
 
 
 def _radius_ball(d: int, beta: float) -> float:
-    # R^(2-beta) = [Gamma(top)/Gamma(x)] Gamma(y), x = 1 + d/2,
-    # top = (4 - beta)/2, and y = (beta + d)/2 in (0, 2) in the regime.
-    # From _GAUSS_PRODUCT_MAX on the step from x to top, of size
-    # (2 - beta - d)/2 in (-1, 1), is taken through logarithms, since
-    # the Gamma factors overflow from d = 341; below -1/2, where
-    # _lgamma_ratio does not reach, as the reciprocal of the step up.
-    x, top, y = 1.0 + d / 2.0, (4.0 - beta) / 2.0, (beta + d) / 2.0
-    if max(x, top) < _GAUSS_PRODUCT_MAX:
-        return (gamma_fn(top) * gamma_fn(y) / gamma_fn(x)) ** (1.0 / (2.0 - beta))
-    if top - x >= -0.5:
-        step = _lgamma_ratio(x, top - x)
-    else:
-        step = -_lgamma_ratio(top, x - top)
-    return math.exp((step + math.lgamma(y)) / (2.0 - beta))
+    # R^(2-beta) = Gamma((4 - beta)/2) Gamma(y) / Gamma(1 + d/2), a Gamma
+    # quotient with y = (beta + d)/2 in (0, 2) in the regime, finite at any d.
+    y = (beta + d) / 2.0
+    return _gamma_quotient(1.0 + d / 2.0, y, 1.0 - y, 1.0 / (2.0 - beta))
 
 
 def radius(params: KernelParams) -> float:
@@ -168,26 +158,43 @@ def candidate_for(params: KernelParams) -> CandidateMinimizer:
     """The minimizing measure: the package's one sphere-or-ball decision.
 
     BallTheorem2 gives the ball profile; SphereTheorem1 and Boundary give
-    the uniform sphere.  Raises RegimeError out of scope, and
-    IllConditioned for a power-law beta next to 0.
+    the uniform sphere of ``_sphere_candidate``.  Raises RegimeError out
+    of scope, and IllConditioned for a power-law beta next to 0.
     """
     tag = classify(params)
     if tag.tag not in _SUPPORTED:
         raise RegimeError(tag.detail)
+    if tag.tag != "BallTheorem2":
+        return _sphere_candidate(params)
     _require_well_conditioned(params)
-    if tag.tag == "BallTheorem2":
-        return CandidateMinimizer("BallProfile", _radius_ball(params.d, params.beta))
-    return CandidateMinimizer(
-        "UniformSphere", _radius_sphere(params.d, params.alpha, params.beta)
-    )
+    return CandidateMinimizer("BallProfile", _radius_ball(params.d, params.beta))
+
+
+def _sphere_candidate(params: KernelParams) -> CandidateMinimizer:
+    """The sphere of radius R = ``_radius_sphere``: the candidate of the
+    sphere regime, and the one that the sphere instruments test at any
+    point (Psi, Psi''(1), the convexity report and the forced
+    Euler-Lagrange audit).  Their one gate: a point is refused here, with
+    RegimeError, or with IllConditioned for a power-law beta next to 0.
+    Every point of the sphere regime passes it, and R is finite at every
+    point it accepts."""
+    d, beta = params.d, params.beta
+    if params.alpha_is_log or not 2.0 <= params.alpha <= 4.0:
+        raise RegimeError("alpha out of supported range")
+    if d < 2:
+        raise RegimeError("the sphere combination needs d >= 2")
+    if not params.beta_is_log and not d + beta > 2:
+        raise RegimeError(f"the sphere combination needs d + beta > 2, got {d + beta}")
+    _require_well_conditioned(params)
+    return CandidateMinimizer("UniformSphere", _radius_sphere(d, params.alpha, beta))
 
 
 def ball_density(params: KernelParams, r: float) -> float:
     """Radial density of the ball-regime minimizer at distance r from its center.
 
     Zero outside the support radius.  Total mass is 1 by the choice of
-    the C_beta normalization.  From d = 341, where the radius is finite
-    but C_beta is not a float, raises DomainError.
+    the C_beta normalization.  Inside it, from d = 344, where C_beta
+    needs |S^(d-1)| (``unit_sphere_area``), raises DomainError.
     """
     cand = candidate_for(params)
     if cand.kind != "BallProfile":
@@ -198,13 +205,8 @@ def ball_density(params: KernelParams, r: float) -> float:
     if r >= big_r:
         return 0.0
     exponent = (2.0 - params.beta - params.d) / 2.0
-    try:
-        c_beta, _ = quadratic_ball_moment(params.d, params.beta)
-        return big_r ** (params.beta - 2.0) / c_beta * (big_r * big_r - r * r) ** exponent
-    except (OverflowError, ZeroDivisionError):
-        # From d = 341 the Gamma((4 - beta)/2) of C_beta overflows, so
-        # C_beta reads 0; from d = 1240 its pi^(d/2) overflows as well.
-        raise DomainError(f"the ball's C_beta leaves the float range in d={params.d}") from None
+    c_beta, _ = quadratic_ball_moment(params.d, params.beta)
+    return big_r ** (params.beta - 2.0) / c_beta * (big_r * big_r - r * r) ** exponent
 
 
 def _checked_eta(params: KernelParams, cand: CandidateMinimizer, at_probe: float) -> float:

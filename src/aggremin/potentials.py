@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, RegimeError
 from .params import CandidateMinimizer, KernelParams, _whole
-from .special import _gauss_value, _horner, _hyp2f1, digamma, gamma_fn
+from .special import _gamma_quotient, _gauss_value, _horner, _hyp2f1, digamma, gamma_fn
 
 __all__ = [
     "unit_sphere_area",
@@ -276,11 +276,16 @@ def sphere_potential(d, gamma: float, x_norm):
 
 
 def _ball_raw(d: int, gamma: float, fold: _Fold) -> np.ndarray:
-    """ball_potential / C_gamma at the nodes of a fold, without the public gates."""
+    """ball_potential / C_gamma at the nodes of a fold, without the public gates.
+
+    Inside, K (1 + gamma rho/d) with K = Gamma(2 - gamma/2) Gamma(y) /
+    Gamma(d/2), y = (gamma + d)/2, a ``_gamma_quotient`` whose fourth
+    factor is Gamma(2) = 1, finite at any d.
+    """
     z, gap, outer = fold.spread(fold.z), fold.spread(fold.gap), fold.outer
     value = np.empty_like(z)
-    scale = gamma_fn(2.0 - gamma / 2.0) * gamma_fn((gamma + d) / 2.0)
-    value[~outer] = scale / gamma_fn(d / 2.0) * (1.0 + gamma * z[~outer] / d)
+    y = (gamma + d) / 2.0
+    value[~outer] = _gamma_quotient(d / 2.0, y, 2.0 - y) * (1.0 + gamma * z[~outer] / d)
     f = _hyp2f1(-gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0, z[outer], gap[outer])
     value[outer] = fold.power(gamma) * f
     return value
@@ -310,16 +315,18 @@ def quadratic_ball_moment(d, beta: float):
     Returns (C_beta, d/(4-beta)) with
     C_beta = pi^(d/2) Gamma((4-beta-d)/2) / Gamma((4-beta)/2), so that
     the quadratic-kernel potential of the unnormalized profile equals
-    C_beta (|x|^2 + d/(4-beta)) / 2.
+    C_beta (|x|^2 + d/(4-beta)) / 2.  With y = (beta + d)/2 in (0, 2) it
+    is taken as |S^(d-1)| Gamma(y) Gamma(2 - y) / (2K), K the interior
+    constant of ``_ball_raw``, since C_beta K = pi^(d/2) Gamma(y)
+    Gamma(2 - y) / Gamma(d/2): a float up to d = 343, and DomainError
+    from d = 344, where ``unit_sphere_area`` refuses.
     """
     d = _whole("d", d, 1)
     if not -d < beta < -d + 4:
         raise DomainError(f"need -d < beta < -d+4, got beta={beta} in d={d}")
-    c_beta = (
-        math.pi ** (d / 2.0)
-        * gamma_fn((4.0 - beta - d) / 2.0)
-        / gamma_fn((4.0 - beta) / 2.0)
-    )
+    y = (beta + d) / 2.0
+    k = _gamma_quotient(d / 2.0, y, 2.0 - y)
+    c_beta = unit_sphere_area(d) * gamma_fn(y) * gamma_fn(2.0 - y) / (2.0 * k)
     return (c_beta, d / (4.0 - beta))
 
 

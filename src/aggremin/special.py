@@ -11,8 +11,8 @@ gives it a finite value; a route returns nan at a node it declines:
   product while its arguments are below 10 and, where c, c-a, c-b and
   c-a-b are all positive and one of them is larger, two lgamma ratios
   that stay exact to rounding and finite where the Gamma values
-  overflow (``_gauss_value``, by ``_gamma_quotient``, which the
-  sphere's closed forms share);
+  overflow (``_gauss_value``, by ``_gamma_quotient``, which every
+  closed form's Gamma ratio shares);
 * the Gauss series by Horner's rule, unless its terms cancel
   (``_series``): at a node in (0, 1) where a or b is a non-positive
   integer, as the polynomial the series is, and above z = 0.9 where
@@ -44,8 +44,10 @@ The gamma function is ``math.gamma``, and ``digamma`` is a finite sum at
 the integer and half-integer arguments the closed forms use, so the
 closed forms of the power-law and logarithmic kernels need no scipy.
 ``_gamma_quotient`` is the ratio Gamma(x + delta)Gamma(y) /
-(Gamma(x)Gamma(y + delta)) that the Gauss value and the sphere's radius
-and energy take, finite at any d.
+(Gamma(x)Gamma(y + delta)), at any step delta, and the package's one
+evaluator of a Gamma ratio: the Gauss value, the sphere's radius and
+energy, and the ball's radius and interior constant take it, finite at
+any d.
 ``scipy.special`` is imported at the first call that needs it: the 2F1
 ufunc on a node inside (0, 1), or ``digamma`` at any other argument.
 ``import aggremin`` loads no scipy module.
@@ -177,7 +179,8 @@ def _lgamma_ratio(x: float, delta: float) -> float:
 
 def _gamma_quotient(x: float, y: float, delta: float, power: float = 1.0) -> float:
     """(Gamma(x + delta)Gamma(y) / (Gamma(x)Gamma(y + delta)))^power for
-    x, y > 0, x + delta, y + delta > 0 and delta >= -1/2.
+    x, y > 0 and x + delta, y + delta > 0, at any step delta: the
+    package's one evaluator of a Gamma ratio.
 
     The Gamma product, rounded factor by factor, errs by about
     eps x psi(x) at each rounded argument: within 2.4e-15 of mpmath on
@@ -187,13 +190,17 @@ def _gamma_quotient(x: float, y: float, delta: float, power: float = 1.0) -> flo
     it is the exponential of two lgamma ratios, each a step up by delta
     (``_lgamma_split``): its error grows with delta, not with psi at the
     rounded arguments, and it stays finite where the Gamma factors
-    overflow.  ``power`` is applied to the logarithm there, so that the
-    sphere's radius, the quotient to the power 1/(alpha - beta), stays
-    finite where the quotient itself overflows (at beta_star from d of
-    about 1035).
+    overflow.  A step below -1/2, where ``_lgamma_split`` does not
+    reach, is taken by reflection, Q(x, y, delta)^p =
+    Q(x + delta, y + delta, -delta)^(-p), the same four arguments.
+    ``power`` is applied to the logarithm there, so that a radius, the
+    quotient to a power, stays finite where the quotient itself
+    overflows (the sphere's at beta_star from d of about 1035).
     """
     if max(x, y, x + delta, y + delta) < _GAUSS_PRODUCT_MAX:
         return (gamma_fn(x + delta) * gamma_fn(y) * _rgamma(x) * _rgamma(y + delta)) ** power
+    if delta < -0.5:
+        return _gamma_quotient(x + delta, y + delta, -delta, -power)
     y_x, rest_x = _lgamma_split(x, delta)
     y_y, rest_y = _lgamma_split(y, delta)
     return math.exp(power * (rest_x - rest_y + delta * math.log(y_x / y_y)))
@@ -203,20 +210,17 @@ def _gauss_value(a: float, b: float, c: float) -> float:
     """F(a,b;c;1) = Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b)), DLMF 15.4.20.
 
     Where c, c-a, c-b and c-a-b are all positive it is a
-    ``_gamma_quotient``, a step up by delta, the smaller of |a| and |b|
-    (F is symmetric in them): x = c - a, y = c - a - b for
-    a = delta >= 0, and x = c - b, y = c for a = -delta < 0.  Elsewhere
-    it is the Gamma product with its poles and signs: exactly 0.0 at a
-    pole of c-a or c-b, and inf or nan where a factor leaves the float
-    range.
+    ``_gamma_quotient`` with x = c - step, y = c - a - b and delta the
+    step, the one of a and b smaller in magnitude (F is symmetric in
+    them).  Elsewhere it is the Gamma product with its poles and signs:
+    exactly 0.0 at a pole of c-a or c-b, and inf or nan where a factor
+    leaves the float range.
     """
     m = c - a - b
     if not min(c, c - a, c - b, m) > 0:
         return gamma_fn(c) * gamma_fn(m) * _rgamma(c - a) * _rgamma(c - b)
-    step, other = sorted((a, b), key=abs)
-    if step >= 0:
-        return _gamma_quotient(c - step, m, step)
-    return _gamma_quotient(c - other, c, -step)
+    step = min(a, b, key=abs)
+    return _gamma_quotient(c - step, m, step)
 
 
 def _horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import candidate_for, classify
-from .closed_form import _checked_eta, _radius_sphere, _require_well_conditioned
-from .errors import DomainError, QuadratureFailure, RegimeError
-from .params import CandidateMinimizer, KernelParams, _whole
+from .closed_form import _checked_eta, _sphere_candidate, candidate_for, classify
+from .errors import DomainError, QuadratureFailure
+from .params import KernelParams, _whole
 from .potentials import (
     _Fold,
     _check_rho,
@@ -383,23 +382,6 @@ def _concave_seam(params: KernelParams) -> bool:
 
     alpha, beta = (Fraction(g) for g in (params.alpha, params.beta))
     return _seam_curvature(params.d, alpha) < _seam_curvature(params.d, beta)
-
-
-def _sphere_candidate(params: KernelParams) -> CandidateMinimizer:
-    """The sphere of radius R = ``_radius_sphere`` that the sphere
-    instruments test: Psi, Psi''(1), the convexity report and the forced
-    Euler-Lagrange audit.  Their one gate: a point is refused here, with
-    RegimeError, or with IllConditioned for a power-law beta next to 0.
-    R is finite at every point the gate accepts."""
-    d, beta = params.d, params.beta
-    if params.alpha_is_log or not 2.0 <= params.alpha <= 4.0:
-        raise RegimeError("alpha out of supported range")
-    if d < 2:
-        raise RegimeError("the sphere combination needs d >= 2")
-    if not params.beta_is_log and not d + beta > 2:
-        raise RegimeError(f"the sphere combination needs d + beta > 2, got {d + beta}")
-    _require_well_conditioned(params)
-    return CandidateMinimizer("UniformSphere", _radius_sphere(d, params.alpha, beta))
 
 
 def psi_capital(params: KernelParams, rho):

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from aggremin import (
@@ -136,15 +137,35 @@ def test_verify_el_in_a_large_dimension_passes(d, capsys):
     assert payload["exterior_min_margin"] >= -1e-14 * max(1.0, abs(payload["eta"]))
 
 
-def test_ball_potential_past_d_340_is_a_domain_error(capsys):
-    """At d = 341 the ball's radius and energy are finite, but its
-    potential at the center overflows: one JSON refusal, exit 2."""
+def test_closed_form_past_d_340_matches_mpmath(capsys):
+    """At d = 341 the Gamma factors of the ball's R, K and C_beta
+    overflow, and every ratio of them is a Gamma quotient: R and E are
+    within 1e-14 relative of 40-digit mpmath, and eta, held to the
+    potential at the center, is 2E."""
     rc, out, err = _run(["closed-form", "--d", "341", "--alpha", "2", "--beta", "-339.5"], capsys)
-    assert rc == 2
+    assert rc == 0
+    assert err == ""
+    payload = _strict_json(out)
+    with mpmath.workdps(40):
+        b, g = mpmath.mpf(-339.5), mpmath.gamma
+        r = (g((4 - b) / 2) * g((b + 341) / 2) / g(1 + mpmath.mpf(341) / 2)) ** (1 / (2 - b))
+        want_r, want_e = float(r), float(-341 * (2 - b) / (2 * b * (4 - b)) * r * r)
+    assert abs(payload["R"] - want_r) <= 1e-14 * want_r
+    assert abs(payload["E"] - want_e) <= 1e-14 * abs(want_e)
+    assert payload["eta"] == 2.0 * payload["E"]
+
+
+def test_verify_el_past_d_340_is_a_nonconvergence(capsys):
+    """The ball's audit at d = 341 still refuses: on the outer branch
+    the connection route's scale Gamma(c) overflows, and its series in w
+    would not settle at c - b of about 171.5, so the ufunc reads inf.
+    One typed refusal, exit 3."""
+    rc, out, err = _run(["verify-el", "--d", "341", "--alpha", "2", "--beta", "-339.5"], capsys)
+    assert rc == 3
     assert err == ""
     assert _strict_json(out)["error"] == {
-        "type": "DomainError",
-        "reason": "potential at x_norm=0.0 is not finite: inf",
+        "type": "NonConvergence",
+        "reason": "hyp2f1(169.75, 0.25; 171.75; 0.9999999995978686) is not finite",
     }
 
 

@@ -23,6 +23,7 @@ from aggremin import (
     RegimeError,
     RegimeTag,
     ball_density,
+    ball_potential,
     ball_potential_quad,
     beta_star,
     candidate_for,
@@ -324,19 +325,34 @@ def test_sphere_closed_forms_match_mpmath_where_gamma_overflows(d):
     assert failures == []
 
 
-@pytest.mark.parametrize("d", [1000, 10_000, 100_000])
+def _sphere_moment(d, g):
+    """E(1 - t)^g to O(d^-3) for t = <u, v>, u and v uniform on the unit
+    sphere in R^d: 1 + g(g-1)/(2d) + g(g-1)(g-2)(g-3)/(8d^2), from
+    E t^2 = 1/d and E t^4 = 3/(d(d+2)), the odd moments 0."""
+    return 1.0 + g * (g - 1.0) / (2.0 * d) + g * (g - 1.0) * (g - 2.0) * (g - 3.0) / (8.0 * d * d)
+
+
+@pytest.mark.parametrize("d", [100, 1000, 10_000, 100_000])
 def test_sphere_closed_forms_follow_their_large_d_expansion(d):
-    """An oracle with no Gamma function: as d grows, the sphere's
-    R sqrt(2) = 1 - (alpha + beta - 2)/(8d) + O(d^-2) and
-    E/e0 = 1 - alpha beta/(8d) + O(d^-2), e0 = (1/alpha - 1/beta)/2,
-    each residual at most 2/d^2 (from -0.13 to +1.0 times 1/d^2 here)."""
+    """An oracle with no Gamma function.  With M(g) = E(1 - t)^g
+    (``_sphere_moment``) the energy of the sphere of radius R is
+    ((sqrt(2) R)^alpha M(alpha/2)/alpha - (sqrt(2) R)^beta M(beta/2)/beta)/2,
+    so sqrt(2) R = (M(beta/2)/M(alpha/2))^(1/(alpha - beta)) and
+    E = (1/alpha - 1/beta)/2 (sqrt(2) R)^alpha M(alpha/2), each to
+    O(d^-3).  The residuals of sqrt(2) R and of E relative read
+    +0.034, -0.005, 0.000, -0.029 and -0.064, +0.028, 0.000, +0.124
+    times d^-3 at the four points from d = 100 to 10^4; at 10^5 rounding
+    dominates, so each is held to d^-3 + 1e-14."""
+    bound = d**-3.0 + 1e-14
     for alpha, beta in ((3.0, 1.9), (2.5, 1.5), (4.0, 2.0), (3.0, 0.5)):
         params = KernelParams(d, alpha, beta)
-        e0 = 0.5 * (1.0 / alpha - 1.0 / beta)
-        r_residual = radius(params) * math.sqrt(2.0) - (1.0 - (alpha + beta - 2.0) / (8.0 * d))
-        e_residual = energy(params) / e0 - (1.0 - alpha * beta / (8.0 * d))
-        assert abs(r_residual) * d * d <= 2.0, (alpha, beta, r_residual)
-        assert abs(e_residual) * d * d <= 2.0, (alpha, beta, e_residual)
+        m_alpha = _sphere_moment(d, alpha / 2.0)
+        scaled = (_sphere_moment(d, beta / 2.0) / m_alpha) ** (1.0 / (alpha - beta))
+        want_e = 0.5 * (1.0 / alpha - 1.0 / beta) * scaled**alpha * m_alpha
+        r_residual = radius(params) * math.sqrt(2.0) - scaled
+        e_residual = (energy(params) - want_e) / abs(want_e)
+        assert abs(r_residual) <= bound, (alpha, beta, r_residual)
+        assert abs(e_residual) <= bound, (alpha, beta, e_residual)
 
 
 def _ball_closed_forms_mp(d, beta):
@@ -367,14 +383,41 @@ def test_ball_closed_forms_match_mpmath_where_gamma_overflows(d):
     assert failures == []
 
 
-@pytest.mark.parametrize("d", [341, 1300])
-def test_ball_density_past_d_340_is_a_domain_error(d):
-    """R is finite there, but C_beta is not a float: Gamma((4 - beta)/2)
-    overflows from d = 341, and pi^(d/2) from d = 1240."""
-    params = KernelParams(d, 2.0, 1.5 - d)
+@pytest.mark.parametrize("d", [341, 343])
+def test_ball_normalization_matches_mpmath_past_d_340(d):
+    """From d = 341 Gamma((4 - beta)/2) overflows; C_beta is taken from
+    the interior constant K, a Gamma quotient, and |S^(d-1)|, so C_beta
+    and the potential inside the ball stay within 1e-14 relative of
+    40-digit mpmath up to d = 343."""
+    g = mpmath.gamma
+    for offset in (3.99, 1.5, 0.01):
+        beta = offset - d
+        with mpmath.workdps(40):
+            b, half = mpmath.mpf(beta), mpmath.mpf(d) / 2
+            c_beta = mpmath.pi**half * g((4 - b - d) / 2) / g((4 - b) / 2)
+            inner = g(2 - b / 2) * g((b + d) / 2) / g(half) * (1 + b * mpmath.mpf(0.25) / d)
+            want_c, want_v = float(c_beta), float(c_beta * inner)
+        got_c, got_v = quadratic_ball_moment(d, beta)[0], ball_potential(d, beta, 0.5)
+        assert abs(got_c - want_c) <= 1e-14 * want_c, (offset, got_c, want_c)
+        assert abs(got_v - want_v) <= 1e-14 * abs(want_v), (offset, got_v, want_v)
+
+
+@pytest.mark.parametrize("d", [344, 1300])
+def test_ball_normalization_past_d_343_is_a_domain_error(d):
+    """R is finite there, but C_beta needs |S^(d-1)|, whose Gamma(d/2)
+    overflows from d = 344: C_beta, the ball's potential and its density
+    inside the support raise DomainError, never 0.0, nan or an untyped
+    error."""
+    beta = 1.5 - d
+    params = KernelParams(d, 2.0, beta)
     assert math.isfinite(radius(params))
-    with pytest.raises(DomainError, match=f"C_beta leaves the float range in d={d}"):
-        ball_density(params, 0.5)
+    for call in (
+        lambda: quadratic_ball_moment(d, beta),
+        lambda: ball_potential(d, beta, 0.5),
+        lambda: ball_density(params, 0.5),
+    ):
+        with pytest.raises(DomainError, match=f"overflows in d={d}"):
+            call()
     assert ball_density(params, 2.0) == 0.0
 
 

@@ -372,7 +372,7 @@ def test_psi_capital_reads_the_sphere_radius(monkeypatch):
     """Psi is the sphere's potential scaled by its own radius: with that
     radius 1e-6 high, the seam slope tilts above 1e-8."""
     monkeypatch.setattr(
-        "aggremin.verify._radius_sphere", lambda *args: (1.0 + 1e-6) * _radius_sphere(*args)
+        "aggremin.closed_form._radius_sphere", lambda *args: (1.0 + 1e-6) * _radius_sphere(*args)
     )
     for params in _SEAM_CASES:
         assert abs(_seam_slope(params)) > 1e-8, params

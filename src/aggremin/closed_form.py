@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError, IllConditioned, RegimeError
 from .params import CandidateMinimizer, KernelParams, RegimeTag, _whole
-from .potentials import quadratic_ball_moment, total_potential
+from .potentials import _fold, _potential, _require_finite, quadratic_ball_moment
 from .special import _gamma_quotient, digamma
 
 __all__ = [
@@ -37,6 +39,10 @@ __all__ = [
 
 _SUPPORTED = ("SphereTheorem1", "Boundary", "BallTheorem2")
 _BETA_CONDITION_FLOOR = 1e-6
+# The probe node of ``eta``, folded once: rho = 1 on the sphere, its
+# surface, and rho = 0 in the ball, its center.
+_SPHERE_PROBE = _fold(np.array([1.0])).frozen()
+_BALL_PROBE = _fold(np.array([0.0])).frozen()
 
 
 def beta_star(d, alpha: float) -> float:
@@ -225,8 +231,11 @@ def eta(params: KernelParams) -> float:
     """Constant value of the minimizer's potential on its own support.
 
     Always exactly twice the energy; computed that way, then cross-checked
-    against an independent evaluation of the candidate's total potential
-    at a support point (sphere surface, or ball center).  The two routes
+    against an independent evaluation of the candidate's potential at
+    its probe, a support point folded once at import (rho = 1 on the
+    sphere surface, rho = 0 at the ball center), with no gate past
+    ``candidate_for``'s.  A probe value that is not finite raises
+    DomainError, naming the probe's radius x_norm.  The two routes
     share the candidate's radius and ``special._gamma_quotient``, which
     the sphere's energy and the Gauss value of its profile at rho = 1
     both take, and nothing else, so their agreement is a real
@@ -234,5 +243,8 @@ def eta(params: KernelParams) -> float:
     2E to its own grid by the same rule.
     """
     cand = candidate_for(params)
-    probe = 0.0 if cand.kind == "BallProfile" else cand.radius
-    return _checked_eta(params, cand, total_potential(params, cand, probe))
+    sphere = cand.kind == "UniformSphere"
+    probe = _SPHERE_PROBE if sphere else _BALL_PROBE
+    value = _potential(params, cand, probe.z, probe)
+    _require_finite(value, [cand.radius if sphere else 0.0], "x_norm")
+    return _checked_eta(params, cand, float(value[0]))

@@ -42,6 +42,7 @@ array for an array.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -119,6 +120,14 @@ class _Fold(NamedTuple):
     def half_log(self) -> np.ndarray:
         """ln(rho)/2 at the outer nodes."""
         return 0.5 * self.root * np.log(self.base)
+
+    def frozen(self) -> _Fold:
+        """The fold itself, its arrays made read-only: a fold built once
+        and shared by every call."""
+        for array in (self.z, self.gap, self.take, self.outer, self.base):
+            if array is not None:
+                array.setflags(write=False)
+        return self
 
 
 def _fold(nodes: np.ndarray, root: int = 1) -> _Fold:
@@ -330,6 +339,7 @@ def quadratic_ball_moment(d, beta: float):
     return (c_beta, d / (4.0 - beta))
 
 
+@functools.lru_cache(maxsize=16)
 def _coefficients(d: int, c0: float):
     """The coefficients c_1..c_N of the log series, and whether they sum it.
 
@@ -345,12 +355,15 @@ def _coefficients(d: int, c0: float):
     the last computed term times their count, a bound on the tail at
     z = 1, is below eps/16: even d, where the series terminates, and odd
     d >= 13.  The ball's terms grow like binomials before they fall, so
-    they cancel near z = 1 at large d.
+    they cancel near z = 1 at large d.  The result is cached, since it
+    depends on (d, c0) alone, and its array is read-only, because the
+    cache hands it to every caller.
     """
     n = np.arange(1.0, max(64, 5 * math.isqrt(d)) + 1.0)
     coef = np.cumprod(((2.0 - d) / 2.0 + n - 1.0) / (c0 + n - 1.0)) / n
     sphere_tail = abs(coef[-1]) * n.size if c0 == d / 2.0 else math.inf
     coef = np.trim_zeros(coef, "b")
+    coef.setflags(write=False)
     return coef, bool(sphere_tail < _EPS / 16.0 or not coef.size)
 
 
@@ -421,8 +434,8 @@ def _log_series(d: int, c0: float, z) -> np.ndarray:
     is S(z) of the ball profile.  At z = 1 the sum is
     digamma(c0) - digamma(c0 - (2-d)/2).
 
-    Nodes z <= 1/2 take one power sum by Horner's rule, over the
-    coefficients of _coefficients (at most 64 up to d = 168, and only
+    Nodes z <= 1/2 take one power sum by ``special._horner``, over the
+    cached coefficients of _coefficients (at most 64 up to d = 168, and only
     the nonzero ones where the series terminates), which converges at
     least like 2^-n there; so do all nodes where that sum is exact on
     [0, 1]: the sphere's series at even d, where it terminates, and from

@@ -13,17 +13,17 @@ gives it a finite value; a route returns nan at a node it declines:
   that stay exact to rounding and finite where the Gamma values
   overflow (``_gauss_value``, by ``_gamma_quotient``, which every
   closed form's Gamma ratio shares);
-* the Gauss series by Horner's rule, unless its terms cancel
+* the Gauss series, summed by ``_horner``, unless its terms cancel
   (``_series``): at a node in (0, 1) where a or b is a non-positive
   integer, as the polynomial the series is, and above z = 0.9 where
   c-a-b >= 10, where its terms fall like k^(a+b-c-1) up to z = 1;
 * above z = 0.9, with c-a-b below 10 and not an integer, the z -> 1 - z
   connection formula (DLMF 15.8.4) as two short series in w = 1 - z,
   its cancelling terms paired so that c-a-b next to an integer costs
-  no digits (``_connection``); w is the caller's gap where it passes
-  one, so that a z rounded from 1/rho costs w nothing; a node whose
-  terms still cancel, as for large a and b at w near 0.1, stays with
-  the ufunc;
+  no digits, summed by ``_horner`` (``_connection``); w is the caller's
+  gap where it passes one, so that a z rounded from 1/rho costs w
+  nothing; a node whose terms still cancel, as for large a and b at w
+  near 0.1, stays with the ufunc;
 * every other node is one call of scipy's ``hyp2f1`` ufunc at z, where
   its direct Gauss series is fast.  Above 0.9 where c-a-b >= 10 it
   gets only the nodes that ``_series`` declines: there it read inf
@@ -39,6 +39,11 @@ profile is within 1e-15 of 50-digit mpmath from d = 130 to 1000.  The
 outer branch of a profile meets that bound only with w from the exact
 rho - 1: 1 - fl(1/rho) put psi_gamma 2e-11 off next to the sphere.
 A non-finite result raises NonConvergence.
+
+``_horner`` is the one series summer of the two routes and of
+``potentials._log_series``: Horner's rule in two levels, in blocks of 8
+terms, so that a series costs few array calls, and each node's value
+still depends on that node alone.
 
 The gamma function is ``math.gamma``, and ``digamma`` is a finite sum at
 the integer and half-integer arguments the closed forms use, so the
@@ -79,6 +84,10 @@ _CONNECTION_M = 10.0
 _CONNECTION_TERMS = 64
 # The Gauss series (``_series``) gets at most _SERIES_TERMS terms.
 _SERIES_TERMS = 4096
+# ``_horner`` sums its coefficients in blocks of _HORNER_BLOCK terms, in at
+# most _HORNER_MAX_BLOCKS blocks.
+_HORNER_BLOCK = 8
+_HORNER_MAX_BLOCKS = 8
 # A node whose connection terms cancel by more than this factor takes the
 # ufunc instead: the error of the sum grows with the cancellation.
 _CONNECTION_CANCEL = 16.0
@@ -226,21 +235,41 @@ def _gauss_value(a: float, b: float, c: float) -> float:
 def _horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k coefficients[i, k] z^k for every row i at every node of z.
 
-    Horner's rule, node by node: a node's value does not depend on the
-    other nodes of the call.  No nodes cost no columns.
+    Horner's rule in two levels: the coefficients are cut into blocks of
+    _HORNER_BLOCK, every block is summed at once by Horner's rule in z,
+    and the block sums by Horner's rule in z^_HORNER_BLOCK (one ``pow``,
+    which rounds once where repeated squaring rounds three times), so K
+    terms cost about 2 _HORNER_BLOCK + 2 K / _HORNER_BLOCK array calls
+    instead of 2K.  Past _HORNER_MAX_BLOCKS blocks the blocks widen, so
+    that the block sums stay within _HORNER_MAX_BLOCKS arrays of the
+    nodes' size.  A series of at most _HORNER_BLOCK terms is one block,
+    plain Horner's rule.  Trailing zero coefficients change no bit, and
+    a node's value does not depend on the other nodes of the call.  No
+    nodes cost no columns.
     """
-    sums = np.zeros((len(coefficients), z.size))
-    if not z.size:
-        return sums
-    for column in coefficients.T[::-1]:
+    rows, k = coefficients.shape
+    if not (z.size and k):
+        return np.zeros((rows, z.size))
+    width = max(min(k, _HORNER_BLOCK), -(-k // _HORNER_MAX_BLOCKS))
+    blocks = -(-k // width)
+    padded = np.zeros((rows, blocks * width))
+    padded[:, :k] = coefficients
+    sums = np.zeros((blocks, rows, z.size))
+    for column in padded.reshape(rows, blocks, width).T[::-1]:
         sums *= z
-        sums += column[:, None]
-    return sums
+        sums += column[..., None]
+    total = sums[-1]
+    if blocks > 1:
+        step = z**width
+        for block in sums[-2::-1]:
+            total *= step
+            total += block
+    return total
 
 
 def _series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """F(a,b;c;z) at nodes 0 < z < 1 by its Gauss series (DLMF 15.2.1),
-    sum_k (a)_k (b)_k / ((c)_k k!) z^k, by Horner's rule.
+    sum_k (a)_k (b)_k / ((c)_k k!) z^k, summed by ``_horner``.
 
     The sum ends at the first term whose bound at the largest node falls
     to 1e-17 of the largest term there, or at a zero term: a polynomial
@@ -295,7 +324,10 @@ def _connection(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
     the series in w do not settle within _CONNECTION_TERMS terms.  nan
     at a node where the sum of the terms' magnitudes exceeds
     _CONNECTION_CANCEL times the value (large a and b at w near 0.1
-    cancel by 10^6).
+    cancel by 10^6).  One ``_horner`` call sums three rows: the terms,
+    the V_j and the terms' magnitudes.  Every V_j has C's sign, since
+    c - a, c - b and m + 1 are positive here, so the sum of their
+    magnitudes is |sum V_j w^j| bit for bit.
     """
     declined = np.full(w.shape, np.nan)
     m = c - a - b
@@ -334,12 +366,12 @@ def _connection(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
         v *= (c - a + j) * (c - b + j) / ((m + 1 + j) * (j + 1))
     else:
         return declined
-    coefficients = np.array([regular + paired, [0.0] * n + plain])
+    terms = regular + paired
     with np.errstate(all="ignore"):
-        sums = _horner(np.concatenate([coefficients, np.abs(coefficients)]), w)
+        sums = _horner(np.array([terms, [0.0] * n + plain, np.abs(terms)]), w)
         tail = np.expm1(eps * np.log(w))
         value = sums[0] - tail * sums[1]
-        magnitude = sums[2] + np.abs(tail) * sums[3]
+        magnitude = sums[2] + np.abs(tail * sums[1])
         return np.where(magnitude <= _CONNECTION_CANCEL * np.abs(value), value, np.nan)
 
 
@@ -360,8 +392,11 @@ def _hyp2f1(a: float, b: float, c: float, z, gap=None) -> np.ndarray:
     The gate: a, b and c must be finite, c must avoid the non-positive
     integers, every node must lie in [0, 1], and a node at z = 1 needs
     c - a - b > 0 for the series to converge.  A refusal raises
-    DomainError naming the first bad node.  The routes are those of the
-    module docstring: a polynomial takes ``_series`` at every node, and a
+    DomainError naming the first bad node.  The gate reads the smallest
+    and the largest node once, and a mask of the nodes at z = 1 or
+    above 0.9 is built only where the largest node reaches there.  The
+    routes are those of the module docstring: a polynomial takes
+    ``_series`` at every node, and a
     node above 0.9 takes ``_series`` where c - a - b >= _CONNECTION_M,
     then ``_connection`` (which declines there), before the ufunc.  Each
     returns an array over the nodes it is given, nan where it gives no
@@ -378,24 +413,29 @@ def _hyp2f1(a: float, b: float, c: float, z, gap=None) -> np.ndarray:
         raise DomainError(f"parameters must be finite, got a={a}, b={b}, c={c}")
     if _is_nonpositive_integer(c):
         raise DomainError(f"c={c} is a non-positive integer")
-    outside = ~((z >= 0.0) & (z <= 1.0))
-    if outside.any():
+    low, high = z.min(initial=0.0), z.max(initial=0.0)
+    if not (low >= 0.0 and high <= 1.0):
+        outside = ~((z >= 0.0) & (z <= 1.0))
         raise DomainError(f"z={float(z[outside][0])} outside [0, 1]")
-    at_one = z == 1.0
-    if at_one.any() and not c - a - b > 0:
+    if high == 1.0 and not c - a - b > 0:
         raise DomainError(f"z=1 requires c-a-b > 0, got c-a-b={c - a - b}")
     value = np.ones(z.shape)
-    if at_one.any():
+    inside = z > 0.0
+    if high == 1.0:
+        at_one = z == 1.0
         value[at_one] = _gauss_value(a, b, c)
-    inside = (z > 0.0) & ~at_one
+        inside &= ~at_one
+    above = z > _CONNECTION_Z if high > _CONNECTION_Z else None
     polynomial = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
-    if (polynomial or c - a - b >= _CONNECTION_M) and inside.any():
-        series = inside if polynomial else inside & (z > _CONNECTION_Z)
-        inside = _keep_finite(value, inside, series, _series(a, b, c, z[series]))
-    near = inside & (z > _CONNECTION_Z)
-    if near.any():
-        w = 1.0 - z[near] if gap is None else gap[near]
-        inside = _keep_finite(value, inside, near, _connection(a, b, c, w))
+    if polynomial or above is not None and c - a - b >= _CONNECTION_M:
+        series = inside if polynomial else inside & above
+        if series.any():
+            inside = _keep_finite(value, inside, series, _series(a, b, c, z[series]))
+    if above is not None:
+        near = inside & above
+        if near.any():
+            w = 1.0 - z[near] if gap is None else gap[near]
+            inside = _keep_finite(value, inside, near, _connection(a, b, c, w))
     if inside.any():
         from scipy.special import hyp2f1 as ufunc
 

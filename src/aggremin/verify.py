@@ -22,7 +22,7 @@ import numpy as np
 
 from .closed_form import _checked_eta, _sphere_candidate, candidate_for, classify
 from .errors import DomainError, QuadratureFailure
-from .params import KernelParams, _whole
+from .params import CandidateMinimizer, KernelParams, _whole
 from .potentials import (
     _Fold,
     _check_rho,
@@ -289,16 +289,18 @@ def _el_fold(grid: np.ndarray) -> _Fold:
 # reciprocal; rho = 1 is node _EL_ONE and rho = 0 node 0, the probes of
 # eta.  Convexity: [0, 1] and [1, 10] uniform with 40 and 360 nodes,
 # meeting at rho = 1 (index _SEAM) so that no second-difference stencil
-# straddles the branch point.  Single-zero scan: 41 on [0, 1].
+# straddles the branch point, and folded once (_CONVEXITY_FOLD).
+# Single-zero scan: 41 on [0, 1].
 _EL_GRID = _el_grid(2000)
-_EL_FOLD = _el_fold(_EL_GRID)
+_EL_FOLD = _el_fold(_EL_GRID).frozen()
 _EL_ONE = int(np.flatnonzero(_EL_GRID == 1.0)[0])
 _SEAM = 39
 _CONVEXITY_GRID = np.concatenate(
     [np.linspace(0.0, 1.0, _SEAM + 1), np.linspace(1.0, 10.0, 360)[1:]]
 )
+_CONVEXITY_FOLD = _fold(_CONVEXITY_GRID).frozen()
 _SCAN_GRID = np.linspace(0.0, 1.0, 41)
-for _frozen in (_EL_GRID, _CONVEXITY_GRID, _SCAN_GRID, *_EL_FOLD[:5]):  # the fold's arrays
+for _frozen in (_EL_GRID, _CONVEXITY_GRID, _SCAN_GRID):
     _frozen.flags.writeable = False
 del _frozen
 
@@ -397,8 +399,16 @@ def psi_capital(params: KernelParams, rho):
     """
     cand = _sphere_candidate(params)
     nodes = _check_rho(rho)
-    value, r = _potential(params, cand, nodes, _fold(nodes)), cand.radius
-    return _shaped(rho, value + math.log(r) if params.beta_is_log else value / r**params.beta)
+    return _shaped(rho, _psi(params, cand, nodes, _fold(nodes)))
+
+
+def _psi(
+    params: KernelParams, cand: CandidateMinimizer, rho: np.ndarray, fold: _Fold
+) -> np.ndarray:
+    """Psi at gated nodes rho, given with their fold, from the sphere
+    candidate ``cand``: ``psi_capital`` without its gates."""
+    value, r = _potential(params, cand, rho, fold), cand.radius
+    return value + math.log(r) if params.beta_is_log else value / r**params.beta
 
 
 def psi_capital_dd_at_one(params: KernelParams) -> float:
@@ -433,9 +443,11 @@ def convexity_report(params: KernelParams) -> ConvexityReport:
     rho = 1 that the grid alone can miss it.  Where ``classify`` puts
     the point outside the sphere regime, the sign of Psi''(1) is
     decided exactly instead (``_concave_seam``): at beta_star - 1e-8 it
-    is about -3e-9, inside the tolerance.
+    is about -3e-9, inside the tolerance.  Psi is ``psi_capital``'s core
+    over the grid's fold, built once on import.
     """
-    second = np.diff(psi_capital(params, _CONVEXITY_GRID), n=2)
+    psi = _psi(params, _sphere_candidate(params), _CONVEXITY_GRID, _CONVEXITY_FOLD)
+    second = np.diff(psi, n=2)
     # Entry k is the stencil centred on node k + 1; the one centred on
     # the seam straddles the branch point and is left out.
     second[_SEAM - 1] = np.inf

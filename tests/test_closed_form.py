@@ -38,7 +38,13 @@ from aggremin import (
     verify_euler_lagrange,
 )
 from aggremin import closed_form
-from aggremin.closed_form import _energy_ball, _energy_sphere, _radius_ball, _radius_sphere
+from aggremin.closed_form import (
+    _energy,
+    _energy_ball,
+    _energy_sphere,
+    _radius_ball,
+    _radius_sphere,
+)
 
 
 def test_beta_star_anchor_values():
@@ -244,6 +250,21 @@ def test_eta_refuses_an_energy_one_percent_off(point, monkeypatch):
     holds 2E to its own grid."""
     monkeypatch.setattr(closed_form, "_energy_sphere", lambda *a: 1.01 * _energy_sphere(*a))
     monkeypatch.setattr(closed_form, "_energy_ball", lambda *a: 1.01 * _energy_ball(*a))
+    params = KernelParams(*point)
+    with pytest.raises(IllConditioned, match="eta routes disagree"):
+        eta(params)
+    with pytest.raises(IllConditioned, match="eta routes disagree"):
+        verify_euler_lagrange(params)
+
+
+@pytest.mark.parametrize("point", [(3, 3.0, 1.5), (3, 2.0, -1.0)], ids=["sphere", "ball"])
+def test_eta_refuses_an_energy_1e_9_off(point, monkeypatch):
+    """The two eta routes hold 2E to the probe within 1e-12 max(1, |2E|):
+    |2E| is 0.27 at the sphere point and 1.8 at the ball point, so an
+    energy 1e-9 off is hundreds of times outside the bound, in ``eta``
+    and in the audit.  A bound loosened to 1e-6 would let it through."""
+    assert abs(2.0 * energy(KernelParams(*point))) >= 0.1
+    monkeypatch.setattr(closed_form, "_energy", lambda *a: (1.0 + 1e-9) * _energy(*a))
     params = KernelParams(*point)
     with pytest.raises(IllConditioned, match="eta routes disagree"):
         eta(params)

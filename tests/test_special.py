@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aggremin import DomainError, NonConvergence, PoleError, digamma, gamma_fn
-from aggremin.special import _hyp2f1, _series
+from aggremin.special import _horner, _hyp2f1, _series
 
 mpmath.mp.dps = 40
 
@@ -177,6 +177,33 @@ def test_array_evaluator_equals_scalar_calls():
     for a, b, c in ((-1.25, -0.75, 1.5), (0.3, 1.7, 2.9), (-2.0, 0.4, 2.5)):
         want = [float(_hyp2f1(a, b, c, x)) for x in z]
         assert _hyp2f1(a, b, c, z).tolist() == want, (a, b, c)
+
+
+def _plain_horner(coefficients: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner's rule node by node, one coefficient column a step: the
+    rule that ``_horner`` sums in two levels."""
+    sums = np.zeros((len(coefficients), z.size))
+    for column in coefficients.T[::-1]:
+        sums = sums * z + column[:, None]
+    return sums
+
+
+def test_two_level_horner_is_plain_horner_to_rounding():
+    """Bit for bit up to 8 terms, one block; from 9 terms on within
+    8 eps of the sum of the terms' magnitudes, on random rows at fixed
+    and random nodes in [0, 1].  No nodes give an empty array."""
+    rng = np.random.default_rng(36)
+    z = np.concatenate([[0.0, 1e-300, 0.1, 0.5, 0.9, 1.0], rng.random(40)])
+    for k in range(1, 9):
+        coefficients = rng.standard_normal((3, k))
+        assert np.array_equal(_horner(coefficients, z), _plain_horner(coefficients, z)), k
+    eps = np.finfo(float).eps
+    for k in (9, 24, 64, 300):
+        coefficients = rng.standard_normal((3, k))
+        error = np.abs(_horner(coefficients, z) - _plain_horner(coefficients, z))
+        assert np.all(error <= 8.0 * eps * _plain_horner(np.abs(coefficients), z)), k
+    for k in (1, 8, 9, 300):
+        assert _horner(np.ones((2, k)), np.empty(0)).shape == (2, 0)
 
 
 def test_array_evaluator_gate_is_the_scalar_gate():
@@ -360,6 +387,22 @@ def test_series_route_declines_past_its_budget():
     """A series that has not settled within _SERIES_TERMS terms at the
     largest node gives nan at every node."""
     assert np.isnan(_series(0.5, 0.5, 3.5, np.array([0.5, 1.0 - 1e-15]))).all()
+
+
+@pytest.mark.parametrize("d, gamma", [(11, -10.7), (12, -11.5), (12, -11.99)])
+def test_connection_route_keeps_24_terms_for_the_ball_profile_in_d_11_and_12(d, gamma):
+    """The ball's outer profile, F(-gamma/2, (2-gamma-d)/2; 2-gamma/2; z),
+    next to gamma = -d in d = 11 and 12 keeps 24 terms of the connection
+    series, the most that any sphere or ball profile in d = 1..12 keeps.
+    Above z = 0.9 it stays within the module's 4.6e-15 of 40-digit
+    mpmath there, with w = 1 - z as the caller's gap."""
+    a, b, c = -gamma / 2.0, (2.0 - gamma - d) / 2.0, 2.0 - gamma / 2.0
+    w = np.array([0.099, 0.05, 0.02, 1e-2, 1e-3, 1e-5, 1e-8, 1e-12])
+    got = _hyp2f1(a, b, c, 1.0 - w, w)
+    with mpmath.workdps(40):
+        for value, gap in zip(got, w):
+            want = mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(gap))
+            assert abs(value - want) <= 4.6e-15 * abs(want), gap
 
 
 def test_hyp2f1_overflow_raises_nonconvergence():

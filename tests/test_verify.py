@@ -341,6 +341,23 @@ def test_sphere_audit_sends_no_node_above_0_9_to_the_ufunc(monkeypatch):
     assert largest and max(largest) <= 0.9, max(largest)
 
 
+def test_arrays_built_once_are_read_only():
+    """The grids, folds and coefficients built once and handed to every
+    call cannot be written: the audits' grids and folds, eta's probe
+    folds and the cached log-series coefficients."""
+    from aggremin import closed_form, verify
+    from aggremin.potentials import _coefficients
+
+    arrays = [verify._EL_GRID, verify._CONVEXITY_GRID, verify._SCAN_GRID]
+    for fold in (verify._EL_FOLD, verify._CONVEXITY_FOLD,
+                 closed_form._SPHERE_PROBE, closed_form._BALL_PROBE):
+        arrays += [a for a in fold[:5] if a is not None]  # z, gap, take, outer, base
+    arrays += [_coefficients(d, c0)[0] for d in (2, 4, 5, 40) for c0 in (d / 2.0, 2.0)]
+    assert _coefficients(5, 2.5)[0] is _coefficients(5, 2.5)[0]
+    for array in arrays:
+        assert not array.flags.writeable
+
+
 def test_euler_lagrange_gates():
     with pytest.raises(RegimeError):
         verify_euler_lagrange(KernelParams(3, 3.0, 0.1))

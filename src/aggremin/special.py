@@ -40,6 +40,12 @@ outer branch of a profile meets that bound only with w from the exact
 rho - 1: 1 - fl(1/rho) put psi_gamma 2e-11 off next to the sphere.
 A non-finite result raises NonConvergence.
 
+The connection formula's coefficients depend on (a, b, c) alone and are
+planned once per triple: ``_connection_plan`` keeps the last 256
+triples, so that a profile evaluated again (the audit, the forced audit
+and the convexity grid of one point share theirs) pays only for its
+nodes.  The cached arrays are read-only.
+
 ``_horner`` is the one series summer of the two routes and of
 ``potentials._log_series``: Horner's rule in two levels, in blocks of 8
 terms, so that a series costs few array calls, and each node's value
@@ -60,6 +66,7 @@ ufunc on a node inside (0, 1), or ``digamma`` at any other argument.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -82,6 +89,9 @@ _EXACT_DIGAMMA_MAX = 1000.0
 _CONNECTION_Z = 0.9
 _CONNECTION_M = 10.0
 _CONNECTION_TERMS = 64
+# ``_connection_plan`` keeps the last _PLAN_CACHE parameter triples, more
+# than a batch of about 100 points asks for.
+_PLAN_CACHE = 256
 # The Gauss series (``_series``) gets at most _SERIES_TERMS terms.
 _SERIES_TERMS = 4096
 # ``_horner`` sums its coefficients in blocks of _HORNER_BLOCK terms, in at
@@ -300,6 +310,71 @@ def _series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     return np.where(fine, value, np.nan)
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _connection_plan(a: float, b: float, c: float):
+    """The scalar half of ``_connection``: (eps, rows), or None where the
+    route declines at every node.
+
+    m = c - a - b = n + eps, n = round(m).  rows is the (3, K) array that
+    ``_horner`` sums over the nodes: the terms of the regular series
+    (k < n) followed by the paired ones, the V_j behind n zeros, and the
+    terms' magnitudes.  None when eps is 0 or m is outside
+    [-1/2, _CONNECTION_M), when any of a + n, b + n, c - a, c - b is
+    below 1/4 (the logarithms need ratios bounded away from 0), when A or
+    C leaves the float range, or when the series in w do not settle
+    within _CONNECTION_TERMS terms.  The plan depends on
+    (a, b, c) alone, so it is cached per triple: the audit, the
+    convexity grid and the forced audit of one point share its two
+    profiles' triples, and points of one d and alpha share the
+    attraction's.  _PLAN_CACHE holds the triples of a batch of about 100
+    points with room to spare (98 distinct among a certify round's 165
+    plans); an LRU smaller than a batch's set evicts a shared triple
+    before its reuse.  At most _PLAN_CACHE x 3 x _CONNECTION_TERMS
+    floats, about 0.4 MB.  rows is read-only, because the cache hands it
+    to every caller.
+    """
+    m = c - a - b
+    n = round(m)
+    eps = m - n
+    if eps == 0.0 or not -0.5 <= m < _CONNECTION_M or not min(a + n, b + n, c - a, c - b) >= 0.25:
+        return None
+    gauss = _gauss_value(a, b, c)
+    scale = ((-1) ** n * math.pi / math.sin(math.pi * eps)
+             * gamma_fn(c) * _rgamma(a) * _rgamma(b) * _rgamma(m + 1.0))
+    if not (math.isfinite(gauss) and math.isfinite(scale)):
+        return None
+    # Coefficients of the regular series (k < n) and of the paired series
+    # (j >= 0), the latter until a term at w = 0.1 falls below 1e-18 of
+    # the largest.
+    regular, term = [], gauss
+    for k in range(n):
+        regular.append(term)
+        term *= (a + k) * (b + k) / ((k + 1 - m) * (k + 1))
+    paired, plain = [], []
+    v = scale
+    s = (_lgamma_ratio(n + 1.0, eps) - _lgamma_ratio(a + n, eps)
+         - _lgamma_ratio(b + n, eps) - _lgamma_ratio(1.0, -eps))
+    largest = 0.0
+    for j in range(_CONNECTION_TERMS):
+        bound = abs(v) * (1.0 - _CONNECTION_Z) ** j
+        if not math.isfinite(bound):
+            return None
+        largest = max(largest, bound)
+        if bound <= 1e-18 * largest:
+            break
+        paired.append(v * math.expm1(s))
+        plain.append(v)
+        s += (math.log1p(eps / (n + 1 + j)) - math.log1p(eps / (a + n + j))
+              - math.log1p(eps / (b + n + j)) - math.log1p(-eps / (1 + j)))
+        v *= (c - a + j) * (c - b + j) / ((m + 1 + j) * (j + 1))
+    else:
+        return None
+    terms = regular + paired
+    rows = np.array([terms, [0.0] * n + plain, np.abs(terms)])
+    rows.setflags(write=False)
+    return eps, rows
+
+
 def _connection(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
     """F(a,b;c;1-w) at nodes 0 < w < 0.1 by DLMF 15.8.4, nan where it gives none.
 
@@ -317,58 +392,23 @@ def _connection(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
     V_j = (c-a)_j (c-b)_j / ((m+1)_j j!), so that C V_j w^(n+j) e^(s_j) is
     the w^(n+j) term of the first series and -C V_j w^(m+j) that of the
     second.  s_j is O(eps), summed from lgamma ratios and log1p steps,
-    and every term is accurate to rounding at any eps.  nan at every node
-    when m is an integer or outside [-1/2, _CONNECTION_M), when any of
-    a + n, b + n, c - a, c - b is below 1/4 (the logarithms need ratios
-    bounded away from 0), when A or C leaves the float range, or when
-    the series in w do not settle within _CONNECTION_TERMS terms.  nan
-    at a node where the sum of the terms' magnitudes exceeds
+    and every term is accurate to rounding at any eps.  The coefficients
+    depend on (a, b, c) alone and come from the cached
+    ``_connection_plan``; nan at every node where it declines.  This half
+    does the work over the nodes: one ``_horner`` call sums the plan's
+    three rows (the terms, the V_j and the terms' magnitudes), and nan at
+    a node where the sum of the terms' magnitudes exceeds
     _CONNECTION_CANCEL times the value (large a and b at w near 0.1
-    cancel by 10^6).  One ``_horner`` call sums three rows: the terms,
-    the V_j and the terms' magnitudes.  Every V_j has C's sign, since
-    c - a, c - b and m + 1 are positive here, so the sum of their
-    magnitudes is |sum V_j w^j| bit for bit.
+    cancel by 10^6).  Every V_j has C's sign, since c - a, c - b and
+    m + 1 are positive here, so the sum of their magnitudes is
+    |sum V_j w^j| bit for bit.
     """
-    declined = np.full(w.shape, np.nan)
-    m = c - a - b
-    n = round(m)
-    eps = m - n
-    if eps == 0.0 or not -0.5 <= m < _CONNECTION_M or not min(a + n, b + n, c - a, c - b) >= 0.25:
-        return declined
-    gauss = _gauss_value(a, b, c)
-    scale = ((-1) ** n * math.pi / math.sin(math.pi * eps)
-             * gamma_fn(c) * _rgamma(a) * _rgamma(b) * _rgamma(m + 1.0))
-    if not (math.isfinite(gauss) and math.isfinite(scale)):
-        return declined
-    # Coefficients of the regular series (k < n) and of the paired series
-    # (j >= 0), the latter until a term at w = 0.1 falls below 1e-18 of
-    # the largest.  The w-independent part is scalar work.
-    regular, term = [], gauss
-    for k in range(n):
-        regular.append(term)
-        term *= (a + k) * (b + k) / ((k + 1 - m) * (k + 1))
-    paired, plain = [], []
-    v = scale
-    s = (_lgamma_ratio(n + 1.0, eps) - _lgamma_ratio(a + n, eps)
-         - _lgamma_ratio(b + n, eps) - _lgamma_ratio(1.0, -eps))
-    largest = 0.0
-    for j in range(_CONNECTION_TERMS):
-        bound = abs(v) * (1.0 - _CONNECTION_Z) ** j
-        if not math.isfinite(bound):
-            return declined
-        largest = max(largest, bound)
-        if bound <= 1e-18 * largest:
-            break
-        paired.append(v * math.expm1(s))
-        plain.append(v)
-        s += (math.log1p(eps / (n + 1 + j)) - math.log1p(eps / (a + n + j))
-              - math.log1p(eps / (b + n + j)) - math.log1p(-eps / (1 + j)))
-        v *= (c - a + j) * (c - b + j) / ((m + 1 + j) * (j + 1))
-    else:
-        return declined
-    terms = regular + paired
+    plan = _connection_plan(a, b, c)
+    if plan is None:
+        return np.full(w.shape, np.nan)
+    eps, rows = plan
     with np.errstate(all="ignore"):
-        sums = _horner(np.array([terms, [0.0] * n + plain, np.abs(terms)]), w)
+        sums = _horner(rows, w)
         tail = np.expm1(eps * np.log(w))
         value = sums[0] - tail * sums[1]
         magnitude = sums[2] + np.abs(tail * sums[1])

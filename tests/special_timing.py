@@ -7,10 +7,13 @@ and on the convexity grid's 399 folded nodes; one call of the ball's
 outer branch (d = 3, gamma = -1) on the audit's 999 outer nodes; and
 ``eta``, ``verify_euler_lagrange`` and ``convexity_report`` at the
 power-law sphere point (4, 3, 1.5) and the log-kernel sphere point
-(4, 3, log).  The cases are timed in turn, round after round, so that a
-slow spell of the machine falls on all of them alike, and each row
-reports its fastest of the ROUNDS (60) rounds.  From the repository
-root:
+(4, 3, log).  Every timed call follows an untimed call of the same
+case, so that its triples' connection plans are cached, as for a
+repeated profile.  Each 2F1 case also has a cold row, whose timed call
+follows a clearing of the plan cache, as for a fresh (a, b, c).
+The cases are timed in turn, round after round, so that a slow spell of
+the machine falls on all of them alike, and each row reports its
+fastest of the ROUNDS (60) rounds.  From the repository root:
 
     python tests/special_timing.py
 
@@ -33,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aggremin import KernelParams, convexity_report, eta, verify_euler_lagrange  # noqa: E402
 from aggremin.potentials import _fold  # noqa: E402
-from aggremin.special import _hyp2f1  # noqa: E402
+from aggremin.special import _connection_plan, _hyp2f1  # noqa: E402
 from aggremin.verify import _CONVEXITY_GRID, _EL_FOLD  # noqa: E402
 
 ROUNDS = 60
@@ -53,17 +56,22 @@ def _ball_outer(d: int, gamma: float):
 
 
 def cases() -> list:
+    """(name, call, cold) for every row: a cold row clears the connection
+    plan cache before each call."""
     convexity_fold = _fold(_CONVEXITY_GRID)
-    rows = []
+    special = []
     for d in (2, 4, 5):
-        rows.append((f"2F1 sphere d={d} audit fold", _profile(d, _EL_FOLD)))
-        rows.append((f"2F1 sphere d={d} convexity grid", _profile(d, convexity_fold)))
-    rows.append(("2F1 ball d=3 audit outer nodes", _ball_outer(3, -1.0)))
+        special.append((f"2F1 sphere d={d} audit fold", _profile(d, _EL_FOLD)))
+        special.append((f"2F1 sphere d={d} convexity grid", _profile(d, convexity_fold)))
+    special.append(("2F1 ball d=3 audit outer nodes", _ball_outer(3, -1.0)))
+    rows = []
+    for name, call in special:
+        rows += [(name, call, False), (f"{name}, cold", call, True)]
     for name, params in (("(4, 3, 1.5)", KernelParams(4, 3.0, 1.5)),
                          ("(4, 3, log)", KernelParams(4, 3.0, 0.0, beta_is_log=True))):
-        rows.append((f"eta {name}", lambda p=params: eta(p)))
-        rows.append((f"verify_euler_lagrange {name}", lambda p=params: verify_euler_lagrange(p)))
-        rows.append((f"convexity_report {name}", lambda p=params: convexity_report(p)))
+        rows.append((f"eta {name}", lambda p=params: eta(p), False))
+        rows.append((f"verify_euler_lagrange {name}", lambda p=params: verify_euler_lagrange(p), False))
+        rows.append((f"convexity_report {name}", lambda p=params: convexity_report(p), False))
     return rows
 
 
@@ -71,12 +79,15 @@ def main() -> None:
     rows = cases()
     best = [float("inf")] * len(rows)
     for _ in range(ROUNDS):
-        for i, (_, call) in enumerate(rows):
+        for i, (_, call, cold) in enumerate(rows):
+            call()
+            if cold:
+                _connection_plan.cache_clear()
             start = time.perf_counter()
             call()
             best[i] = min(best[i], time.perf_counter() - start)
     print(f"{'case':<40} {'us/call':>9}")
-    for (name, _), seconds in zip(rows, best):
+    for (name, _, _), seconds in zip(rows, best):
         print(f"{name:<40} {seconds * 1e6:>9.1f}")
 
 

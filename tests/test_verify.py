@@ -341,12 +341,56 @@ def test_sphere_audit_sends_no_node_above_0_9_to_the_ufunc(monkeypatch):
     assert largest and max(largest) <= 0.9, max(largest)
 
 
+# (a, b, c) of the sphere profile at gamma = 2.5 in d = 2, 4 and 5, and of
+# the ball's outer branch at (2, 2, -1): each takes the connection formula
+# above z = 0.9.
+_PLANNED_TRIPLES = [(-1.25, (-0.5 - d) / 2.0, d / 2.0) for d in (2, 4, 5)] + [(0.5, 0.5, 2.5)]
+
+
+def test_a_cold_plan_gives_the_bits_of_a_warm_one():
+    """Each 2F1 triple's connection plan is cached: a call after the cache
+    is cleared gives the same bits on the audit's and the convexity
+    grid's folds as a call that finds the plan cached, and a repeated
+    triple is a hit."""
+    from aggremin import verify
+    from aggremin.special import _connection_plan, _hyp2f1
+
+    for a, b, c in _PLANNED_TRIPLES:
+        for fold in (verify._EL_FOLD, verify._CONVEXITY_FOLD):
+            _connection_plan.cache_clear()
+            cold = _hyp2f1(a, b, c, fold.z, fold.gap)
+            before = _connection_plan.cache_info()
+            warm = _hyp2f1(a, b, c, fold.z, fold.gap)
+            after = _connection_plan.cache_info()
+            assert np.array_equal(cold, warm)
+            assert after.hits > before.hits
+            assert after.misses == before.misses
+
+
+def test_scan_sees_a_dip_between_quarter_nodes(monkeypatch):
+    """g = f1 - q f2 negative only on (0.31, 0.34), between the nodes of a
+    scan at z = 0, 0.25, ..., 1: the documented 41 nodes hold z = 0.325,
+    so the scan reads the dip."""
+    from aggremin import verify
+
+    def profile(a, b, c, z):
+        if (a, b) == (2.0, 2.0):
+            return np.ones(z.shape)
+        return np.where((z > 0.31) & (z < 0.34), 2.0, 0.5)
+
+    monkeypatch.setattr(verify, "_hyp2f1", profile)
+    assert single_zero_scan(2.0, 2.0, 1.0, 1.0, 5.0, 1.0) == "+-+"
+
+
 def test_arrays_built_once_are_read_only():
     """The grids, folds and coefficients built once and handed to every
     call cannot be written: the audits' grids and folds, eta's probe
-    folds and the cached log-series coefficients."""
+    folds, the cached log-series coefficients and the cached connection
+    plans of the d = 2, 4 and 5 sphere profiles and of the ball's outer
+    branch."""
     from aggremin import closed_form, verify
     from aggremin.potentials import _coefficients
+    from aggremin.special import _connection_plan
 
     arrays = [verify._EL_GRID, verify._CONVEXITY_GRID, verify._SCAN_GRID]
     for fold in (verify._EL_FOLD, verify._CONVEXITY_FOLD,
@@ -354,6 +398,10 @@ def test_arrays_built_once_are_read_only():
         arrays += [a for a in fold[:5] if a is not None]  # z, gap, take, outer, base
     arrays += [_coefficients(d, c0)[0] for d in (2, 4, 5, 40) for c0 in (d / 2.0, 2.0)]
     assert _coefficients(5, 2.5)[0] is _coefficients(5, 2.5)[0]
+    for triple in _PLANNED_TRIPLES:
+        plan = _connection_plan(*triple)
+        assert plan is _connection_plan(*triple)
+        arrays.append(plan[1])
     for array in arrays:
         assert not array.flags.writeable
 

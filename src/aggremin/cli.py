@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 for an error that refused the input (a
 audit, 64 for usage errors, among them an output path that cannot be
 written (one ``aggremin: error:`` line on stderr, no traceback).  All
 JSON carries a top-level ``"schema": "aggremin/1"``; floats are
-serialized by ``repr`` so they round-trip bit-exactly.
+serialized by ``repr`` so they round-trip bit-exactly, and a top-level
+NaN is written as ``null``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def _write_text(text: str, out_path, mode: str = "w") -> None:
 
 
 def _emit(payload: dict, out_path) -> None:
+    # NaN is not JSON (RFC 8259): a top-level NaN is written as null, as
+    # _write_csv writes None as an empty cell.
+    payload = {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in payload.items()}
     _write_text(json.dumps(payload, indent=2) + "\n", out_path)
 
 
@@ -129,11 +133,7 @@ def cmd_verify_el(args) -> int:
 def cmd_convexity(args) -> int:
     params = _params_from(args)
     report = convexity_report(params)
-    payload = {"schema": SCHEMA, "report": "convexity", **asdict(report)}
-    # NaN is not JSON (RFC 8259); an absent curvature is written as null.
-    if math.isnan(report.psi_dd_at_one):
-        payload["psi_dd_at_one"] = None
-    _emit(payload, args.out)
+    _emit({"schema": SCHEMA, "report": "convexity", **asdict(report)}, args.out)
     return 0 if report.passed else 3
 
 

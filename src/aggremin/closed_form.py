@@ -37,7 +37,8 @@ __all__ = [
     "candidate_for",
 ]
 
-_SUPPORTED = ("SphereTheorem1", "Boundary", "BallTheorem2")
+_SPHERE_TAGS = ("SphereTheorem1", "Boundary")
+_SUPPORTED = _SPHERE_TAGS + ("BallTheorem2",)
 _BETA_CONDITION_FLOOR = 1e-6
 # The probe node of ``eta``, folded once: rho = 1 on the sphere, its
 # surface, and rho = 0 in the ball, its center.
@@ -170,7 +171,7 @@ def candidate_for(params: KernelParams) -> CandidateMinimizer:
     tag = classify(params)
     if tag.tag not in _SUPPORTED:
         raise RegimeError(tag.detail)
-    if tag.tag != "BallTheorem2":
+    if tag.tag in _SPHERE_TAGS:
         return _sphere_candidate(params)
     _require_well_conditioned(params)
     return CandidateMinimizer("BallProfile", _radius_ball(params.d, params.beta))

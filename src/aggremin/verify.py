@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _checked_eta, _sphere_candidate, candidate_for, classify
+from .closed_form import _SPHERE_TAGS, _checked_eta, _sphere_candidate, candidate_for, classify
 from .errors import DomainError, QuadratureFailure
 from .params import CandidateMinimizer, KernelParams, _whole
 from .potentials import (
@@ -223,8 +223,8 @@ class ELReport:
       support (negative means the candidate fails), at node
       ``rho_worst_exterior``.
     * ``passed``: both figures within the one tolerance ``tol``; for a
-      sphere forced off its regime with d + beta > 3, also Psi''(1) >= 0,
-      its sign decided exactly (``verify_euler_lagrange``).
+      forced sphere, also no concave seam off its regime
+      (``_concave_seam``).
     """
 
     eta: float
@@ -316,27 +316,21 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     over the grid's 1001 distinct folded nodes; a value that is not
     finite raises DomainError, naming the first such node.  That one
     pass also gives eta at its probe node, rho = 1 on the sphere and
-    rho = 0 in the ball: eta is twice the closed-form energy, held to
-    the probe's value within 1e-12 (IllConditioned "eta routes
-    disagree" otherwise), as ``eta`` holds it to ``total_potential``.
-    With ``force_sphere`` a sphere candidate is tested even where the
-    classification picks the ball or nothing; below the critical curve
-    this makes the report fail, which is the point of the flag.  Just
-    below it the exterior dip is shallower than ``tol`` (-4.3e-10 at
-    (2, 3, beta_star - 1e-2)), so where d + beta > 3 the forced report
-    also fails when Psi''(1) < 0.  Its sign is that of k(alpha) -
-    k(beta), a rational function of the inputs, evaluated exactly in
-    ``Fraction`` from the floats.
+    rho = 0 in the ball: eta is twice the candidate's closed-form
+    energy, held to the probe's value within 1e-12 (IllConditioned
+    "eta routes disagree" otherwise), as ``eta`` holds it to
+    ``total_potential``.  With ``force_sphere`` the candidate is the
+    sphere of ``_sphere_candidate`` at any point that its gate admits,
+    audited by the same rule; below the critical curve this makes the
+    report fail, which is the point of the flag.  Just below it the
+    exterior dip is shallower than ``tol`` (-4.3e-10 at
+    (2, 3, beta_star - 1e-2)), so the forced report also fails where
+    ``_concave_seam`` finds Psi''(1) < 0 off the sphere regime.
     """
-    forced = force_sphere and _off_sphere(params)
-    cand = _sphere_candidate(params) if forced else candidate_for(params)
+    cand = _sphere_candidate(params) if force_sphere else candidate_for(params)
     values = _require_finite(_potential(params, cand, _EL_GRID, _EL_FOLD), _EL_GRID, "rho")
     sphere = cand.kind == "UniformSphere"
-    at_probe = float(values[_EL_ONE if sphere else 0])
-    # Off-regime there is no energy formula; anchor eta at the
-    # candidate's own surface value so the support condition is exact
-    # and any failure shows up as an exterior dip.
-    eta_val = at_probe if forced else _checked_eta(params, cand, at_probe)
+    eta_val = _checked_eta(params, cand, float(values[_EL_ONE if sphere else 0]))
     deviation = values - eta_val
     support = _EL_GRID == 1.0 if sphere else _EL_GRID <= 1.0
     tol = 1e-9 * max(1.0, abs(eta_val))
@@ -346,11 +340,9 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     lowest = int(np.argmin(exterior))
     dev_support = float(abs_dev[worst])
     margin = float(exterior[lowest])
-    passed = dev_support <= tol and margin >= -tol
-    if forced:
-        # A negative seam curvature is no minimizer, however shallow the
-        # exterior dip it makes.
-        passed = passed and not _concave_seam(params)
+    # A negative seam curvature is no minimizer, however shallow the
+    # exterior dip it makes.
+    passed = dev_support <= tol and margin >= -tol and not (force_sphere and _concave_seam(params))
     return ELReport(
         eta=float(eta_val),
         support_max_abs_dev=dev_support,
@@ -362,23 +354,19 @@ def verify_euler_lagrange(params: KernelParams, *, force_sphere: bool = False) -
     )
 
 
-def _off_sphere(params: KernelParams) -> bool:
-    """Whether ``classify`` puts the point outside the sphere regime."""
-    return classify(params).tag not in ("SphereTheorem1", "Boundary")
-
-
 def _concave_seam(params: KernelParams) -> bool:
-    """Whether Psi''(1) exists (d + beta > 3) and is negative, decided exactly.
+    """The seam rule of both sphere instruments: whether, off the sphere
+    regime, Psi''(1) exists (d + beta > 3) and is negative, decided exactly.
 
-    Psi''(1) has the sign of k(alpha) - k(beta), evaluated in
-    ``Fraction`` from the float inputs; False where d + beta <= 3.
-    Both audits apply it only off the sphere regime: on the critical
-    curve itself a float beta can sit a rounding below the exact curve
-    (Psi''(1) = -1.4e-16 at (2, 4, 4/3)), where the sphere still
-    minimizes.  Imported here, so that only this test pays for loading
-    fractions.
+    False where d + beta <= 3 and where ``classify`` gives a sphere tag:
+    on the critical curve itself a float beta can sit a rounding below
+    the exact curve (Psi''(1) = -1.4e-16 at (2, 4, 4/3)), where the
+    sphere still minimizes.  Elsewhere Psi''(1) has the sign of
+    k(alpha) - k(beta), a rational function of the inputs, evaluated in
+    ``Fraction`` from the floats.  Imported here, so that only this test
+    pays for loading fractions.
     """
-    if not params.d + params.beta > 3:
+    if not params.d + params.beta > 3 or classify(params).tag in _SPHERE_TAGS:
         return False
     from fractions import Fraction
 
@@ -440,11 +428,11 @@ def convexity_report(params: KernelParams) -> ConvexityReport:
     exists (d + beta > 3) and nan otherwise.  The report passes only if
     no second difference and no finite ``psi_dd_at_one`` falls below
     -tol: just under beta_star the negative curvature sits so close to
-    rho = 1 that the grid alone can miss it.  Where ``classify`` puts
-    the point outside the sphere regime, the sign of Psi''(1) is
-    decided exactly instead (``_concave_seam``): at beta_star - 1e-8 it
-    is about -3e-9, inside the tolerance.  Psi is ``psi_capital``'s core
-    over the grid's fold, built once on import.
+    rho = 1 that the grid alone can miss it.  Off the sphere regime it
+    also fails on a negative sign of Psi''(1) decided exactly
+    (``_concave_seam``): at beta_star - 1e-8 Psi''(1) is about -3e-9,
+    inside the tolerance.  Psi is ``psi_capital``'s core over the
+    grid's fold, built once on import.
     """
     psi = _psi(params, _sphere_candidate(params), _CONVEXITY_GRID, _CONVEXITY_FOLD)
     second = np.diff(psi, n=2)
@@ -455,12 +443,11 @@ def convexity_report(params: KernelParams) -> ConvexityReport:
     min_sd = float(second[lowest])
     dd = psi_capital_dd_at_one(params) if params.d + params.beta > 3 else math.nan
     tol = 1e-7
-    seam = not _concave_seam(params) if _off_sphere(params) else not dd < -tol
     return ConvexityReport(
         min_second_difference=min_sd,
         rho_min_second_difference=float(_CONVEXITY_GRID[lowest + 1]),
         psi_dd_at_one=dd,
-        passed=min_sd >= -tol and seam,
+        passed=min_sd >= -tol and not dd < -tol and not _concave_seam(params),
         tol=tol,
     )
 

@@ -13,7 +13,10 @@ repeated profile.  Each 2F1 case also has a cold row, whose timed call
 follows a clearing of the plan cache, as for a fresh (a, b, c).
 The cases are timed in turn, round after round, so that a slow spell of
 the machine falls on all of them alike, and each row reports its
-fastest of the ROUNDS (60) rounds.  From the repository root:
+fastest of the ROUNDS (60) rounds.  Each round takes the rows in its
+own order, shuffled with the round's index as seed, so that no row
+keeps the place in the round that its time would depend on, and a
+rerun repeats the orders.  From the repository root:
 
     python tests/special_timing.py
 
@@ -26,6 +29,7 @@ as in the benchmark.
 from __future__ import annotations
 
 import os
+import random
 import sys
 import time
 from pathlib import Path
@@ -78,8 +82,10 @@ def cases() -> list:
 def main() -> None:
     rows = cases()
     best = [float("inf")] * len(rows)
-    for _ in range(ROUNDS):
-        for i, (_, call, cold) in enumerate(rows):
+    order = list(enumerate(rows))
+    for k in range(ROUNDS):
+        random.Random(k).shuffle(order)
+        for i, (_, call, cold) in order:
             call()
             if cold:
                 _connection_plan.cache_clear()

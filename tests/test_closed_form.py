@@ -37,13 +37,14 @@ from aggremin import (
     unit_sphere_area,
     verify_euler_lagrange,
 )
-from aggremin import closed_form
+from aggremin import closed_form, verify
 from aggremin.closed_form import (
     _energy,
     _energy_ball,
     _energy_sphere,
     _radius_ball,
     _radius_sphere,
+    _sphere_candidate,
 )
 
 
@@ -257,19 +258,28 @@ def test_eta_refuses_an_energy_one_percent_off(point, monkeypatch):
         verify_euler_lagrange(params)
 
 
-@pytest.mark.parametrize("point", [(3, 3.0, 1.5), (3, 2.0, -1.0)], ids=["sphere", "ball"])
-def test_eta_refuses_an_energy_1e_9_off(point, monkeypatch):
+@pytest.mark.parametrize(
+    "point, force",
+    [((3, 3.0, 1.5), False), ((3, 2.0, -1.0), False), ((3, 3.0, 0.5), True)],
+    ids=["sphere", "ball", "forced"],
+)
+def test_eta_refuses_an_energy_1e_9_off(point, force, monkeypatch):
     """The two eta routes hold 2E to the probe within 1e-12 max(1, |2E|):
-    |2E| is 0.27 at the sphere point and 1.8 at the ball point, so an
-    energy 1e-9 off is hundreds of times outside the bound, in ``eta``
-    and in the audit.  A bound loosened to 1e-6 would let it through."""
-    assert abs(2.0 * energy(KernelParams(*point))) >= 0.1
-    monkeypatch.setattr(closed_form, "_energy", lambda *a: (1.0 + 1e-9) * _energy(*a))
+    |2E| is 0.27 at the sphere point, 1.8 at the ball point and 1.53 for
+    the sphere forced onto (3, 3, 0.5), OutOfScope below beta_star =
+    2/3, which the audit holds to its own energy like any candidate.  So
+    an energy 1e-9 off is hundreds of times outside the bound, in
+    ``eta`` and in the audit.  A bound loosened to 1e-6 would let it
+    through."""
     params = KernelParams(*point)
+    cand = _sphere_candidate(params) if force else candidate_for(params)
+    assert abs(2.0 * _energy(params, cand)) >= 0.1
+    monkeypatch.setattr(closed_form, "_energy", lambda *a: (1.0 + 1e-9) * _energy(*a))
+    if not force:
+        with pytest.raises(IllConditioned, match="eta routes disagree"):
+            eta(params)
     with pytest.raises(IllConditioned, match="eta routes disagree"):
-        eta(params)
-    with pytest.raises(IllConditioned, match="eta routes disagree"):
-        verify_euler_lagrange(params)
+        verify_euler_lagrange(params, force_sphere=force)
 
 
 @pytest.mark.parametrize("point", [(3, 3.0, 1.5), (3, 2.0, -1.0)], ids=["sphere", "ball"])
@@ -280,6 +290,27 @@ def test_eta_refuses_an_energy_1e_9_off(point, monkeypatch):
 def test_each_answer_classifies_once(point, fn, monkeypatch):
     """``candidate_for`` is the one closed-form gate: every answer at a
     point, the unforced audit included, decides the regime once."""
+    calls = _count_classify(monkeypatch)
+    fn(KernelParams(*point))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "point", [(3, 3.0, 1.5), (2, 3.0, 1.49)], ids=["sphere", "off-regime"]
+)
+def test_a_forced_audit_classifies_at_most_once(point, monkeypatch):
+    """The forced audit picks the sphere without ``candidate_for``; only
+    its seam predicate asks the regime, at most once, in ``closed_form``
+    or in ``verify``.  At (2, 3, 1.49), 0.01 below beta_star, the
+    exterior margin is inside the tolerance, so the predicate is asked."""
+    calls = _count_classify(monkeypatch)
+    verify_euler_lagrange(KernelParams(*point), force_sphere=True)
+    assert len(calls) <= 1
+
+
+def _count_classify(monkeypatch) -> list:
+    """The list that every later ``classify`` call, looked up in
+    ``closed_form`` or in ``verify``, appends its point to."""
     calls = []
 
     def counted(params):
@@ -287,8 +318,8 @@ def test_each_answer_classifies_once(point, fn, monkeypatch):
         return classify(params)
 
     monkeypatch.setattr(closed_form, "classify", counted)
-    fn(KernelParams(*point))
-    assert len(calls) == 1
+    monkeypatch.setattr(verify, "classify", counted)
+    return calls
 
 
 def test_beta_next_to_zero_is_refused_not_extrapolated():
